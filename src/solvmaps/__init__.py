@@ -22,6 +22,7 @@ from .numeric import (
     MINUS,
     PLUS,
     SIGNS,
+    Powers,
     Sign,
     Tolerance,
     approx_eq,
@@ -76,6 +77,7 @@ from .verify import (
     run_verify,
 )
 from .ysystem import (
+    OrbitPowers,
     YClosedForm,
     YParams,
     YState,

@@ -48,7 +48,7 @@ from .stepmaps import (
     step_sqrt_quadratic,
 )
 from .verify import SUITE_NAMES, run_verify
-from .ysystem import YParams, YState, y_closed, y_step
+from .ysystem import OrbitPowers, YParams, YState, y_closed, y_step
 
 SEED_ENV_VAR = "SOLVMAPS_SEED"
 
@@ -280,8 +280,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
         if args.system == "y":
             writer = _Writer(stream, args.format, _state_columns("y", with_y=False))
             y0 = YState(*state)
+            powers = OrbitPowers(params, y0)
             for ell in range(args.steps + 1):
-                y = y_closed(params, y0, ell).state
+                y = y_closed(params, y0, ell, powers=powers).state
                 writer.row([ell, *_flatten((y.y1, y.y2))])
             return 0
         if spec.solve is None:
@@ -292,10 +293,10 @@ def cmd_solve(args: argparse.Namespace) -> int:
             yflat = _flatten((entry.y.y1, entry.y.y2))
             writer.row([entry.ell, "+", *_flatten(entry.plus), *yflat])
             writer.row([entry.ell, "-", *_flatten(entry.minus), *yflat])
-        if solution.overflow_at is not None:
+        if solution.error is not None:
             print(
-                f"error: closed-form evaluation overflowed at step {solution.overflow_at}; "
-                "output truncated",
+                f"error: closed-form evaluation failed at step {solution.overflow_at}: "
+                f"{solution.error.reason}; output truncated",
                 file=sys.stderr,
             )
             return 3

@@ -13,13 +13,17 @@ class SolvmapsError(Exception):
 
 
 class NumericError(SolvmapsError):
-    """Base class for arithmetic failures (carries an optional step index)."""
+    """Base class for arithmetic failures (carries an optional step index).
+
+    ``reason`` is the message without the step suffix.
+    """
 
     def __init__(self, message: str, step: int | None = None):
+        self.reason = message
+        self.step = step
         if step is not None:
             message = f"{message} (at step {step})"
         super().__init__(message)
-        self.step = step
 
 
 class ZeroToNegativePowerError(NumericError):

@@ -3,7 +3,8 @@
 Integer powers follow exact repeated-multiplication semantics (so the parity
 convention (-z)**s == (+/-) z**s holds with no branch-cut surprises), square
 roots are branch-explicit, and all comparisons go through a single
-relative/absolute tolerance type.
+relative/absolute tolerance type.  :class:`Powers` shares the squarings of
+one base across many exponents and returns exactly what :func:`cpow` would.
 """
 
 from __future__ import annotations
@@ -11,6 +12,9 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import reduce
+from itertools import compress
+from operator import mul
 
 from .errors import NumericOverflowError, ZeroToNegativePowerError
 
@@ -83,6 +87,67 @@ def cpow(z: complex, n: int, step: int | None = None) -> complex:
             raise NumericOverflowError("reciprocal of underflowed power", step=step)
         result = 1 / result
     return ensure_finite(result, step=step)
+
+
+#: Maps the digits of ``bin(n)`` to the bytes 0 and 1, so the bits of ``n``
+#: can select entries of a squaring ladder.
+_BIT_VALUES = bytes.maketrans(b"01", b"\0\1")
+
+
+class Powers:
+    """Integer powers of one base that share their squarings.
+
+    Keeps the ladder ``z, z**2, z**4, ...`` (extended on demand) and the
+    product for every ``|n|`` already asked for.  A power is the product of
+    the ladder entries at the set bits of ``|n|``, multiplied low bit first
+    onto ``1+0j``: the same squarings and the same multiplication order as
+    :func:`cpow`, so ``Powers(z).pow(n, step)`` equals ``cpow(z, n, step)``
+    bit for bit and raises the same errors.  Meant to live for one orbit.
+    """
+
+    __slots__ = ("base", "_ladder", "_products")
+
+    def __init__(self, z: complex):
+        self.base = complex(z)
+        self._ladder = [self.base]
+        self._products: dict[int, complex] = {}
+
+    def __len__(self) -> int:
+        """Number of ladder entries built so far (squarings + 1)."""
+        return len(self._ladder)
+
+    def pow(self, n: int, step: int | None = None) -> complex:
+        """``base**n``, exactly as ``cpow(base, n, step)``."""
+        if n == 0:
+            return 1 + 0j
+        if self.base == 0:
+            if n < 0:
+                raise ZeroToNegativePowerError("zero base raised to a negative power", step=step)
+            return 0j
+        m = -n if n < 0 else n
+        products = self._products
+        result = products.get(m)
+        if result is None:
+            ladder = self._ladder
+            top = m.bit_length() - 1
+            while len(ladder) <= top:
+                ladder.append(ladder[-1] * ladder[-1])
+            # The top bit is multiplied in last, onto the product of the
+            # lower bits.  That product is often known already: z**(2**t - 1)
+            # on the way to z**(2**(t+1) - 1), or 1 for a power of two.
+            lower = m ^ (1 << top)
+            result = products.get(lower) if lower else 1 + 0j
+            if result is None:
+                bits = bin(lower)[:1:-1].encode().translate(_BIT_VALUES)
+                result = reduce(mul, compress(ladder, bits), 1 + 0j)
+            result *= ladder[top]
+            products[m] = result
+        if n < 0:
+            ensure_finite(result, step=step)
+            if result == 0:
+                raise NumericOverflowError("reciprocal of underflowed power", step=step)
+            result = 1 / result
+        return ensure_finite(result, step=step)
 
 
 def principal_sqrt(z: complex) -> complex:

@@ -6,15 +6,21 @@ bridge, and returns the explicit two-branch solution set.  Branch labels
 follow the bridge conventions and are not claimed to align with any
 particular sign sequence; the contract is set-equality per step.
 
-If closed-form evaluation overflows before ``ellmax`` the solution is
-truncated at the failing step and marked accordingly.
+The squarings of alpha, beta and y1(0) are shared across the steps of one
+orbit (one :class:`~solvmaps.ysystem.OrbitPowers` per solve), so a long
+orbit costs far less than a fresh closed-form call per step while every
+result stays bit-identical to one.
+
+If closed-form evaluation or the bridge inversion fails with a numeric error
+(overflow, zero base to a negative power) before ``ellmax``, the solution is
+truncated at the failing step and records the error.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import NumericOverflowError
+from .errors import NumericError
 from .numeric import MINUS, PLUS, ComplexPair
 from .polybridge import (
     DistinctZeroPair,
@@ -33,7 +39,7 @@ from .stepmaps import (
     yz_forward,
     yz_invert,
 )
-from .ysystem import YClosedForm, YParams, YState, y_closed, y_closed_special
+from .ysystem import OrbitPowers, YClosedForm, YParams, YState, y_closed, y_closed_special
 
 
 @dataclass(frozen=True)
@@ -48,10 +54,15 @@ class BranchEntry:
 
 @dataclass
 class BranchSolution:
-    """Per-step branch sets; ``overflow_at`` marks a truncated solution."""
+    """Per-step branch sets.
+
+    A truncated solution has ``overflow_at`` set to the step that failed
+    (whatever the numeric error was) and ``error`` to the error itself.
+    """
 
     entries: list[BranchEntry] = field(default_factory=list)
     overflow_at: int | None = None
+    error: NumericError | None = None
 
     def branch_set(self, ell: int) -> tuple[ComplexPair, ComplexPair]:
         entry = self.entries[ell]
@@ -67,14 +78,18 @@ def _evolve(
     special: bool,
 ) -> BranchSolution:
     solution = BranchSolution()
+    powers = OrbitPowers(yp, y0)
     for ell in range(ellmax + 1):
         try:
             closed: YClosedForm = (
-                y_closed_special(yp, y0, ell) if special else y_closed(yp, y0, ell)
+                y_closed_special(yp, y0, ell, powers=powers)
+                if special
+                else y_closed(yp, y0, ell, powers=powers)
             )
             plus, minus = invert(closed.state)
-        except NumericOverflowError:
+        except NumericError as exc:
             solution.overflow_at = ell
+            solution.error = exc
             break
         solution.entries.append(BranchEntry(ell, plus, minus, closed.state))
     return solution
@@ -134,7 +149,7 @@ def solve_conjugated(
     """Closed-form orbit of the conjugated cubic family: A applied componentwise."""
     x0 = A.invert(z0)
     inner = solve_cubic_family(p, DistinctZeroPair(*x0), ellmax)
-    mapped = BranchSolution(overflow_at=inner.overflow_at)
+    mapped = BranchSolution(overflow_at=inner.overflow_at, error=inner.error)
     for entry in inner.entries:
         mapped.entries.append(
             BranchEntry(entry.ell, A.apply(entry.plus), A.apply(entry.minus), entry.y)

@@ -14,6 +14,14 @@ All closed-form exponents are computed in exact integer arithmetic first
 (they grow like (1+k)**ell) and only then applied to complex bases, so the
 divisibility identities underlying the formulas are checked rather than
 approximated.
+
+Every power of alpha, beta and y1(0) is drawn from an :class:`OrbitPowers`,
+one squaring ladder per base.  A caller that evaluates many steps of one
+orbit builds it once and passes it to each call, so the squarings are shared
+across the orbit and the general form's accumulator terms, which do not
+depend on ell, are computed once.  The closed form is still evaluated
+directly at every step, and every result is bit-identical to evaluating each
+power on its own with :func:`~solvmaps.numeric.cpow`.
 """
 
 from __future__ import annotations
@@ -21,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NonIntegerExponentError, QRMismatchError
-from .numeric import DEFAULT_TOL, Tolerance, approx_eq, cpow
+from .numeric import DEFAULT_TOL, Powers, Tolerance, approx_eq, cpow
 
 
 @dataclass(frozen=True)
@@ -76,6 +84,32 @@ class YClosedForm:
     u: int
 
 
+class OrbitPowers:
+    """Squaring ladders of alpha, beta and y1(0) for one orbit of one system.
+
+    Pass the same instance to every closed-form call of the orbit it was
+    built for, with the same ``p`` and ``y0`` objects; drop it when the
+    orbit is done.
+    """
+
+    __slots__ = ("params", "y0", "alpha", "beta", "y10")
+
+    def __init__(self, p: YParams, y0: YState):
+        self.params = p
+        self.y0 = y0
+        self.alpha = Powers(p.alpha)
+        self.beta = Powers(p.beta)
+        self.y10 = Powers(y0.y1)
+
+
+def _orbit_powers(p: YParams, y0: YState, powers: OrbitPowers | None) -> OrbitPowers:
+    if powers is None:
+        return OrbitPowers(p, y0)
+    if powers.params is not p or powers.y0 is not y0:
+        raise ValueError("powers were built for a different orbit")
+    return powers
+
+
 def u_exponent(k: int, q: int, r: int) -> int:
     """The auxiliary exponent u = k*r - (1+k)*q."""
     return k * r - (1 + k) * q
@@ -103,25 +137,33 @@ def y_step(p: YParams, s: YState, step: int | None = None) -> YState:
     return YState(y1n, y2n)
 
 
-def _y1_closed(p: YParams, y10: complex, ell: int) -> complex:
+def _y1_closed(p: YParams, powers: OrbitPowers, ell: int) -> complex:
     growth = (1 + p.k) ** ell
     e_alpha = _exact_div(growth - 1, p.k)
-    return cpow(p.alpha, e_alpha, step=ell) * cpow(y10, growth, step=ell)
+    return powers.alpha.pow(e_alpha, step=ell) * powers.y10.pow(growth, step=ell)
 
 
-def y_closed(p: YParams, y0: YState, ell: int) -> YClosedForm:
-    """General closed-form solution at time ``ell`` (arbitrary integer q, r)."""
+def y_closed(
+    p: YParams, y0: YState, ell: int, *, powers: OrbitPowers | None = None
+) -> YClosedForm:
+    """General closed-form solution at time ``ell`` (arbitrary integer q, r).
+
+    ``powers`` shares squarings and accumulator terms between the steps of
+    one orbit; without it the call builds its own.
+    """
     if ell < 0:
         raise ValueError("ell must be non-negative")
+    powers = _orbit_powers(p, y0, powers)
+    alpha, beta, y10 = powers.alpha, powers.beta, powers.y10
     k, q = p.k, p.q
     growth = (1 + k) ** ell
-    y1 = _y1_closed(p, y0.y1, ell)
+    y1 = _y1_closed(p, powers, ell)
 
     e_alpha = _exact_div(q * (growth - k * ell - 1), k * k)
     e_y10 = _exact_div(q * (growth - 1), k)
     u = p.u
     # beta**(2 ell)-scaled accumulator: polynomial in beta, so beta = 0 is fine.
-    bracket = cpow(p.beta, 2 * ell, step=ell) * y0.y2
+    bracket = beta.pow(2 * ell, step=ell) * y0.y2
     if p.gamma != 0:
         for s in range(ell):
             gs = (1 + k) ** s
@@ -129,22 +171,28 @@ def y_closed(p: YParams, y0: YState, ell: int) -> YClosedForm:
             f_s = _exact_div(u * gs + q, k)
             bracket += (
                 p.gamma
-                * cpow(p.beta, 2 * (ell - 1 - s), step=ell)
-                * cpow(p.alpha, e_s, step=ell)
-                * cpow(y0.y1, f_s, step=ell)
+                * beta.pow(2 * (ell - 1 - s), step=ell)
+                * alpha.pow(e_s, step=ell)
+                * y10.pow(f_s, step=ell)
             )
-    y2 = cpow(p.alpha, e_alpha, step=ell) * cpow(y0.y1, e_y10, step=ell) * bracket
-    accumulator = bracket * cpow(p.beta, -2 * ell) if p.beta != 0 else bracket
+    y2 = alpha.pow(e_alpha, step=ell) * y10.pow(e_y10, step=ell) * bracket
+    accumulator = bracket * beta.pow(-2 * ell) if p.beta != 0 else bracket
     return YClosedForm(YState(y1, y2), accumulator, u)
 
 
 def y_closed_special(
-    p: YParams, y0: YState, ell: int, tol: Tolerance = DEFAULT_TOL
+    p: YParams,
+    y0: YState,
+    ell: int,
+    tol: Tolerance = DEFAULT_TOL,
+    *,
+    powers: OrbitPowers | None = None,
 ) -> YClosedForm:
     """Closed form under q = 2k, r = 2(1+k): the sum becomes geometric.
 
     When (alpha/beta)**2 = 1 to tolerance the degenerate geometric ratio is
-    resolved by its analytic limit ell.
+    resolved by its analytic limit ell.  ``powers`` is as for
+    :func:`y_closed`.
     """
     if ell < 0:
         raise ValueError("ell must be non-negative")
@@ -153,8 +201,10 @@ def y_closed_special(
         raise QRMismatchError(
             f"special closed form requires q = 2k, r = 2(1+k); got q={p.q}, r={p.r}"
         )
+    powers = _orbit_powers(p, y0, powers)
+    alpha, beta, y10 = powers.alpha, powers.beta, powers.y10
     growth = (1 + k) ** ell
-    y1 = _y1_closed(p, y0.y1, ell)
+    y1 = _y1_closed(p, powers, ell)
 
     e_alpha = _exact_div(2 * (growth - k * ell - 1), k)
     e_y10 = 2 * (growth - 1)
@@ -164,14 +214,14 @@ def y_closed_special(
     if ell == 0:
         gsum = 0j
     elif approx_eq(a2, b2, tol):
-        gsum = ell * cpow(p.beta, 2 * (ell - 1), step=ell)
+        gsum = ell * beta.pow(2 * (ell - 1), step=ell)
     else:
-        gsum = (cpow(p.alpha, 2 * ell, step=ell) - cpow(p.beta, 2 * ell, step=ell)) / (a2 - b2)
-    bracket = cpow(p.beta, 2 * ell, step=ell) * y0.y2
+        gsum = (alpha.pow(2 * ell, step=ell) - beta.pow(2 * ell, step=ell)) / (a2 - b2)
+    bracket = beta.pow(2 * ell, step=ell) * y0.y2
     if p.gamma != 0:
         bracket += p.gamma * y0.y1 * y0.y1 * gsum
-    y2 = cpow(p.alpha, e_alpha, step=ell) * cpow(y0.y1, e_y10, step=ell) * bracket
-    accumulator = bracket * cpow(p.beta, -2 * ell) if p.beta != 0 else bracket
+    y2 = alpha.pow(e_alpha, step=ell) * y10.pow(e_y10, step=ell) * bracket
+    accumulator = bracket * beta.pow(-2 * ell) if p.beta != 0 else bracket
     return YClosedForm(YState(y1, y2), accumulator, p.u)
 
 

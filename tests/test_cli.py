@@ -6,7 +6,16 @@ import json
 
 import pytest
 
-from solvmaps import MINUS, PLUS, step_cubic_family, CubicFamilyParams, DistinctZeroPair
+from solvmaps import (
+    MINUS,
+    PLUS,
+    CubicFamilyParams,
+    DistinctZeroPair,
+    YParams,
+    YState,
+    step_cubic_family,
+    y_closed,
+)
 from solvmaps.cli import SEED_ENV_VAR, main
 
 from util import pair_residual
@@ -178,6 +187,43 @@ class TestSolve:
         _, rows = parse_csv(out)
         assert rows  # truncated prefix still emitted
         assert max(int(row[0]) for row in rows) < 6
+
+    def test_zero_base_truncates_and_exits_3(self, capsys):
+        # x0 = (1, -2) gives y1(0) = 0, and k = -1 needs y1(0)**-2 at step 1.
+        code, out, err = run_cli(
+            capsys,
+            "solve", "--system", "cubic-family",
+            "--params", '{"a": 1, "b": 1, "k": -1}', "--x0", "[1, -2]",
+            "--steps", "3",
+        )
+        assert code == 3
+        assert "zero base raised to a negative power" in err
+        assert "step 1" in err
+        assert "overflow" not in err
+        header, rows = parse_csv(out)
+        assert header[:2] == ["ell", "branch"]
+        assert [row[:2] for row in rows] == [["0", "+"], ["0", "-"]]
+
+    def test_y_system_matches_per_step_closed_form(self, capsys):
+        params = {"alpha": [0.9, 0.3], "beta": [-0.4, 1.1], "gamma": [0.7, -0.2], "k": 1, "q": 1, "r": 3}
+        x0 = [[0.8, -0.5], [0.3, 0.6]]
+        code, out, _ = run_cli(
+            capsys,
+            "solve", "--system", "y", "--params", json.dumps(params),
+            "--x0", json.dumps(x0), "--steps", "25",
+        )
+        assert code == 0
+        p = YParams(
+            complex(*params["alpha"]), complex(*params["beta"]), complex(*params["gamma"]), 1, 1, 3
+        )
+        y0 = YState(complex(*x0[0]), complex(*x0[1]))
+        want = []
+        for ell in range(26):
+            y = y_closed(p, y0, ell).state
+            want.append([str(ell), *(f"{v:.17g}" for v in (y.y1.real, y.y1.imag, y.y2.real, y.y2.imag))])
+        header, rows = parse_csv(out)
+        assert header == ["ell", "y1_re", "y1_im", "y2_re", "y2_im"]
+        assert rows == want
 
     def test_y_system_closed_form(self, capsys):
         code, out, _ = run_cli(

@@ -1,0 +1,62 @@
+"""Golden outputs: the CLI's bytes for fixed inputs, pinned by sha256.
+
+The pinned digests were taken before the closed forms started sharing
+squarings across an orbit; any change to the order of floating-point
+operations in ``numeric``, ``ysystem`` or the solvers shows up here.  The
+``solve`` instances follow the long-orbit benchmark workload (bases that are
+fourth roots of unity, so nothing overflows), cut to 200 steps.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from solvmaps.cli import main
+
+
+def _sha256_of_run(tmp_path, argv) -> str:
+    path = tmp_path / "out"
+    assert main([*argv, "--out", str(path)]) == 0
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_verify_seed_42_report(tmp_path, capsys):
+    digest = _sha256_of_run(tmp_path, ["verify", "--seed", "42"])
+    assert digest == VERIFY_SEED_42
+
+
+SOLVE_CASES = {
+    "cubic-family k=1": [
+        "--system", "cubic-family",
+        "--params", json.dumps({"a": [1 / 3, 0], "b": [0, 1 / 3], "k": 1}),
+        "--x0", "[[0, 1], [-1, -2]]",
+    ],
+    "quad-family k=2": [
+        "--system", "quad-family",
+        "--params", json.dumps({"a": [0, -0.5], "b": [0.5, 0], "k": 2}),
+        "--x0", "[[-1, 0], [1, 1]]",
+    ],
+    "sqrt-cubic q=1 r=3": [
+        "--system", "sqrt-cubic",
+        "--params", json.dumps(
+            {"alpha": [0, 1], "beta": [-1, 0], "gamma": [0, -1], "k": 1, "q": 1, "r": 3}
+        ),
+        "--x0", "[[1, 0], [-2, -1]]",
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(SOLVE_CASES))
+def test_solve_csv(tmp_path, name):
+    digest = _sha256_of_run(tmp_path, ["solve", *SOLVE_CASES[name], "--steps", "200"])
+    assert digest == SOLVE_CSV[name]
+
+
+VERIFY_SEED_42 = "c37a7e553bf2b8b27fe0e6eb4e518f8ea7391e1fcaa272fae79d866807cbb99b"
+
+SOLVE_CSV = {
+    "cubic-family k=1": "ddb0a2b3f7b8d281ff5bea09b98684ff31fd38c18e4446c8530a370fd301464b",
+    "quad-family k=2": "328be71796d31553da4e90efc3ed1a57f67c2b3df966c9d20d8ffcc477638334",
+    "sqrt-cubic q=1 r=3": "ae649f3de69a86667a2f6dfd2c257539afa91bd35b1c9b3ed7bf8a23805e5365",
+}

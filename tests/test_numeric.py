@@ -14,8 +14,8 @@ from solvmaps import (
     pair_eq_unordered,
     sqrt_branch,
 )
-from solvmaps.errors import NumericOverflowError, ZeroToNegativePowerError
-from solvmaps.numeric import complex_from_obj, complex_to_list, principal_sqrt
+from solvmaps.errors import NumericError, NumericOverflowError, ZeroToNegativePowerError
+from solvmaps.numeric import Powers, complex_from_obj, complex_to_list, principal_sqrt
 
 from util import residual
 
@@ -70,6 +70,72 @@ class TestCpow:
             assert residual(cpow(-z, s), -cpow(z, s)) <= 1e-12
         else:
             assert residual(cpow(-z, s), cpow(z, s)) <= 1e-12
+
+
+def _outcome(fn, *args):
+    """A power's exact bits (signed zeros and NaN included), or its error."""
+    try:
+        z = fn(*args)
+    except NumericError as exc:
+        return type(exc), exc.step, str(exc)
+    return z.real.hex(), z.imag.hex()
+
+
+any_component = st.one_of(
+    st.floats(),  # includes signed zeros, subnormals, huge values, inf and nan
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 2.0]),
+)
+any_complexes = st.builds(complex, any_component, any_component)
+exponents = st.one_of(
+    st.integers(-70, 70),
+    st.integers(-(2**1100), 2**1100),  # more than 1000 bits
+    st.builds(lambda b, c: 2**b - c, st.integers(990, 1030), st.integers(0, 3000)),
+)
+
+
+class TestPowers:
+    """``Powers(z).pow(n)`` is ``cpow(z, n)`` bit for bit, errors included."""
+
+    @given(z=any_complexes, ns=st.lists(exponents, min_size=1, max_size=8))
+    def test_fresh_and_reused_ladders_match_cpow(self, z, ns):
+        reused = Powers(z)
+        # |n| plus a new top bit reuses the product for |n|; the reversed
+        # second pass hits the memo.
+        grown = [abs(n) + (1 << abs(n).bit_length()) for n in ns]
+        for step, n in enumerate(ns + grown + ns[::-1]):
+            want = _outcome(cpow, z, n, step)
+            assert _outcome(Powers(z).pow, n, step) == want
+            assert _outcome(reused.pow, n, step) == want
+
+    @pytest.mark.parametrize("z", [0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)])
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, -1, -2, 2**1001 + 1, -(2**1001)])
+    def test_zero_base(self, z, n):
+        assert _outcome(Powers(z).pow, n, 4) == _outcome(cpow, z, n, 4)
+
+    @pytest.mark.parametrize("z", [1 + 1j, 0j, float("inf"), complex(float("nan"), 0)])
+    def test_zero_exponent_is_one(self, z):
+        assert _outcome(Powers(z).pow, 0, None) == _outcome(cpow, z, 0, None) == ((1.0).hex(), (0.0).hex())
+
+    def test_overflow_and_underflow_raise_with_step(self):
+        cases = [
+            (1e200 + 0j, 5),
+            (1e150 + 0j, -3),  # |z|**3 is inf + 0j, whose reciprocal would be a finite 0
+            (1e-200 + 0j, -5),
+            (1.5 + 0j, 2**1000),
+            (1.5 + 0j, -(2**1000)),
+        ]
+        for z, n in cases:
+            with pytest.raises(NumericOverflowError, match="at step 9"):
+                Powers(z).pow(n, step=9)
+            assert _outcome(Powers(z).pow, n, 9) == _outcome(cpow, z, n, 9)
+
+    def test_ladder_grows_to_the_largest_bit_length(self):
+        powers = Powers(1j)
+        powers.pow(5)
+        assert len(powers) == 3
+        powers.pow(-(2**40))
+        powers.pow(2**20 + 1)
+        assert len(powers) == 41
 
 
 class TestSqrtBranch:

@@ -11,6 +11,7 @@ from solvmaps import (
     LinearChange,
     MINUS,
     PLUS,
+    Powers,
     QuadraticFamilyParams,
     SIGNS,
     SqrtSystemParams,
@@ -222,6 +223,36 @@ class TestStructuralProperties:
                     assert pair_residual_unordered(branch, qe.plus) <= 1e-8
 
 
+class TestSharedSquarings:
+    def test_each_base_squared_at_most_once_per_bit(self, monkeypatch):
+        """A 1000-step k=1 orbit builds one ladder per base, no longer than its largest exponent."""
+        ladders = []
+        largest = {}
+        init, pow_ = Powers.__init__, Powers.pow
+
+        def recording_init(self, z):
+            init(self, z)
+            ladders.append(self)
+
+        def recording_pow(self, n, step=None):
+            largest[id(self)] = max(largest.get(id(self), 0), abs(n))
+            return pow_(self, n, step)
+
+        monkeypatch.setattr(Powers, "__init__", recording_init)
+        monkeypatch.setattr(Powers, "pow", recording_pow)
+        # alpha = 1, beta = i, y1(0) = 1: exact unit bases, so nothing overflows.
+        sol = solve_cubic_family(
+            CubicFamilyParams(1 / 3, 1j / 3, 1), DistinctZeroPair(1j, -1 - 2j), 1000
+        )
+        assert sol.overflow_at is None
+        assert len(sol.entries) == 1001
+        assert len(ladders) == 3  # alpha, beta, y1(0)
+        for ladder in ladders:
+            assert len(ladder) == largest[id(ladder)].bit_length()
+        # 2(2**1000 - 1001) for alpha, 2 * 1000 for beta, 2(2**1000 - 1) for y1(0).
+        assert [len(ladder) for ladder in ladders] == [1001, 11, 1001]
+
+
 class TestOverflowTruncation:
     def test_marker_and_prefix(self):
         sol = solve_cubic_family(CubicFamilyParams(1, 1, 2), DistinctZeroPair(1e80, 0), 6)
@@ -229,7 +260,16 @@ class TestOverflowTruncation:
         assert len(sol.entries) == sol.overflow_at
         assert all(entry.ell == i for i, entry in enumerate(sol.entries))
 
+    def test_zero_base_truncates_with_error(self):
+        # y1(0) = 0 and k = -1: y1(0)**-2 is needed from step 1 on.
+        sol = solve_cubic_family(CubicFamilyParams(1, 1, -1), DistinctZeroPair(1, -2), 4)
+        assert sol.overflow_at == 1
+        assert [entry.ell for entry in sol.entries] == [0]
+        assert isinstance(sol.error, ZeroToNegativePowerError)
+        assert sol.error.step == 1
+
     def test_no_marker_on_clean_run(self):
         sol = solve_cubic_family(CubicFamilyParams(1, 1, 1), DistinctZeroPair(1, 0), 3)
         assert sol.overflow_at is None
+        assert sol.error is None
         assert len(sol.entries) == 4

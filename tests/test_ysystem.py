@@ -5,6 +5,7 @@ import random
 import pytest
 
 from solvmaps import (
+    OrbitPowers,
     YParams,
     YState,
     u_exponent,
@@ -14,6 +15,7 @@ from solvmaps import (
     y_step,
 )
 from solvmaps.errors import (
+    NumericError,
     NumericOverflowError,
     QRMismatchError,
     ZeroToNegativePowerError,
@@ -211,3 +213,38 @@ class TestExponentIntegrality:
                 growth = (1 + k) ** ell
                 assert (growth - 1) % k == 0
                 assert (growth - k * ell - 1) % (k * k) == 0
+
+
+def _closed_bits(closed, p, y0, ell, powers):
+    """Exact bits of a closed-form evaluation, or the error it raised."""
+    try:
+        form = closed(p, y0, ell, powers=powers)
+    except NumericError as exc:
+        return type(exc), str(exc)
+    values = (form.state.y1, form.state.y2, form.Y2)
+    return tuple((z.real.hex(), z.imag.hex()) for z in values)
+
+
+class TestOrbitPowers:
+    @pytest.mark.parametrize("special", [False, True])
+    def test_shared_powers_are_bit_identical(self, special):
+        rng = random.Random(f"ysystem:orbit-powers:{special}")
+        closed = y_closed_special if special else y_closed
+        for _ in range(30):
+            k = rng.choice([-2, -1, 1, 2])
+            q, r = (2 * k, 2 * (1 + k)) if special else (rng.randint(-3, 4), rng.randint(-3, 5))
+            p = YParams(draw_complex(rng), draw_complex(rng), draw_complex(rng), k, q, r)
+            y0 = YState(draw_complex(rng), rng.choice([0j, draw_complex(rng)]))
+            powers = OrbitPowers(p, y0)
+            for ell in range(12):
+                shared = _closed_bits(closed, p, y0, ell, powers)
+                assert shared == _closed_bits(closed, p, y0, ell, None)
+
+    def test_powers_of_another_orbit_are_rejected(self):
+        p = YParams(1, 1, 1, 1, 2, 4)
+        y0 = YState(1, 0)
+        powers = OrbitPowers(p, y0)
+        with pytest.raises(ValueError):
+            y_closed(p, YState(2, 0), 3, powers=powers)
+        with pytest.raises(ValueError):
+            y_closed_special(YParams(2, 1, 1, 1, 2, 4), y0, 3, powers=powers)
