@@ -57,7 +57,6 @@ from .stepmaps import (
     K1CoeffTable,
     LinearChange,
     QuadraticFamilyParams,
-    SqrtSystemParams,
     conda_residual,
     double_step_cubic,
     k1_coeff_table,

@@ -1,11 +1,11 @@
 """Command-line front end: iterate orbits, evaluate closed-form solutions,
 run verification suites, and export data.
 
-Exit codes: 0 success, 2 configuration/usage error, 3 numeric error (the
-message names the failing step).  Complex values are accepted as plain
-numbers, ``re+imi`` literals, or ``[re, im]`` arrays, and always emitted in
-the canonical ``[re, im]`` form (CSV splits them into ``_re``/``_im``
-columns).
+Exit codes: 0 success, 1 a verify property failed, 2 configuration, usage or
+parameter error, 3 numeric error (the message names the failing step).
+Complex values are accepted as plain numbers, ``re+imi`` literals, or
+``[re, im]`` arrays, and always emitted in the canonical ``[re, im]`` form
+(CSV splits them into ``_re``/``_im`` columns).
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from .errors import (
     SolvmapsError,
 )
 from .numeric import MINUS, PLUS, ComplexPair, Sign, complex_from_obj, complex_to_list
-from .polybridge import DistinctZeroPair
 from .solver import (
     BranchSolution,
     solve_conjugated,
@@ -39,7 +38,6 @@ from .stepmaps import (
     GeneralizedParams,
     LinearChange,
     QuadraticFamilyParams,
-    SqrtSystemParams,
     step_conjugated,
     step_cubic_family,
     step_generalized,
@@ -93,8 +91,8 @@ _SYSTEMS: dict[str, SystemSpec] = {
     "cubic-family": SystemSpec(
         ("a", "b", "k"),
         lambda d: CubicFamilyParams(d["a"], d["b"], d["k"]),
-        lambda p, s, x, ell: step_cubic_family(p, s, DistinctZeroPair(*x), step=ell),
-        lambda p, x0, n: solve_cubic_family(p, DistinctZeroPair(*x0), n),
+        lambda p, s, x, ell: step_cubic_family(p, s, x, step=ell),
+        solve_cubic_family,
     ),
     "generalized": SystemSpec(
         ("alpha", "beta", "B1", "B2", "C1", "C2", "C3", "k"),
@@ -106,15 +104,15 @@ _SYSTEMS: dict[str, SystemSpec] = {
     ),
     "sqrt-quad": SystemSpec(
         ("alpha", "beta", "gamma", "k", "q", "r"),
-        lambda d: SqrtSystemParams(d["alpha"], d["beta"], d["gamma"], d["k"], d["q"], d["r"]),
+        _build_y,
         lambda p, s, x, ell: step_sqrt_quadratic(p, s, x, step=ell),
         solve_sqrt_quadratic,
     ),
     "sqrt-cubic": SystemSpec(
         ("alpha", "beta", "gamma", "k", "q", "r"),
-        lambda d: SqrtSystemParams(d["alpha"], d["beta"], d["gamma"], d["k"], d["q"], d["r"]),
-        lambda p, s, x, ell: step_sqrt_cubic(p, s, DistinctZeroPair(*x), step=ell),
-        lambda p, x0, n: solve_sqrt_cubic(p, DistinctZeroPair(*x0), n),
+        _build_y,
+        lambda p, s, x, ell: step_sqrt_cubic(p, s, x, step=ell),
+        solve_sqrt_cubic,
     ),
     "conjugated": SystemSpec(
         ("a", "b", "k", "A11", "A12", "A21", "A22"),
@@ -328,8 +326,6 @@ def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--x0", help="initial state: two complex literals, e.g. '[[1,0],[0,0]]'")
     parser.add_argument("--steps", type=int, default=1, help="number of discrete-time steps")
     parser.add_argument("--signs", help="per-step sign string over '+-' (default: all '+')")
-    parser.add_argument("--tol-rel", type=float, default=1e-9)
-    parser.add_argument("--tol-abs", type=float, default=1e-12)
     parser.add_argument("--out", help="output path (default: stdout)")
     parser.add_argument("--format", choices=("csv", "jsonl"), default="csv")
 

@@ -50,5 +50,5 @@ class DegenerateQuadraticError(SolvmapsError):
     """Coefficient-to-state inversion degenerates (leading coefficient zero)."""
 
 
-class ConfigError(SolvmapsError):
-    """Invalid run configuration (CLI exit code 2)."""
+class ConfigError(SolvmapsError, ValueError):
+    """Invalid run configuration or parameters (CLI exit code 2)."""

@@ -35,7 +35,6 @@ from .stepmaps import (
     GeneralizedParams,
     LinearChange,
     QuadraticFamilyParams,
-    SqrtSystemParams,
     yz_forward,
     yz_invert,
 )
@@ -108,10 +107,10 @@ def _cubic_invert(y: YState) -> tuple[DistinctZeroPair, DistinctZeroPair]:
     )
 
 
-def solve_sqrt_quadratic(p: SqrtSystemParams, x0: ZeroPair, ellmax: int) -> BranchSolution:
+def solve_sqrt_quadratic(p: YParams, x0: ZeroPair, ellmax: int) -> BranchSolution:
     """Closed-form orbit of the square-root quadratic system (free q, r)."""
     y0 = quad_from_zeros(x0)
-    return _evolve(p.y_params(), YState(y0.y1, y0.y2), ellmax, _quad_invert, special=False)
+    return _evolve(p, YState(y0.y1, y0.y2), ellmax, _quad_invert, special=False)
 
 
 def solve_quadratic_family(p: QuadraticFamilyParams, x0: ZeroPair, ellmax: int) -> BranchSolution:
@@ -120,11 +119,11 @@ def solve_quadratic_family(p: QuadraticFamilyParams, x0: ZeroPair, ellmax: int) 
     return _evolve(p.y_params(), YState(y0.y1, y0.y2), ellmax, _quad_invert, special=True)
 
 
-def solve_sqrt_cubic(p: SqrtSystemParams, x0: DistinctZeroPair, ellmax: int) -> BranchSolution:
+def solve_sqrt_cubic(p: YParams, x0: DistinctZeroPair, ellmax: int) -> BranchSolution:
     """Closed-form orbit of the square-root cubic system (free q, r)."""
     x1, x2 = x0
     y0 = YState(-(2 * x1 + x2), x1 * (x1 + 2 * x2))
-    return _evolve(p.y_params(), y0, ellmax, _cubic_invert, special=False)
+    return _evolve(p, y0, ellmax, _cubic_invert, special=False)
 
 
 def solve_cubic_family(p: CubicFamilyParams, x0: DistinctZeroPair, ellmax: int) -> BranchSolution:

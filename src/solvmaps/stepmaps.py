@@ -2,9 +2,10 @@
 
 Covers the quadratic family (indistinguishable zeros), its B/C-parameter
 generalization, the cubic double-root family and its double-step identity,
-the square-root intermediate systems with free exponents q and r, systems
-conjugated by an invertible linear change of variables, and the k = 1
-coefficient table together with the common-zero constraint residual.
+the square-root intermediate systems with free exponents q and r (whose
+parameters are exactly the y-system's :class:`YParams`), systems conjugated
+by an invertible linear change of variables, and the k = 1 coefficient
+table together with the common-zero constraint residual.
 
 Sign conventions: every map takes the per-step sign s in {+1, -1}; for the
 quadratic family flipping s merely swaps the two (label-free) components,
@@ -17,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import SingularChangeError, DegenerateQuadraticError
+from .errors import ConfigError, DegenerateQuadraticError, SingularChangeError
 from .numeric import ComplexPair, Sign, cpow, sqrt_branch
 from .polybridge import DistinctZeroPair, ZeroPair
 from .ysystem import YParams, YState
@@ -29,8 +30,8 @@ def _require_int(name: str, value: int) -> None:
 
 
 @dataclass(frozen=True)
-class QuadraticFamilyParams:
-    """Parameters (a, b, k) of the quadratic (indistinguishable-zeros) family."""
+class _FamilyParams:
+    """Parameters (a, b, k) shared by the quadratic and cubic families."""
 
     a: complex
     b: complex
@@ -40,6 +41,10 @@ class QuadraticFamilyParams:
         _require_int("k", self.k)
         object.__setattr__(self, "a", complex(self.a))
         object.__setattr__(self, "b", complex(self.b))
+
+
+class QuadraticFamilyParams(_FamilyParams):
+    """Parameters (a, b, k) of the quadratic (indistinguishable-zeros) family."""
 
     def y_params(self) -> YParams:
         """Coefficient-evolution parameters: alpha = 2a, beta = 2b, gamma = a**2 - b**2."""
@@ -49,18 +54,8 @@ class QuadraticFamilyParams:
         )
 
 
-@dataclass(frozen=True)
-class CubicFamilyParams:
+class CubicFamilyParams(_FamilyParams):
     """Parameters (a, b, k) of the cubic (double-root) family."""
-
-    a: complex
-    b: complex
-    k: int
-
-    def __post_init__(self) -> None:
-        _require_int("k", self.k)
-        object.__setattr__(self, "a", complex(self.a))
-        object.__setattr__(self, "b", complex(self.b))
 
     def y_params(self) -> YParams:
         """Coefficient-evolution parameters: alpha = 3a, beta = 3b, gamma = 3(a**2 - b**2)."""
@@ -68,28 +63,6 @@ class CubicFamilyParams:
             3 * self.a, 3 * self.b, 3 * (self.a * self.a - self.b * self.b),
             self.k, 2 * self.k, 2 * (1 + self.k),
         )
-
-
-@dataclass(frozen=True)
-class SqrtSystemParams:
-    """Parameters of the square-root intermediate systems (free q and r)."""
-
-    alpha: complex
-    beta: complex
-    gamma: complex
-    k: int
-    q: int
-    r: int
-
-    def __post_init__(self) -> None:
-        for name in ("k", "q", "r"):
-            _require_int(name, getattr(self, name))
-        object.__setattr__(self, "alpha", complex(self.alpha))
-        object.__setattr__(self, "beta", complex(self.beta))
-        object.__setattr__(self, "gamma", complex(self.gamma))
-
-    def y_params(self) -> YParams:
-        return YParams(self.alpha, self.beta, self.gamma, self.k, self.q, self.r)
 
 
 @dataclass(frozen=True)
@@ -114,9 +87,9 @@ class GeneralizedParams:
         for name in ("alpha", "beta", "B1", "B2", "C1", "C2", "C3"):
             object.__setattr__(self, name, complex(getattr(self, name)))
         if self.B2 == 0:
-            raise ValueError("B2 must be nonzero")
+            raise ConfigError("B2 must be nonzero")
         if self.denom == 0:
-            raise ValueError("B1**2 C2 + B2**2 C1 - B1 B2 C3 must be nonzero")
+            raise ConfigError("B1**2 C2 + B2**2 C1 - B1 B2 C3 must be nonzero")
 
     @property
     def denom(self) -> complex:
@@ -201,9 +174,7 @@ IDENTITY_CHANGE = LinearChange(1, 0, 0, 1)
 class K1CoeffTable(NamedTuple):
     """Quadratic-form coefficients of a conjugated k = 1 system.
 
-    Row n gives z_n' = a_n1 z1**2 + a_n2 z2**2 + a_n3 z1 z2.  The lambda and
-    eta values are the intermediate linear-factor coefficients the rows were
-    assembled from (the common-zero line is lambda2 z1 + lambda1 z2 = 0).
+    Row n gives z_n' = a_n1 z1**2 + a_n2 z2**2 + a_n3 z1 z2.
     """
 
     a11: complex
@@ -212,12 +183,6 @@ class K1CoeffTable(NamedTuple):
     a21: complex
     a22: complex
     a23: complex
-    lambda1: complex
-    lambda2: complex
-    eta11: complex
-    eta12: complex
-    eta21: complex
-    eta22: complex
 
     @property
     def rows(self) -> tuple[tuple[complex, complex, complex], tuple[complex, complex, complex]]:
@@ -274,7 +239,7 @@ def step_generalized(p: GeneralizedParams, s: Sign, z: ComplexPair, step: int | 
     )
 
 
-def step_sqrt_quadratic(p: SqrtSystemParams, s: Sign, x: ZeroPair, step: int | None = None) -> ZeroPair:
+def step_sqrt_quadratic(p: YParams, s: Sign, x: ZeroPair, step: int | None = None) -> ZeroPair:
     """One step of the square-root quadratic system (free exponents q, r)."""
     x1, x2 = x
     t = -(x1 + x2)
@@ -288,20 +253,13 @@ def step_sqrt_quadratic(p: SqrtSystemParams, s: Sign, x: ZeroPair, step: int | N
     return ((head - delta) / 2, (head + delta) / 2)
 
 
-def step_sqrt_cubic(
-    p: SqrtSystemParams,
-    s: Sign,
-    x: DistinctZeroPair,
-    step: int | None = None,
-    printed_prefactor: bool = False,
-) -> DistinctZeroPair:
+def step_sqrt_cubic(p: YParams, s: Sign, x: DistinctZeroPair, step: int | None = None) -> DistinctZeroPair:
     """One step of the square-root cubic system (free exponents q, r).
 
     The radicand carries the full dependent coefficient x1 (x1 + 2 x2) of the
     double-root cubic (the consistent choice; the source display abbreviates
-    it inconsistently).  With ``printed_prefactor`` the uncorrected 1/2
-    inversion prefactor is used instead of 1/3; that variant exists only for
-    the discrepancy report.
+    it inconsistently).  The inversion uses the corrected prefactor 1/3; the
+    printed 1/2 variant is :func:`~solvmaps.polybridge.cubic_zeros_printed`.
     """
     x1, x2 = x
     t = -(2 * x1 + x2)
@@ -313,8 +271,6 @@ def step_sqrt_cubic(
         radicand -= 3 * p.gamma * cpow(t, p.r, step=step)
     delta = sqrt_branch(radicand, s)
     head = -p.alpha * cpow(t, p.k + 1, step=step)
-    if printed_prefactor:
-        return DistinctZeroPair((head - delta) / 2, (head + 2 * delta) / 2)
     return DistinctZeroPair((head - delta) / 3, (head + 2 * delta) / 3)
 
 
@@ -364,6 +320,7 @@ def k1_coeff_table(A: LinearChange, p: CubicFamilyParams, s: Sign) -> K1CoeffTab
     """
     if p.k != 1:
         raise ValueError("coefficient table is defined for k = 1 only")
+    # The common-zero line of both rows: lambda2 z1 + lambda1 z2 = 0.
     lambda1 = A.A11 - 2 * A.A12
     lambda2 = 2 * A.A22 - A.A21
     (f11, f12), (f21, f22) = _conjugated_f_coeffs(A, p, s)
@@ -380,12 +337,6 @@ def k1_coeff_table(A: LinearChange, p: CubicFamilyParams, s: Sign) -> K1CoeffTab
         a21=d2 * lambda2 * eta21,
         a22=d2 * lambda1 * eta22,
         a23=d2 * (lambda2 * eta22 + lambda1 * eta21),
-        lambda1=lambda1,
-        lambda2=lambda2,
-        eta11=eta11,
-        eta12=eta12,
-        eta21=eta21,
-        eta22=eta22,
     )
 
 

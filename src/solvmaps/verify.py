@@ -17,24 +17,20 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Iterable, Sequence
 
-from .errors import ConfigError, NumericOverflowError, ZeroToNegativePowerError
+from .errors import ConfigError, NumericError, SingularChangeError
 from .numeric import (
     DEDUPE_TOL,
     DEFAULT_TOL,
-    MINUS,
     PLUS,
     SIGNS,
     ComplexPair,
-    Tolerance,
-    approx_eq,
     pair_eq_ordered,
     pair_eq_unordered,
 )
 from .polybridge import (
-    DistinctZeroPair,
     cubic_from_zeros,
     cubic_zeros_branch,
     cubic_zeros_printed,
@@ -50,7 +46,6 @@ from .stepmaps import (
     K1CoeffTable,
     LinearChange,
     QuadraticFamilyParams,
-    SqrtSystemParams,
     conda_residual,
     double_step_cubic,
     k1_coeff_table,
@@ -64,8 +59,6 @@ from .stepmaps import (
     yz_invert,
 )
 from .ysystem import YParams, YState, y_closed, y_closed_special, y_iterate, y_step
-
-_NUMERIC_ERRORS = (ZeroToNegativePowerError, NumericOverflowError)
 
 #: Hard cap on exhaustive enumeration depth (2**ell sequences).
 ENUMERATION_CAP = 10
@@ -106,30 +99,11 @@ class VerifyReport:
         return all(s.passed for s in self.suites)
 
     def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "passed": self.passed,
-            "suites": [
-                {
-                    "name": s.name,
-                    "passed": s.passed,
-                    "draws": s.draws,
-                    "skipped": s.skipped,
-                    "notes": s.notes,
-                    "properties": [
-                        {
-                            "name": p.name,
-                            "passed": p.passed,
-                            "max_residual": p.max_residual,
-                            "tolerance": p.tolerance,
-                            "detail": p.detail,
-                        }
-                        for p in s.properties
-                    ],
-                }
-                for s in self.suites
-            ],
-        }
+        data = asdict(self)
+        data["passed"] = self.passed
+        for suite, entry in zip(self.suites, data["suites"]):
+            entry["passed"] = suite.passed
+        return data
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
@@ -151,28 +125,28 @@ class VerifyReport:
         return "\n".join(lines)
 
 
-def _residual(got: complex, want: complex) -> float:
+def residual(got: complex, want: complex) -> float:
     """Normalized deviation: |got - want| / max(|got|, |want|, 1)."""
     return abs(got - want) / max(abs(got), abs(want), 1.0)
 
 
-def _pair_residual(got: ComplexPair, want: ComplexPair) -> float:
-    return max(_residual(got[0], want[0]), _residual(got[1], want[1]))
+def pair_residual(got: ComplexPair, want: ComplexPair) -> float:
+    return max(residual(got[0], want[0]), residual(got[1], want[1]))
 
 
-def _pair_residual_unordered(got: ComplexPair, want: ComplexPair) -> float:
+def pair_residual_unordered(got: ComplexPair, want: ComplexPair) -> float:
     return min(
-        _pair_residual(got, want),
-        _pair_residual(got, (want[1], want[0])),
+        pair_residual(got, want),
+        pair_residual(got, (want[1], want[0])),
     )
 
 
-def _draw_complex(rng: random.Random, scale: float = SAMPLING_SCALE) -> complex:
+def draw_complex(rng: random.Random, scale: float = SAMPLING_SCALE) -> complex:
     return complex(rng.uniform(-scale, scale), rng.uniform(-scale, scale))
 
 
-def _draw_pair(rng: random.Random, scale: float = SAMPLING_SCALE) -> ComplexPair:
-    return (_draw_complex(rng, scale), _draw_complex(rng, scale))
+def draw_pair(rng: random.Random) -> ComplexPair:
+    return (draw_complex(rng), draw_complex(rng))
 
 
 def enumerate_sign_orbits(
@@ -180,7 +154,6 @@ def enumerate_sign_orbits(
     x0: ComplexPair,
     ellmax: int,
     unordered: bool = False,
-    tol: Tolerance = DEDUPE_TOL,
 ) -> tuple[list[list[ComplexPair]], int]:
     """Breadth-first expansion over all sign sequences with tolerance dedupe.
 
@@ -198,10 +171,10 @@ def enumerate_sign_orbits(
             for s in SIGNS:
                 try:
                     candidate = tuple(step(s, state))
-                except _NUMERIC_ERRORS:
+                except NumericError:
                     failures += 1
                     continue
-                if not any(eq(candidate, seen, tol) for seen in frontier):
+                if not any(eq(candidate, seen, DEDUPE_TOL) for seen in frontier):
                     frontier.append(candidate)
         levels.append(frontier)
     return levels, failures
@@ -211,7 +184,7 @@ def _set_equal_residual(
     got: Sequence[ComplexPair], want: Sequence[ComplexPair], unordered: bool
 ) -> float:
     """Two-sided Hausdorff-style residual between small state sets."""
-    dist = _pair_residual_unordered if unordered else _pair_residual
+    dist = pair_residual_unordered if unordered else pair_residual
     worst = 0.0
     for a in got:
         worst = max(worst, min((dist(a, b) for b in want), default=float("inf")))
@@ -226,7 +199,6 @@ def check_branch_collapse(
     x0: ComplexPair,
     ellmax: int,
     unordered: bool = False,
-    tol: Tolerance = DEDUPE_TOL,
 ) -> tuple[float, int]:
     """Max residual of (cardinality <= 2) + (set equality with solver branches).
 
@@ -234,8 +206,8 @@ def check_branch_collapse(
     tolerance means either a third distinct state appeared or the enumerated
     and closed-form sets diverged.
     """
-    levels, failures = enumerate_sign_orbits(step, x0, ellmax, unordered=unordered, tol=tol)
-    dist = _pair_residual_unordered if unordered else _pair_residual
+    levels, failures = enumerate_sign_orbits(step, x0, ellmax, unordered=unordered)
+    dist = pair_residual_unordered if unordered else pair_residual
     worst = 0.0
     for ell, states in enumerate(levels):
         if ell >= len(solution.entries):
@@ -257,378 +229,272 @@ def check_branch_collapse(
     return worst, failures
 
 
-def check_closed_vs_iterated(
-    step: Callable[[int, ComplexPair], ComplexPair],
-    solution: BranchSolution,
-    x0: ComplexPair,
-    ellmax: int,
-    unordered: bool = False,
-    tol: Tolerance = DEDUPE_TOL,
-) -> tuple[float, int]:
-    """Max residual of: every enumerated orbit state lies in the branch set."""
-    levels, failures = enumerate_sign_orbits(step, x0, ellmax, unordered=unordered, tol=tol)
-    dist = _pair_residual_unordered if unordered else _pair_residual
-    worst = 0.0
-    for ell, states in enumerate(levels):
-        if ell >= len(solution.entries):
-            break
-        branches = solution.branch_set(ell)
-        for state in states:
-            worst = max(worst, min(dist(state, b) for b in branches))
-    return worst, failures
-
-
-def _skip_note(suite: SuiteResult) -> None:
-    if suite.draws and suite.skipped > 0.2 * suite.draws:
-        suite.notes.append(
-            f"skipped {suite.skipped}/{suite.draws} draws; consider lowering the sampling scale"
-        )
-
-
 # --- suites -----------------------------------------------------------------
+#
+# A randomized suite is a draw function ``draw(rng, record)`` that samples one
+# instance, checks it, and reports residuals with ``record(i, *residuals)``
+# for its i-th property; :func:`_run_draws` owns the loop around it.
 
 
-def _suite_y_closed(rng: random.Random) -> SuiteResult:
-    suite = SuiteResult("y-closed")
-    worst_general = 0.0
-    worst_special = 0.0
-    worst_semigroup = 0.0
-    for _ in range(100):
-        suite.draws += 1
-        k = rng.choice([-2, -1, 1, 2])
-        special = rng.random() < 0.5
-        if special:
-            q, r = 2 * k, 2 * (1 + k)
-        else:
-            q, r = rng.randint(-3, 4), rng.randint(-3, 4)
-        p = YParams(_draw_complex(rng, 1.5), _draw_complex(rng, 1.5), _draw_complex(rng, 1.5), k, q, r)
-        y0 = YState(_draw_complex(rng, 1.5), _draw_complex(rng, 1.5))
-        ell = rng.randint(0, 6)
+def _property(name: str, worst: float, tol: float, detail: str = "") -> PropertyResult:
+    """A property passes when its worst residual is within its tolerance."""
+    return PropertyResult(name, worst <= tol, worst, tol, detail)
+
+
+def _run_draws(
+    suite: SuiteResult,
+    rng: random.Random,
+    draws: int,
+    draw: Callable[[random.Random, Callable[..., None]], None],
+    properties: Sequence[tuple[str, float]],
+    skip: type[Exception] | tuple[type[Exception], ...] = NumericError,
+) -> None:
+    """Run ``draws`` draws and append one result per ``(name, tol)`` property.
+
+    A draw that raises ``skip`` counts as skipped; the residuals it recorded
+    before raising still count.
+    """
+    worst = [0.0] * len(properties)
+
+    def record(i: int, *residuals: float) -> None:
+        worst[i] = max(worst[i], *residuals)
+
+    suite.draws += draws
+    for _ in range(draws):
         try:
-            closed = y_closed(p, y0, ell).state
-            iterated = y_iterate(p, y0, ell)
-            worst_general = max(
-                worst_general, _residual(closed.y1, iterated.y1), _residual(closed.y2, iterated.y2)
-            )
-            if special:
-                spec = y_closed_special(p, y0, ell).state
-                worst_special = max(
-                    worst_special, _residual(spec.y1, closed.y1), _residual(spec.y2, closed.y2)
-                )
-                a = rng.randint(0, ell)
-                mid = y_closed_special(p, y0, a).state
-                chained = y_closed_special(p, mid, ell - a).state
-                worst_semigroup = max(
-                    worst_semigroup, _residual(chained.y1, closed.y1), _residual(chained.y2, closed.y2)
-                )
-        except _NUMERIC_ERRORS:
+            draw(rng, record)
+        except skip:
             suite.skipped += 1
+    suite.properties += [_property(name, w, tol) for (name, tol), w in zip(properties, worst)]
+
+
+def _draw_y_closed(rng: random.Random, record: Callable[..., None]) -> None:
+    k = rng.choice([-2, -1, 1, 2])
+    special = rng.random() < 0.5
+    if special:
+        q, r = 2 * k, 2 * (1 + k)
+    else:
+        q, r = rng.randint(-3, 4), rng.randint(-3, 4)
+    p = YParams(draw_complex(rng, 1.5), draw_complex(rng, 1.5), draw_complex(rng, 1.5), k, q, r)
+    y0 = YState(draw_complex(rng, 1.5), draw_complex(rng, 1.5))
+    ell = rng.randint(0, 6)
+    closed = y_closed(p, y0, ell).state
+    iterated = y_iterate(p, y0, ell)
+    record(0, residual(closed.y1, iterated.y1), residual(closed.y2, iterated.y2))
+    if special:
+        spec = y_closed_special(p, y0, ell).state
+        record(1, residual(spec.y1, closed.y1), residual(spec.y2, closed.y2))
+        a = rng.randint(0, ell)
+        mid = y_closed_special(p, y0, a).state
+        chained = y_closed_special(p, mid, ell - a).state
+        record(2, residual(chained.y1, closed.y1), residual(chained.y2, closed.y2))
+
+
+def _suite_y_closed(suite: SuiteResult, rng: random.Random) -> None:
     tol = DEFAULT_TOL.rel
-    suite.properties.append(
-        PropertyResult("closed-form equals iteration", worst_general <= tol, worst_general, tol)
-    )
-    suite.properties.append(
-        PropertyResult("special closed form equals general", worst_special <= tol, worst_special, tol)
-    )
-    suite.properties.append(
-        PropertyResult("semigroup property", worst_semigroup <= tol, worst_semigroup, tol)
-    )
-    _skip_note(suite)
-    return suite
+    _run_draws(suite, rng, 100, _draw_y_closed, [
+        ("closed-form equals iteration", tol),
+        ("special closed form equals general", tol),
+        ("semigroup property", tol),
+    ])
 
 
-def _suite_quad_family(rng: random.Random) -> SuiteResult:
-    suite = SuiteResult("quad-family")
-    worst_swap = 0.0
-    worst_orbit = 0.0
-    for _ in range(50):
-        suite.draws += 1
-        p = QuadraticFamilyParams(_draw_complex(rng), _draw_complex(rng), rng.choice([-1, 1, 2]))
-        x0 = _draw_pair(rng)
-        try:
-            for s in SIGNS:
-                a = step_quadratic_family(p, s, x0)
-                b = step_quadratic_family(p, -s, x0)
-                # Exact swap covariance, no tolerance.
-                if (a[0], a[1]) != (b[1], b[0]):
-                    worst_swap = max(worst_swap, _pair_residual(a, (b[1], b[0])))
-            solution = solve_quadratic_family(p, x0, 5)
-            step = lambda s, x: step_quadratic_family(p, s, x)
-            res, _ = check_closed_vs_iterated(step, solution, x0, len(solution.entries) - 1, unordered=True)
-            worst_orbit = max(worst_orbit, res)
-        except _NUMERIC_ERRORS:
-            suite.skipped += 1
-    suite.properties.append(
-        PropertyResult("sign flip swaps components exactly", worst_swap == 0.0, worst_swap, 0.0)
-    )
-    tol = 1e-8
-    suite.properties.append(
-        PropertyResult("orbits match closed-form unordered pair", worst_orbit <= tol, worst_orbit, tol)
-    )
-    _skip_note(suite)
-    return suite
+def _draw_quad_family(rng: random.Random, record: Callable[..., None]) -> None:
+    p = QuadraticFamilyParams(draw_complex(rng), draw_complex(rng), rng.choice([-1, 1, 2]))
+    x0 = draw_pair(rng)
+    for s in SIGNS:
+        a = step_quadratic_family(p, s, x0)
+        b = step_quadratic_family(p, -s, x0)
+        # Exact swap covariance, no tolerance.
+        if (a[0], a[1]) != (b[1], b[0]):
+            record(0, pair_residual(a, (b[1], b[0])))
+    solution = solve_quadratic_family(p, x0, 5)
+    step = lambda s, x: step_quadratic_family(p, s, x)
+    res, _ = check_branch_collapse(step, solution, x0, len(solution.entries) - 1, unordered=True)
+    record(1, res)
 
 
-def _suite_cubic_collapse(rng: random.Random) -> SuiteResult:
-    suite = SuiteResult("cubic-collapse")
-    worst = 0.0
-    for _ in range(25):
-        suite.draws += 1
-        p = CubicFamilyParams(_draw_complex(rng), _draw_complex(rng), rng.choice([-1, 1, 2]))
-        x0 = _draw_pair(rng)
-        try:
-            solution = solve_cubic_family(p, DistinctZeroPair(*x0), 5)
-            step = lambda s, x: step_cubic_family(p, s, DistinctZeroPair(*x))
-            res, _ = check_branch_collapse(step, solution, x0, len(solution.entries) - 1)
-            worst = max(worst, res)
-        except _NUMERIC_ERRORS:
-            suite.skipped += 1
-    tol = 1e-8
-    suite.properties.append(
-        PropertyResult("2**ell orbits collapse to solver branch pair", worst <= tol, worst, tol)
-    )
+def _suite_quad_family(suite: SuiteResult, rng: random.Random) -> None:
+    _run_draws(suite, rng, 50, _draw_quad_family, [
+        ("sign flip swaps components exactly", 0.0),
+        ("orbits match closed-form unordered pair", 1e-8),
+    ])
+
+
+def _draw_cubic_collapse(rng: random.Random, record: Callable[..., None]) -> None:
+    p = CubicFamilyParams(draw_complex(rng), draw_complex(rng), rng.choice([-1, 1, 2]))
+    x0 = draw_pair(rng)
+    solution = solve_cubic_family(p, x0, 5)
+    step = lambda s, x: step_cubic_family(p, s, x)
+    res, _ = check_branch_collapse(step, solution, x0, len(solution.entries) - 1)
+    record(0, res)
+
+
+def _suite_cubic_collapse(suite: SuiteResult, rng: random.Random) -> None:
+    _run_draws(suite, rng, 25, _draw_cubic_collapse, [
+        ("2**ell orbits collapse to solver branch pair", 1e-8),
+    ])
 
     # Worked instance: a = b = k = 1, x0 = (1, 0) -> step-1 set {(-6,0), (-2,-8)}.
-    p = CubicFamilyParams(1, 1, 1)
-    solution = solve_cubic_family(p, DistinctZeroPair(1, 0), 1)
+    solution = solve_cubic_family(CubicFamilyParams(1, 1, 1), (1, 0), 1)
     want = [(-6 + 0j, 0j), (-2 + 0j, -8 + 0j)]
     res = _set_equal_residual(list(solution.branch_set(1)), want, unordered=False)
-    suite.properties.append(
-        PropertyResult("worked instance branch set", res <= 1e-12, res, 1e-12)
-    )
-    _skip_note(suite)
-    return suite
+    suite.properties.append(_property("worked instance branch set", res, 1e-12))
 
 
-def _suite_double_step(rng: random.Random) -> SuiteResult:
-    suite = SuiteResult("double-step")
-    worst = 0.0
-    for _ in range(50):
-        suite.draws += 1
-        p = CubicFamilyParams(_draw_complex(rng), _draw_complex(rng), rng.choice([-1, 1, 2]))
-        x0 = DistinctZeroPair(*_draw_pair(rng))
-        try:
-            for s0 in SIGNS:
-                for s1 in SIGNS:
-                    two = step_cubic_family(p, s1, step_cubic_family(p, s0, x0))
-                    direct = double_step_cubic(p, s0 * s1, x0)
-                    worst = max(worst, _pair_residual(direct, two))
-        except _NUMERIC_ERRORS:
-            suite.skipped += 1
-    tol = DEFAULT_TOL.rel
-    suite.properties.append(
-        PropertyResult("double-step formula equals two steps", worst <= tol, worst, tol)
-    )
+def _draw_double_step(rng: random.Random, record: Callable[..., None]) -> None:
+    p = CubicFamilyParams(draw_complex(rng), draw_complex(rng), rng.choice([-1, 1, 2]))
+    x0 = draw_pair(rng)
+    for s0 in SIGNS:
+        for s1 in SIGNS:
+            two = step_cubic_family(p, s1, step_cubic_family(p, s0, x0))
+            direct = double_step_cubic(p, s0 * s1, x0)
+            record(0, pair_residual(direct, two))
+
+
+def _suite_double_step(suite: SuiteResult, rng: random.Random) -> None:
+    _run_draws(suite, rng, 50, _draw_double_step, [
+        ("double-step formula equals two steps", DEFAULT_TOL.rel),
+    ])
 
     # Hand instance: a = b = k = 1, x0 = (1, 0), sign product + -> (-216, 0).
-    direct = double_step_cubic(CubicFamilyParams(1, 1, 1), PLUS, DistinctZeroPair(1, 0))
-    res = _pair_residual(direct, (-216 + 0j, 0j))
-    suite.properties.append(PropertyResult("hand instance (-216, 0)", res <= 1e-12, res, 1e-12))
-    _skip_note(suite)
-    return suite
+    direct = double_step_cubic(CubicFamilyParams(1, 1, 1), PLUS, (1, 0))
+    res = pair_residual(direct, (-216 + 0j, 0j))
+    suite.properties.append(_property("hand instance (-216, 0)", res, 1e-12))
 
 
-def _suite_reductions(rng: random.Random) -> SuiteResult:
-    suite = SuiteResult("reductions")
-    worst_quad = 0.0
-    worst_cubic = 0.0
-    worst_general = 0.0
+def _draw_reductions(rng: random.Random, record: Callable[..., None]) -> None:
+    a, b = draw_complex(rng), draw_complex(rng)
+    k = rng.choice([-1, 1, 2])
+    x0 = draw_pair(rng)
+    qp = QuadraticFamilyParams(a, b, k)
+    sp = YParams(2 * a, 2 * b, a * a - b * b, k, 2 * k, 2 * (1 + k))
+    for s in SIGNS:
+        got = step_sqrt_quadratic(sp, s, x0)
+        want_plus = step_quadratic_family(qp, PLUS, x0)
+        record(0, pair_residual_unordered(got, want_plus))
+
+    cp = CubicFamilyParams(a, b, k)
+    scp = YParams(3 * a, 3 * b, 3 * (a * a - b * b), k, 2 * k, 2 * (1 + k))
+    branch_want = [step_cubic_family(cp, s, x0) for s in SIGNS]
+    for s in SIGNS:
+        got = step_sqrt_cubic(scp, s, x0)
+        record(1, min(pair_residual(got, w) for w in branch_want))
+
+    gp = GeneralizedParams(2 * a, 2 * b, -1, -1, 0, 0, 1, k)
+    for s in SIGNS:
+        got = step_generalized(gp, s, x0)
+        record(2, min(pair_residual(got, step_quadratic_family(qp, ss, x0)) for ss in SIGNS))
+
+
+def _suite_reductions(suite: SuiteResult, rng: random.Random) -> None:
     tol = DEFAULT_TOL.rel
-    for _ in range(50):
-        suite.draws += 1
-        a, b = _draw_complex(rng), _draw_complex(rng)
-        k = rng.choice([-1, 1, 2])
-        x0 = _draw_pair(rng)
-        try:
-            qp = QuadraticFamilyParams(a, b, k)
-            sp = SqrtSystemParams(2 * a, 2 * b, a * a - b * b, k, 2 * k, 2 * (1 + k))
-            for s in SIGNS:
-                got = step_sqrt_quadratic(sp, s, x0)
-                want_plus = step_quadratic_family(qp, PLUS, x0)
-                worst_quad = max(worst_quad, _pair_residual_unordered(got, want_plus))
-
-            cp = CubicFamilyParams(a, b, k)
-            scp = SqrtSystemParams(3 * a, 3 * b, 3 * (a * a - b * b), k, 2 * k, 2 * (1 + k))
-            x0d = DistinctZeroPair(*x0)
-            branch_want = [step_cubic_family(cp, s, x0d) for s in SIGNS]
-            for s in SIGNS:
-                got = step_sqrt_cubic(scp, s, x0d)
-                worst_cubic = max(
-                    worst_cubic, min(_pair_residual(got, w) for w in branch_want)
-                )
-
-            gp = GeneralizedParams(2 * a, 2 * b, -1, -1, 0, 0, 1, k)
-            for s in SIGNS:
-                got = step_generalized(gp, s, x0)
-                worst_general = max(
-                    worst_general,
-                    min(_pair_residual(got, step_quadratic_family(qp, ss, x0)) for ss in SIGNS),
-                )
-        except _NUMERIC_ERRORS:
-            suite.skipped += 1
-    suite.properties.append(
-        PropertyResult("sqrt-quadratic reduces to quadratic family", worst_quad <= tol, worst_quad, tol)
-    )
-    suite.properties.append(
-        PropertyResult("sqrt-cubic reduces to cubic family", worst_cubic <= tol, worst_cubic, tol)
-    )
-    suite.properties.append(
-        PropertyResult("generalized reduces to quadratic family", worst_general <= tol, worst_general, tol)
-    )
-    _skip_note(suite)
-    return suite
+    _run_draws(suite, rng, 50, _draw_reductions, [
+        ("sqrt-quadratic reduces to quadratic family", tol),
+        ("sqrt-cubic reduces to cubic family", tol),
+        ("generalized reduces to quadratic family", tol),
+    ])
 
 
-def _suite_conda(rng: random.Random) -> SuiteResult:
-    suite = SuiteResult("conda")
-    worst = 0.0
-    for _ in range(100):
-        suite.draws += 1
-        try:
-            A = LinearChange(*(_draw_complex(rng) for _ in range(4)))
-        except Exception:
-            suite.skipped += 1
-            continue
-        p = CubicFamilyParams(_draw_complex(rng), _draw_complex(rng), 1)
-        table = k1_coeff_table(A, p, rng.choice(SIGNS))
-        scale = max(abs(c) for c in table.rows[0] + table.rows[1])
-        bound = max(scale, 1e-6) ** 4
-        worst = max(worst, abs(conda_residual(table)) / bound)
-    tol = 1e-9
-    suite.properties.append(
-        PropertyResult("common-zero constraint residual vanishes", worst <= tol, worst, tol)
-    )
+def _draw_conda(rng: random.Random, record: Callable[..., None]) -> None:
+    A = LinearChange(*(draw_complex(rng) for _ in range(4)))
+    p = CubicFamilyParams(draw_complex(rng), draw_complex(rng), 1)
+    table = k1_coeff_table(A, p, rng.choice(SIGNS))
+    scale = max(abs(c) for c in table.rows[0] + table.rows[1])
+    bound = max(scale, 1e-6) ** 4
+    record(0, abs(conda_residual(table)) / bound)
 
-    control = K1CoeffTable(1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0)
+
+def _suite_conda(suite: SuiteResult, rng: random.Random) -> None:
+    _run_draws(suite, rng, 100, _draw_conda, [
+        ("common-zero constraint residual vanishes", 1e-9),
+    ], skip=SingularChangeError)
+
+    control = K1CoeffTable(1, 0, 0, 0, 1, 0)
     res = abs(conda_residual(control) - 1)
-    suite.properties.append(
-        PropertyResult("positive control residual equals 1", res == 0.0, res, 0.0)
-    )
-    _skip_note(suite)
-    return suite
+    suite.properties.append(_property("positive control residual equals 1", res, 0.0))
 
 
-def _suite_conjugation(rng: random.Random) -> SuiteResult:
-    suite = SuiteResult("conjugation")
-    worst_conj = 0.0
-    worst_probe = 0.0
+def _draw_conjugation(rng: random.Random, record: Callable[..., None]) -> None:
+    A = LinearChange(*(draw_complex(rng) for _ in range(4)))
+    p = CubicFamilyParams(draw_complex(rng), draw_complex(rng), rng.choice([-1, 1, 2]))
+    z = draw_pair(rng)
+    s = rng.choice(SIGNS)
+    got = step_conjugated(A, p, s, z)
+    want = A.apply(step_cubic_family(p, s, A.invert(z)))
+    record(0, pair_residual(got, want))
+
+    if p.k == 1:
+        table = k1_coeff_table(A, p, s)
+        for _probe in range(5):
+            w = draw_pair(rng)
+            via_table = (
+                table.a11 * w[0] ** 2 + table.a12 * w[1] ** 2 + table.a13 * w[0] * w[1],
+                table.a21 * w[0] ** 2 + table.a22 * w[1] ** 2 + table.a23 * w[0] * w[1],
+            )
+            record(1, pair_residual(via_table, step_conjugated(A, p, s, w)))
+
+
+def _suite_conjugation(suite: SuiteResult, rng: random.Random) -> None:
     tol = DEFAULT_TOL.rel
-    for _ in range(100):
-        suite.draws += 1
-        try:
-            A = LinearChange(*(_draw_complex(rng) for _ in range(4)))
-        except Exception:
-            suite.skipped += 1
-            continue
-        p = CubicFamilyParams(_draw_complex(rng), _draw_complex(rng), rng.choice([-1, 1, 2]))
-        z = _draw_pair(rng)
-        s = rng.choice(SIGNS)
-        try:
-            got = step_conjugated(A, p, s, z)
-            want = A.apply(step_cubic_family(p, s, DistinctZeroPair(*A.invert(z))))
-            worst_conj = max(worst_conj, _pair_residual(got, want))
+    _run_draws(suite, rng, 100, _draw_conjugation, [
+        ("conjugation identity", tol),
+        ("k=1 coefficient table matches map on probes", tol),
+    ], skip=(SingularChangeError, NumericError))
 
-            if p.k == 1:
-                table = k1_coeff_table(A, p, s)
-                for _probe in range(5):
-                    w = _draw_pair(rng)
-                    via_table = (
-                        table.a11 * w[0] ** 2 + table.a12 * w[1] ** 2 + table.a13 * w[0] * w[1],
-                        table.a21 * w[0] ** 2 + table.a22 * w[1] ** 2 + table.a23 * w[0] * w[1],
-                    )
-                    worst_probe = max(worst_probe, _pair_residual(via_table, step_conjugated(A, p, s, w)))
-        except _NUMERIC_ERRORS:
-            suite.skipped += 1
-    suite.properties.append(
-        PropertyResult("conjugation identity", worst_conj <= tol, worst_conj, tol)
+
+def _draw_yz(rng: random.Random, record: Callable[..., None]) -> None:
+    gp = GeneralizedParams(
+        draw_complex(rng), draw_complex(rng),
+        draw_complex(rng), draw_complex(rng),
+        draw_complex(rng), draw_complex(rng), draw_complex(rng),
+        rng.choice([-1, 1, 2]),
     )
-    suite.properties.append(
-        PropertyResult("k=1 coefficient table matches map on probes", worst_probe <= tol, worst_probe, tol)
-    )
-    _skip_note(suite)
-    return suite
+    z = draw_pair(rng)
+    y = yz_forward(gp, z)
+    # Forward-inverse round trip on coefficients, both branches.
+    for b in SIGNS:
+        back = yz_forward(gp, yz_invert(gp, y, b))
+        record(0, residual(back.y1, y.y1), residual(back.y2, y.y2))
+    # Inverse-forward recovers z on one branch.
+    record(1, min(pair_residual(yz_invert(gp, y, b), z) for b in SIGNS))
+    # The coefficient image of the step is sign-independent and y-steps.
+    images = [yz_forward(gp, step_generalized(gp, s, z)) for s in SIGNS]
+    record(2, residual(images[0].y1, images[1].y1), residual(images[0].y2, images[1].y2))
+    stepped = y_step(gp.y_params(), y)
+    record(2, residual(images[0].y1, stepped.y1), residual(images[0].y2, stepped.y2))
+    record(3, abs(gp.g3 + gp.g1))
 
 
-def _suite_yz(rng: random.Random) -> SuiteResult:
-    suite = SuiteResult("yz")
-    worst_forward = 0.0
-    worst_round = 0.0
-    worst_sign = 0.0
-    worst_g3 = 0.0
+def _suite_yz(suite: SuiteResult, rng: random.Random) -> None:
     tol = DEFAULT_TOL.rel
-    for _ in range(100):
-        suite.draws += 1
-        try:
-            gp = GeneralizedParams(
-                _draw_complex(rng), _draw_complex(rng),
-                _draw_complex(rng), _draw_complex(rng),
-                _draw_complex(rng), _draw_complex(rng), _draw_complex(rng),
-                rng.choice([-1, 1, 2]),
-            )
-        except (ValueError, TypeError):
-            suite.skipped += 1
-            continue
-        z = _draw_pair(rng)
-        y = yz_forward(gp, z)
-        try:
-            # Forward-inverse round trip on coefficients, both branches.
-            for b in SIGNS:
-                back = yz_forward(gp, yz_invert(gp, y, b))
-                worst_forward = max(worst_forward, _residual(back.y1, y.y1), _residual(back.y2, y.y2))
-            # Inverse-forward recovers z on one branch.
-            worst_round = max(
-                worst_round,
-                min(_pair_residual(yz_invert(gp, y, b), z) for b in SIGNS),
-            )
-            # The coefficient image of the step is sign-independent and y-steps.
-            images = [yz_forward(gp, step_generalized(gp, s, z)) for s in SIGNS]
-            worst_sign = max(
-                worst_sign,
-                _residual(images[0].y1, images[1].y1),
-                _residual(images[0].y2, images[1].y2),
-            )
-            stepped = y_step(gp.y_params(), y)
-            worst_sign = max(
-                worst_sign, _residual(images[0].y1, stepped.y1), _residual(images[0].y2, stepped.y2)
-            )
-        except _NUMERIC_ERRORS:
-            suite.skipped += 1
-            continue
-        worst_g3 = max(worst_g3, abs(gp.g3 + gp.g1))
-    suite.properties.append(
-        PropertyResult("yz forward/inverse round trip", worst_forward <= tol, worst_forward, tol)
-    )
-    suite.properties.append(
-        PropertyResult("inverse recovers state on one branch", worst_round <= tol, worst_round, tol)
-    )
-    suite.properties.append(
-        PropertyResult("coefficient image sign-independent and y-steps", worst_sign <= tol, worst_sign, tol)
-    )
-    suite.properties.append(PropertyResult("g3 = -g1 exactly", worst_g3 == 0.0, worst_g3, 0.0))
-    _skip_note(suite)
-    return suite
+    _run_draws(suite, rng, 100, _draw_yz, [
+        ("yz forward/inverse round trip", tol),
+        ("inverse recovers state on one branch", tol),
+        ("coefficient image sign-independent and y-steps", tol),
+        ("g3 = -g1 exactly", 0.0),
+    ], skip=(ConfigError, NumericError))
 
 
-def _suite_prefactor(rng: random.Random) -> SuiteResult:
+def _suite_prefactor(suite: SuiteResult, rng: random.Random) -> None:
     """Demonstrates the printed 1/2 inversion prefactor is wrong and 1/3 right."""
-    suite = SuiteResult("prefactor")
     y1, y2 = -2 + 0j, 1 + 0j
     corrected = 0.0
     printed = float("inf")
     for s in SIGNS:
         m = cubic_from_zeros(cubic_zeros_branch(y1, y2, s))
-        corrected = max(corrected, _residual(m.y1, y1), _residual(m.y2, y2))
+        corrected = max(corrected, residual(m.y1, y1), residual(m.y2, y2))
         mp = cubic_from_zeros(cubic_zeros_printed(y1, y2, s))
-        printed = min(printed, max(_residual(mp.y1, y1), _residual(mp.y2, y2)))
+        printed = min(printed, max(residual(mp.y1, y1), residual(mp.y2, y2)))
     suite.properties.append(
-        PropertyResult(
+        _property(
             "corrected 1/3 inversion round-trips",
-            corrected < 1e-12,
             corrected,
             1e-12,
             detail=f"printed 1/2 variant residual {printed:.3e} (> 0.1 demonstrates the misprint)",
         )
     )
+    # Inverted rule: this property passes when the printed variant fails.
     suite.properties.append(
         PropertyResult(
             "printed 1/2 inversion fails round-trip",
@@ -638,10 +504,9 @@ def _suite_prefactor(rng: random.Random) -> SuiteResult:
             detail="pass means the discrepancy is confirmed",
         )
     )
-    return suite
 
 
-_SUITES: dict[str, Callable[[random.Random], SuiteResult]] = {
+_SUITES: dict[str, Callable[[SuiteResult, random.Random], None]] = {
     "y-closed": _suite_y_closed,
     "quad-family": _suite_quad_family,
     "cubic-collapse": _suite_cubic_collapse,
@@ -664,6 +529,12 @@ def run_verify(seed: int = 42, suites: Iterable[str] | None = None) -> VerifyRep
         raise ConfigError(f"unknown verify suites: {', '.join(unknown)}; known: {', '.join(SUITE_NAMES)}")
     report = VerifyReport(seed=seed)
     for name in names:
+        suite = SuiteResult(name)
         # Per-suite child seeds keep reports stable under suite selection.
-        report.suites.append(_SUITES[name](random.Random(f"{seed}:{name}")))
+        _SUITES[name](suite, random.Random(f"{seed}:{name}"))
+        if suite.skipped > 0.2 * suite.draws:
+            suite.notes.append(
+                f"skipped {suite.skipped}/{suite.draws} draws; consider lowering the sampling scale"
+            )
+        report.suites.append(suite)
     return report

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NonIntegerExponentError, QRMismatchError
+from .errors import ConfigError, NonIntegerExponentError, QRMismatchError
 from .numeric import DEFAULT_TOL, Powers, Tolerance, approx_eq, cpow
 
 
@@ -49,7 +49,7 @@ class YParams:
             if not isinstance(value, int) or isinstance(value, bool):
                 raise TypeError(f"{name} must be an integer, got {value!r}")
         if self.k == 0:
-            raise ValueError("k = 0 is rejected: closed-form exponents divide by k")
+            raise ConfigError("k = 0 is rejected: closed-form exponents divide by k")
         object.__setattr__(self, "alpha", complex(self.alpha))
         object.__setattr__(self, "beta", complex(self.beta))
         object.__setattr__(self, "gamma", complex(self.gamma))

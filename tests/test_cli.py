@@ -17,8 +17,7 @@ from solvmaps import (
     y_closed,
 )
 from solvmaps.cli import SEED_ENV_VAR, main
-
-from util import pair_residual
+from solvmaps.verify import pair_residual
 
 
 def run_cli(capsys, *argv):
@@ -249,6 +248,39 @@ class TestSolve:
         header, rows = parse_csv(path.read_text())
         assert header[:2] == ["ell", "branch"]
         assert len(rows) == 4
+
+
+Y_K0 = {"alpha": 1, "beta": 1, "gamma": 1, "k": 0, "q": 1, "r": 1}
+GENERALIZED = {"alpha": 1, "beta": 1, "B1": 1, "B2": 1, "C1": 1, "C2": 1, "C3": 0, "k": 1}
+FAMILY_K0 = {"a": 1, "b": 1, "k": 0}
+
+PARAMETER_ERRORS = {
+    "solve y k=0": ["solve", "--system", "y", "--params", json.dumps(Y_K0)],
+    "solve quad-family k=0": ["solve", "--system", "quad-family", "--params", json.dumps(FAMILY_K0)],
+    "solve cubic-family k=0": ["solve", "--system", "cubic-family", "--params", json.dumps(FAMILY_K0)],
+    "solve generalized k=0": [
+        "solve", "--system", "generalized", "--params", json.dumps({**GENERALIZED, "k": 0}),
+    ],
+    "solve sqrt-quad k=0": ["solve", "--system", "sqrt-quad", "--params", json.dumps(Y_K0)],
+    "solve sqrt-cubic k=0": ["solve", "--system", "sqrt-cubic", "--params", json.dumps(Y_K0)],
+    "solve conjugated k=0": [
+        "solve", "--system", "conjugated",
+        "--params", json.dumps({**FAMILY_K0, "A11": 1, "A12": 0, "A21": 0, "A22": 1}),
+    ],
+    "iterate generalized B2=0": [
+        "iterate", "--system", "generalized", "--params", json.dumps({**GENERALIZED, "B2": 0}),
+    ],
+    "iterate sqrt-quad k=0": ["iterate", "--system", "sqrt-quad", "--params", json.dumps(Y_K0)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(PARAMETER_ERRORS))
+def test_parameter_error_exits_2(capsys, name):
+    code, out, err = run_cli(capsys, *PARAMETER_ERRORS[name], "--x0", "[1, 2]", "--steps", "2")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 class TestVerify:

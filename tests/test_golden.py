@@ -15,15 +15,22 @@ import pytest
 from solvmaps.cli import main
 
 
-def _sha256_of_run(tmp_path, argv) -> str:
+def _sha256_of_run(tmp_path, argv, exit_code=0) -> str:
     path = tmp_path / "out"
-    assert main([*argv, "--out", str(path)]) == 0
+    assert main([*argv, "--out", str(path)]) == exit_code
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def test_verify_seed_42_report(tmp_path, capsys):
     digest = _sha256_of_run(tmp_path, ["verify", "--seed", "42"])
     assert digest == VERIFY_SEED_42
+
+
+@pytest.mark.parametrize("seed", [17, 138])
+def test_failing_verify_report(tmp_path, capsys, seed):
+    """Reports with ``passed: false`` (exit 1) are pinned as well."""
+    digest = _sha256_of_run(tmp_path, ["verify", "--seed", str(seed)], exit_code=1)
+    assert digest == VERIFY_FAILING[seed]
 
 
 SOLVE_CASES = {
@@ -54,6 +61,12 @@ def test_solve_csv(tmp_path, name):
 
 
 VERIFY_SEED_42 = "c37a7e553bf2b8b27fe0e6eb4e518f8ea7391e1fcaa272fae79d866807cbb99b"
+
+#: Seed 17 fails cubic-collapse, seed 138 fails quad-family.
+VERIFY_FAILING = {
+    17: "8e073309af3c5877c7205fc8e9f1c2e38b2706eb758d4f318dd22b18ac41a311",
+    138: "11553741b64fa5554f148e70a3af41c9ae01c59b2a5e9a3a40d6450d6080c27f",
+}
 
 SOLVE_CSV = {
     "cubic-family k=1": "ddb0a2b3f7b8d281ff5bea09b98684ff31fd38c18e4446c8530a370fd301464b",

@@ -16,8 +16,7 @@ from solvmaps import (
 )
 from solvmaps.errors import NumericError, NumericOverflowError, ZeroToNegativePowerError
 from solvmaps.numeric import Powers, complex_from_obj, complex_to_list, principal_sqrt
-
-from util import residual
+from solvmaps.verify import residual
 
 finite_component = st.floats(-2.0, 2.0, allow_nan=False)
 complexes = st.builds(complex, finite_component, finite_component)

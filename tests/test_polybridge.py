@@ -18,8 +18,7 @@ from solvmaps import (
     y3_from_y12,
 )
 from solvmaps.polybridge import cubic_zeros_printed
-
-from util import draw_complex, draw_pair, residual
+from solvmaps.verify import draw_complex, draw_pair, residual
 
 
 class TestQuadBridge:

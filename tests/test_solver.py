@@ -14,7 +14,7 @@ from solvmaps import (
     Powers,
     QuadraticFamilyParams,
     SIGNS,
-    SqrtSystemParams,
+    YParams,
     cubic_from_zeros,
     pair_eq_unordered,
     quad_from_zeros,
@@ -33,8 +33,7 @@ from solvmaps import (
     YState,
 )
 from solvmaps.errors import NumericOverflowError, ZeroToNegativePowerError
-
-from util import draw_complex, draw_pair, pair_residual, pair_residual_unordered, residual
+from solvmaps.verify import draw_complex, draw_pair, pair_residual, pair_residual_unordered, residual
 
 NUMERIC_ERRORS = (ZeroToNegativePowerError, NumericOverflowError)
 
@@ -64,7 +63,7 @@ class TestInitialCondition:
         assert min(pair_residual(b, z0) for b in sol.branch_set(0)) <= 1e-9
 
     def test_sqrt_systems(self):
-        sp = SqrtSystemParams(2, 1, 0.5, 1, 1, 3)
+        sp = YParams(2, 1, 0.5, 1, 1, 3)
         x0 = (0.5, 1.5)
         sol = solve_sqrt_quadratic(sp, x0, 0)
         assert pair_residual_unordered(sol.entries[0].plus, x0) <= 1e-9
@@ -94,7 +93,7 @@ class TestOneStepConsistency:
     def test_sqrt_quadratic(self):
         rng = random.Random("solver:sq1")
         for _ in range(25):
-            sp = SqrtSystemParams(
+            sp = YParams(
                 draw_complex(rng), draw_complex(rng), draw_complex(rng),
                 rng.choice([1, 2]), rng.randint(0, 3), rng.randint(0, 3),
             )
@@ -106,7 +105,7 @@ class TestOneStepConsistency:
     def test_sqrt_cubic(self):
         rng = random.Random("solver:sc1")
         for _ in range(25):
-            sp = SqrtSystemParams(
+            sp = YParams(
                 draw_complex(rng), draw_complex(rng), draw_complex(rng),
                 rng.choice([1, 2]), rng.randint(0, 3), rng.randint(0, 3),
             )
@@ -148,7 +147,7 @@ class TestWorkedInstances:
         assert pair_eq_unordered(sol.entries[1].plus, (0, -2))
 
     def test_sqrt_quadratic_reduction_instance(self):
-        sp = SqrtSystemParams(2, 2, 0, 1, 2, 4)
+        sp = YParams(2, 2, 0, 1, 2, 4)
         sol = solve_sqrt_quadratic(sp, (1, 0), 1)
         assert pair_eq_unordered(sol.entries[1].plus, (0, -2))
 

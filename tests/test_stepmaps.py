@@ -14,7 +14,7 @@ from solvmaps import (
     PLUS,
     QuadraticFamilyParams,
     SIGNS,
-    SqrtSystemParams,
+    YParams,
     YState,
     conda_residual,
     double_step_cubic,
@@ -32,8 +32,7 @@ from solvmaps import (
 )
 from solvmaps.errors import SingularChangeError, ZeroToNegativePowerError
 from solvmaps.stepmaps import IDENTITY_CHANGE
-
-from util import draw_complex, draw_pair, pair_residual, pair_residual_unordered, residual
+from solvmaps.verify import draw_complex, draw_pair, pair_residual, pair_residual_unordered, residual
 
 
 class TestQuadraticFamily:
@@ -208,7 +207,7 @@ class TestSqrtSystems:
             a, b = draw_complex(rng), draw_complex(rng)
             k = rng.choice([-1, 1, 2])
             qp = QuadraticFamilyParams(a, b, k)
-            sp = SqrtSystemParams(2 * a, 2 * b, a * a - b * b, k, 2 * k, 2 * (1 + k))
+            sp = YParams(2 * a, 2 * b, a * a - b * b, k, 2 * k, 2 * (1 + k))
             x = draw_pair(rng)
             try:
                 want = step_quadratic_family(qp, PLUS, x)
@@ -219,14 +218,14 @@ class TestSqrtSystems:
                 continue
 
     def test_beta_gamma_zero(self):
-        sp = SqrtSystemParams(1.5, 0, 0, 1, 2, 4)
+        sp = YParams(1.5, 0, 0, 1, 2, 4)
         x = (1 + 1j, 0.5)
         t = -(x[0] + x[1])
         got = step_sqrt_quadratic(sp, PLUS, x)
         assert pair_eq_unordered(got, (0, -1.5 * t * t))
 
     def test_degenerate_line_maps_to_origin(self):
-        sp = SqrtSystemParams(1, 2, 3, 1, 2, 4)
+        sp = YParams(1, 2, 3, 1, 2, 4)
         assert step_sqrt_quadratic(sp, PLUS, (0.75, -0.75)) == (0j, 0j)
 
     def test_cubic_reduction(self):
@@ -235,7 +234,7 @@ class TestSqrtSystems:
             a, b = draw_complex(rng), draw_complex(rng)
             k = rng.choice([-1, 1, 2])
             cp = CubicFamilyParams(a, b, k)
-            sp = SqrtSystemParams(3 * a, 3 * b, 3 * (a * a - b * b), k, 2 * k, 2 * (1 + k))
+            sp = YParams(3 * a, 3 * b, 3 * (a * a - b * b), k, 2 * k, 2 * (1 + k))
             x = DistinctZeroPair(draw_complex(rng), draw_complex(rng))
             try:
                 want = [step_cubic_family(cp, s, x) for s in SIGNS]
@@ -247,20 +246,13 @@ class TestSqrtSystems:
 
     def test_cubic_equal_zeros_branches_coincide(self):
         a, b = 0.8, 0.3
-        sp = SqrtSystemParams(3 * a, 3 * b, 3 * (a * a - b * b), 1, 2, 4)
+        sp = YParams(3 * a, 3 * b, 3 * (a * a - b * b), 1, 2, 4)
         x = DistinctZeroPair(0.5 + 0.5j, 0.5 + 0.5j)
         plus = step_sqrt_cubic(sp, PLUS, x)
         minus = step_sqrt_cubic(sp, MINUS, x)
         # The radicand cancels to roundoff, so its square root only
         # vanishes to sqrt(eps); the branches coincide at that scale.
         assert pair_residual(plus, minus) <= 1e-6
-
-    def test_printed_prefactor_differs(self):
-        sp = SqrtSystemParams(3, 3, 0, 1, 2, 4)
-        x = DistinctZeroPair(1, 0)
-        corrected = step_sqrt_cubic(sp, PLUS, x)
-        printed = step_sqrt_cubic(sp, PLUS, x, printed_prefactor=True)
-        assert pair_residual(corrected, printed) > 0.1
 
 
 class TestConjugated:
@@ -343,11 +335,11 @@ class TestConda:
     def test_quadratic_family_expansion_table(self):
         # Expanding the a = b = k = 1 quadratic family at s = + gives
         # x1' = -2 x2**2 - 2 x1 x2 and x2' = -2 x1**2 - 2 x1 x2.
-        table = K1CoeffTable(0, -2, -2, -2, 0, -2, 0, 0, 0, 0, 0, 0)
+        table = K1CoeffTable(0, -2, -2, -2, 0, -2)
         assert conda_residual(table) == 0
 
     def test_identity_like_positive_control(self):
-        table = K1CoeffTable(1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0)
+        table = K1CoeffTable(1, 0, 0, 0, 1, 0)
         assert conda_residual(table) == 1
 
     def test_generated_tables_satisfy_constraint(self):

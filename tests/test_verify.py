@@ -14,11 +14,10 @@ from solvmaps import (
     step_cubic_family,
     step_quadratic_family,
 )
+from solvmaps import verify
 from solvmaps.errors import ConfigError
-from solvmaps.verify import check_branch_collapse, check_closed_vs_iterated
 from solvmaps.solver import solve_cubic_family
-
-from util import pair_residual
+from solvmaps.verify import check_branch_collapse, pair_residual
 
 
 class TestEnumeration:
@@ -72,7 +71,7 @@ class TestChecks:
         x0 = (0.5, -0.8)
         sol = solve_cubic_family(p, DistinctZeroPair(*x0), 4)
         step = lambda s, x: step_cubic_family(p, s, DistinctZeroPair(*x))
-        res, _ = check_closed_vs_iterated(step, sol, x0, 4)
+        res, _ = check_branch_collapse(step, sol, x0, 4)
         assert res <= 1e-8
 
 
@@ -109,6 +108,15 @@ class TestReport:
         printed = by_name["printed 1/2 inversion fails round-trip"]
         assert corrected.passed and corrected.max_residual < 1e-12
         assert printed.passed and printed.max_residual > 0.1
+
+    @pytest.mark.parametrize("suite", ["conda", "conjugation"])
+    def test_bug_in_draw_is_not_a_skip(self, monkeypatch, suite):
+        def broken(*args):
+            raise TypeError("broken change of variables")
+
+        monkeypatch.setattr(verify, "LinearChange", broken)
+        with pytest.raises(TypeError):
+            run_verify(seed=42, suites=[suite])
 
     def test_skip_accounting_within_bounds(self):
         report = run_verify(seed=42)

@@ -20,8 +20,7 @@ from solvmaps.errors import (
     QRMismatchError,
     ZeroToNegativePowerError,
 )
-
-from util import draw_complex, residual
+from solvmaps.verify import draw_complex, residual
 
 NUMERIC_ERRORS = (ZeroToNegativePowerError, NumericOverflowError)
 
