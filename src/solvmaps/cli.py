@@ -11,8 +11,8 @@ Complex values are accepted as plain numbers, ``re+imi`` literals, or
 from __future__ import annotations
 
 import argparse
-import csv
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -23,7 +23,15 @@ from .errors import (
     NumericError,
     SolvmapsError,
 )
-from .numeric import MINUS, PLUS, ComplexPair, Sign, complex_from_obj, complex_to_list
+from .numeric import (
+    MINUS,
+    PLUS,
+    ComplexPair,
+    Sign,
+    complex_from_obj,
+    complex_to_list,
+    is_finite,
+)
 from .solver import (
     BranchSolution,
     solve_conjugated,
@@ -144,10 +152,7 @@ def _parse_params(system: str, raw: str | None) -> dict:
                 raise ConfigError(f"parameter {name!r} must be an integer")
             params[name] = value
         else:
-            try:
-                params[name] = complex_from_obj(value)
-            except ValueError as exc:
-                raise ConfigError(f"parameter {name!r}: {exc}") from exc
+            params[name] = _parse_complex(value, f"parameter {name!r}")
     return params
 
 
@@ -160,10 +165,23 @@ def _parse_state(raw: str | None) -> ComplexPair:
         obj = [part for part in raw.split(";")]
     if not isinstance(obj, list) or len(obj) != 2:
         raise ConfigError("--x0 must be a two-element list, e.g. '[[1,0],[0,0]]' or '[1, 2]'")
+    return (_parse_complex(obj[0], "--x0"), _parse_complex(obj[1], "--x0"))
+
+
+def _parse_complex(value: object, what: str) -> complex:
+    """A finite complex scalar, so no ``nan`` or ``inf`` reaches a row."""
     try:
-        return (complex_from_obj(obj[0]), complex_from_obj(obj[1]))
-    except ValueError as exc:
-        raise ConfigError(f"--x0: {exc}") from exc
+        z = complex_from_obj(value)
+    except (ValueError, TypeError, OverflowError) as exc:
+        raise ConfigError(f"{what}: {exc}") from exc
+    if not is_finite(z):
+        raise ConfigError(f"{what}: {value!r} is not finite")
+    return z
+
+
+def _check_steps(steps: int) -> None:
+    if steps < 0:
+        raise ConfigError(f"--steps must be >= 0, got {steps}")
 
 
 def _parse_signs(raw: str | None, steps: int) -> list[Sign]:
@@ -194,28 +212,48 @@ def _resolve_seed(value: int | None) -> int:
     return 42
 
 
+#: Column kinds of the row schemas; every other column holds a float.
+_COLUMN_KINDS = {"ell": int, "branch": str}
+
+#: printf-style cell spellings: ``%.17g`` is ``f"{v:.17g}"`` and ``%r`` is
+#: ``float.__repr__``, the spelling ``json.dumps`` uses for a finite float.
+_CSV_CELLS = {int: "%s", str: "%s", float: "%.17g"}
+_JSON_CELLS = {int: "%s", str: '"%s"', float: "%r"}
+
+
 class _Writer:
-    """Row sink for csv or jsonl output."""
+    """Row sink for csv or jsonl output.
+
+    Each row is formatted by one template, built from the column list, and
+    written to the stream on its own.  The bytes are those of ``csv.writer``
+    with floats as ``.17g`` and of ``json.dumps`` on the row dict: the column
+    names and the ``branch`` labels hold only characters (letters, digits,
+    ``_``, ``+``, ``-``) that neither module quotes or escapes, and every
+    schema has several columns, so an empty label is not quoted either.  A
+    JSONL row holding a non-finite float goes through ``json.dumps``, which
+    spells it ``NaN`` or ``Infinity``.
+    """
 
     def __init__(self, stream: TextIO, fmt: str, columns: Sequence[str]):
-        self.fmt = fmt
+        self.json = fmt == "jsonl"
         self.columns = list(columns)
         self.stream = stream
-        if fmt == "csv":
-            self._csv = csv.writer(stream)
-            self._csv.writerow(self.columns)
+        kinds = [_COLUMN_KINDS.get(name, float) for name in self.columns]
+        self._reals = [i for i, kind in enumerate(kinds) if kind is float]
+        if self.json:
+            cells = (f'"{name}": {_JSON_CELLS[kind]}' for name, kind in zip(self.columns, kinds))
+            self._template = "{" + ", ".join(cells) + "}\n"
+        else:
+            stream.write(",".join(self.columns) + "\r\n")
+            self._template = ",".join(_CSV_CELLS[kind] for kind in kinds) + "\r\n"
 
     def row(self, values: Sequence[object]) -> None:
-        if self.fmt == "csv":
-            self._csv.writerow([self._cell(v) for v in values])
-        else:
+        # A nan or inf makes the sum non-finite; so does an overflowing sum
+        # of finite values, which merely takes the slower path.
+        if self.json and not math.isfinite(sum([values[i] for i in self._reals])):
             self.stream.write(json.dumps(dict(zip(self.columns, values))) + "\n")
-
-    @staticmethod
-    def _cell(value: object) -> object:
-        if isinstance(value, float):
-            return f"{value:.17g}"
-        return value
+        else:
+            self.stream.write(self._template % tuple(values))
 
 
 def _state_columns(system: str, with_y: bool) -> list[str]:
@@ -234,13 +272,17 @@ def _flatten(pair: ComplexPair) -> list[float]:
 def _open_out(path: str | None):
     if path is None or path == "-":
         return sys.stdout, False
-    return open(path, "w", newline=""), True
+    try:
+        return open(path, "w", newline=""), True
+    except OSError as exc:
+        raise ConfigError(f"cannot write --out {path}: {exc.strerror or exc}") from exc
 
 
 def cmd_iterate(args: argparse.Namespace) -> int:
     spec = _SYSTEMS[args.system]
     params = spec.build(_parse_params(args.system, args.params))
     state = _parse_state(args.x0)
+    _check_steps(args.steps)
     signs = _parse_signs(args.signs, args.steps)
 
     stream, close = _open_out(args.out)
@@ -272,6 +314,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     spec = _SYSTEMS[args.system]
     params = spec.build(_parse_params(args.system, args.params))
     state = _parse_state(args.x0)
+    _check_steps(args.steps)
 
     stream, close = _open_out(args.out)
     try:
@@ -309,11 +352,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.suites is not None:
         suites = [name.strip() for name in args.suites.split(",") if name.strip()]
     report = run_verify(seed=_resolve_seed(args.seed), suites=suites)
-    if args.out is not None and args.out != "-":
-        with open(args.out, "w") as handle:
-            handle.write(report.to_json() + "\n")
-    else:
-        print(report.to_json())
+    stream, close = _open_out(args.out)
+    try:
+        stream.write(report.to_json() + "\n")
+    finally:
+        if close:
+            stream.close()
     print(report.summary(), file=sys.stderr)
     return 0 if report.passed else 1
 

@@ -5,6 +5,8 @@ import io
 import json
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from solvmaps import (
     MINUS,
@@ -16,7 +18,7 @@ from solvmaps import (
     step_cubic_family,
     y_closed,
 )
-from solvmaps.cli import SEED_ENV_VAR, main
+from solvmaps.cli import SEED_ENV_VAR, _state_columns, _Writer, main
 from solvmaps.verify import pair_residual
 
 
@@ -281,6 +283,135 @@ def test_parameter_error_exits_2(capsys, name):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_family_k0_iterates_but_does_not_solve(capsys):
+    """The step maps never divide by k; the closed-form exponents do."""
+    argv = ["--system", "quad-family", "--params", json.dumps(FAMILY_K0), "--x0", "[1, 2]", "--steps", "2"]
+    code, out, _ = run_cli(capsys, "iterate", *argv)
+    assert code == 0
+    assert len(parse_csv(out)[1]) == 3
+    code, out, err = run_cli(capsys, "solve", *argv)
+    assert code == 2
+    assert out == ""
+    assert "k = 0" in err
+
+
+HOSTILE_INPUTS = {
+    "params NaN": ["iterate", "--params", '{"a": NaN, "b": 1, "k": 1}', "--x0", "[1, 0]"],
+    "params Infinity": ["solve", "--params", '{"a": [1, Infinity], "b": 1, "k": 1}', "--x0", "[1, 0]"],
+    "params nan string": ["iterate", "--params", '{"a": 1, "b": "nan", "k": 1}', "--x0", "[1, 0]"],
+    "params huge int": ["iterate", "--params", '{"a": 1%s, "b": 1, "k": 1}' % ("0" * 400), "--x0", "[1, 0]"],
+    "x0 NaN": ["iterate", "--params", CUBIC_PARAMS, "--x0", "[1, NaN]"],
+    "x0 -Infinity": ["solve", "--params", CUBIC_PARAMS, "--x0", "[[-Infinity, 0], 0]"],
+    "x0 nan literal": ["iterate", "--params", CUBIC_PARAMS, "--x0", "1;nan"],
+    "params object part": ["iterate", "--params", '{"a": [{}, 0], "b": 1, "k": 1}', "--x0", "[1, 0]"],
+    "x0 null part": ["iterate", "--params", CUBIC_PARAMS, "--x0", "[[null, 0], 0]"],
+    "x0 nested list": ["solve", "--params", CUBIC_PARAMS, "--x0", "[[[1], 0], 0]"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(HOSTILE_INPUTS))
+def test_bad_complex_input_exits_2_before_any_row(capsys, name):
+    argv = [*HOSTILE_INPUTS[name], "--system", "cubic-family", "--steps", "2"]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["iterate", "solve"])
+def test_negative_steps_exits_2(capsys, command):
+    code, out, err = run_cli(
+        capsys, command, "--system", "cubic-family", "--params", CUBIC_PARAMS, "--x0", "[1, 0]",
+        "--steps", "-1",
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: --steps must be >= 0, got -1\n"
+
+
+@pytest.mark.parametrize("command", ["iterate", "solve", "verify"])
+def test_unwritable_out_exits_2(capsys, tmp_path, command):
+    path = tmp_path / "missing" / "out"
+    argv = ["--suites", "prefactor"] if command == "verify" else [
+        "--system", "cubic-family", "--params", CUBIC_PARAMS, "--x0", "[1, 0]",
+    ]
+    code, out, err = run_cli(capsys, command, *argv, "--out", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(path) in err
+
+
+# --- row formatter -----------------------------------------------------------
+
+SCHEMAS = [
+    _state_columns("y", with_y=False),
+    _state_columns("quad-family", with_y=False),
+    _state_columns("quad-family", with_y=True),
+]
+
+#: Values that the csv and json modules spell in their own way.
+SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e308, -1e308, 1e16, 0.1,
+                  float("inf"), float("-inf"), float("nan")]
+
+reals = st.one_of(st.floats(), st.sampled_from(SPECIAL_FLOATS))
+#: Branch labels: ``iterate`` writes sign prefixes, ``solve`` one sign.
+labels = st.one_of(st.sampled_from(["", "+", "-"]), st.text("+-", max_size=1500))
+
+
+def _written(write, fmt, columns, rows):
+    """Output of ``write(stream, fmt, columns, rows)``."""
+    buf = io.StringIO()
+    write(buf, fmt, columns, rows)
+    return buf.getvalue()
+
+
+def _reference(buf, fmt, columns, rows):
+    """The csv and json module calls the rows went through before the formatter."""
+    if fmt == "csv":
+        writer = csv.writer(buf)
+        writer.writerow(columns)
+        for values in rows:
+            writer.writerow([f"{v:.17g}" if isinstance(v, float) else v for v in values])
+    else:
+        for values in rows:
+            buf.write(json.dumps(dict(zip(columns, values))) + "\n")
+
+
+def _formatted(buf, fmt, columns, rows):
+    writer = _Writer(buf, fmt, columns)
+    for values in rows:
+        writer.row(values)
+
+
+@st.composite
+def tables(draw):
+    columns = draw(st.sampled_from(SCHEMAS))
+    # Branch labels usually extend the previous row's, as in an iterated orbit.
+    signs = draw(st.text("+-", max_size=300))
+    rows = []
+    for ell in range(draw(st.integers(1, 6))):
+        label = draw(st.one_of(st.just(signs[:ell]), st.just(signs[: 2 * ell]), labels))
+        row = []
+        for name in columns:
+            if name == "ell":
+                row.append(draw(st.integers(-(2**70), 2**70)))
+            elif name == "branch":
+                row.append(label)
+            else:
+                row.append(draw(reals))
+        rows.append(row)
+    return columns, rows
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+@given(table=tables())
+@example(table=(SCHEMAS[1], [[1, "-+", float("nan"), float("inf"), float("-inf"), -0.0]]))
+@example(table=(SCHEMAS[1], [[2, "+-", 1e308, 1e308, 1.0, 5e-324], [3, "", 0.5, -0.0, 0.1, 1e16]]))
+def test_writer_matches_csv_and_json_modules(fmt, table):
+    assert _written(_formatted, fmt, *table) == _written(_reference, fmt, *table)
 
 
 class TestVerify:

@@ -5,6 +5,10 @@ squarings across an orbit; any change to the order of floating-point
 operations in ``numeric``, ``ysystem`` or the solvers shows up here.  The
 ``solve`` instances follow the long-orbit benchmark workload (bases that are
 fourth roots of unity, so nothing overflows), cut to 200 steps.
+
+The ``iterate`` and JSONL pins were taken while rows still went through
+``csv.writer`` and ``json.dumps``, so they also pin the byte conventions of
+the row formatter: number spellings, separators and line ends.
 """
 
 import hashlib
@@ -60,6 +64,48 @@ def test_solve_csv(tmp_path, name):
     assert digest == SOLVE_CSV[name]
 
 
+def test_solve_jsonl(tmp_path):
+    argv = ["solve", *SOLVE_CASES["cubic-family k=1"], "--steps", "200", "--format", "jsonl"]
+    assert _sha256_of_run(tmp_path, argv) == SOLVE_JSONL_CUBIC
+
+
+#: A mixed sign string that starts with '-' (Thue-Morse, from index 1).
+SIGNS_500 = "".join("+-"[bin(i).count("1") % 2] for i in range(1, 501))
+
+X0 = "[[0.6, -0.2], [-0.3, 0.7]]"
+
+#: Contracting k = -1 orbits, so all 500 steps stay finite.
+ITERATE_CASES = {
+    "quad-family k=-1": [
+        "--system", "quad-family",
+        "--params", json.dumps({"a": [0.9, 0.3], "b": [0.2, -0.25], "k": -1}),
+        "--x0", X0, f"--signs={SIGNS_500}",
+    ],
+    "conjugated k=-1": [
+        "--system", "conjugated",
+        "--params", json.dumps({
+            "a": [0.9, 0.3], "b": [0.2, -0.25], "k": -1,
+            "A11": [1.1, 0.1], "A12": [0.2, 0], "A21": [0, -0.15], "A22": [0.95, 0.05],
+        }),
+        "--x0", X0, f"--signs={SIGNS_500}",
+    ],
+    "y k=-1": [
+        "--system", "y",
+        "--params", json.dumps(
+            {"alpha": [0.9, 0.3], "beta": [0.4, -0.2], "gamma": [0.5, 0.5], "k": -1, "q": -2, "r": 0}
+        ),
+        "--x0", X0,
+    ],
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+@pytest.mark.parametrize("name", sorted(ITERATE_CASES))
+def test_iterate(tmp_path, name, fmt):
+    argv = ["iterate", *ITERATE_CASES[name], "--steps", "500", "--format", fmt]
+    assert _sha256_of_run(tmp_path, argv) == ITERATE[name, fmt]
+
+
 VERIFY_SEED_42 = "c37a7e553bf2b8b27fe0e6eb4e518f8ea7391e1fcaa272fae79d866807cbb99b"
 
 #: Seed 17 fails cubic-collapse, seed 138 fails quad-family.
@@ -72,4 +118,15 @@ SOLVE_CSV = {
     "cubic-family k=1": "ddb0a2b3f7b8d281ff5bea09b98684ff31fd38c18e4446c8530a370fd301464b",
     "quad-family k=2": "328be71796d31553da4e90efc3ed1a57f67c2b3df966c9d20d8ffcc477638334",
     "sqrt-cubic q=1 r=3": "ae649f3de69a86667a2f6dfd2c257539afa91bd35b1c9b3ed7bf8a23805e5365",
+}
+
+SOLVE_JSONL_CUBIC = "a14d3622fd114828d819598cea04bbcb9f3103ae7be274df4f2218676f359201"
+
+ITERATE = {
+    ("quad-family k=-1", "csv"): "bc829171bf0151f792c5216f06a0745963ab8727a99e00bebec975985752ca6d",
+    ("quad-family k=-1", "jsonl"): "80d9fb605ad6a9be269b103728664030180b8c7fe9796621bf58eef170513209",
+    ("conjugated k=-1", "csv"): "c418598fe3f954da8f6aca43082ae144a5908998dd4159c655dc5802f0dbc27e",
+    ("conjugated k=-1", "jsonl"): "a4e7469e7a1afe5e28c778ffd5fbc2a846848515b6d9b8e0fbaded33ae5ec9f2",
+    ("y k=-1", "csv"): "a3ea146e763da83c11b6189d2f8a250feaa74b0fdef4fb8a67c2045b2cde9df3",
+    ("y k=-1", "jsonl"): "72e5eac01ff8b27abfba8887793d2018dc84d66afa9309cf6835a4eadbc0a11e",
 }
