@@ -50,6 +50,7 @@ from .solver import (
     solve_quadratic_family,
     solve_sqrt_cubic,
     solve_sqrt_quadratic,
+    solve_y,
 )
 from .stepmaps import (
     CubicFamilyParams,

@@ -18,11 +18,7 @@ import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence, TextIO
 
-from .errors import (
-    ConfigError,
-    NumericError,
-    SolvmapsError,
-)
+from .errors import ConfigError, NumericError, SolvmapsError
 from .numeric import (
     MINUS,
     PLUS,
@@ -30,6 +26,7 @@ from .numeric import (
     Sign,
     complex_from_obj,
     complex_to_list,
+    ensure_finite,
     is_finite,
 )
 from .solver import (
@@ -40,6 +37,7 @@ from .solver import (
     solve_quadratic_family,
     solve_sqrt_cubic,
     solve_sqrt_quadratic,
+    solve_y,
 )
 from .stepmaps import (
     CubicFamilyParams,
@@ -54,7 +52,7 @@ from .stepmaps import (
     step_sqrt_quadratic,
 )
 from .verify import SUITE_NAMES, run_verify
-from .ysystem import OrbitPowers, YParams, YState, y_closed, y_step
+from .ysystem import YParams, YState, y_step
 
 SEED_ENV_VAR = "SOLVMAPS_SEED"
 
@@ -63,10 +61,15 @@ _INT_PARAMS = {"k", "q", "r"}
 
 @dataclass(frozen=True)
 class SystemSpec:
+    """One CLI system.  An unsigned system's step ignores the sign, and its
+    rows have no ``branch`` column: its state is the coefficient pair itself.
+    """
+
     param_names: tuple[str, ...]
     build: Callable[[dict], object]
-    step: Callable[[object, Sign, ComplexPair, int], ComplexPair] | None
-    solve: Callable[[object, ComplexPair, int], BranchSolution] | None
+    step: Callable[[object, Sign, ComplexPair, int], ComplexPair]
+    solve: Callable[[object, ComplexPair, int], BranchSolution]
+    signed: bool = True
 
 
 def _build_y(params: dict) -> YParams:
@@ -74,6 +77,10 @@ def _build_y(params: dict) -> YParams:
         params["alpha"], params["beta"], params["gamma"],
         params["k"], params["q"], params["r"],
     )
+
+
+def _pair(y: YState) -> ComplexPair:
+    return (y.y1, y.y2)
 
 
 def _build_conjugated(params: dict) -> tuple[LinearChange, CubicFamilyParams]:
@@ -87,8 +94,9 @@ _SYSTEMS: dict[str, SystemSpec] = {
     "y": SystemSpec(
         ("alpha", "beta", "gamma", "k", "q", "r"),
         _build_y,
-        None,
-        None,
+        lambda p, s, y, ell: _pair(y_step(p, YState(*y), step=ell)),
+        solve_y,
+        signed=False,
     ),
     "quad-family": SystemSpec(
         ("a", "b", "k"),
@@ -229,35 +237,27 @@ class _Writer:
     with floats as ``.17g`` and of ``json.dumps`` on the row dict: the column
     names and the ``branch`` labels hold only characters (letters, digits,
     ``_``, ``+``, ``-``) that neither module quotes or escapes, and every
-    schema has several columns, so an empty label is not quoted either.  A
-    JSONL row holding a non-finite float goes through ``json.dumps``, which
-    spells it ``NaN`` or ``Infinity``.
+    schema has several columns, so an empty label is not quoted either.
+    Every float is finite: the commands check their values before a row is
+    written.
     """
 
     def __init__(self, stream: TextIO, fmt: str, columns: Sequence[str]):
-        self.json = fmt == "jsonl"
-        self.columns = list(columns)
         self.stream = stream
-        kinds = [_COLUMN_KINDS.get(name, float) for name in self.columns]
-        self._reals = [i for i, kind in enumerate(kinds) if kind is float]
-        if self.json:
-            cells = (f'"{name}": {_JSON_CELLS[kind]}' for name, kind in zip(self.columns, kinds))
+        kinds = [_COLUMN_KINDS.get(name, float) for name in columns]
+        if fmt == "jsonl":
+            cells = (f'"{name}": {_JSON_CELLS[kind]}' for name, kind in zip(columns, kinds))
             self._template = "{" + ", ".join(cells) + "}\n"
         else:
-            stream.write(",".join(self.columns) + "\r\n")
+            stream.write(",".join(columns) + "\r\n")
             self._template = ",".join(_CSV_CELLS[kind] for kind in kinds) + "\r\n"
 
     def row(self, values: Sequence[object]) -> None:
-        # A nan or inf makes the sum non-finite; so does an overflowing sum
-        # of finite values, which merely takes the slower path.
-        if self.json and not math.isfinite(sum([values[i] for i in self._reals])):
-            self.stream.write(json.dumps(dict(zip(self.columns, values))) + "\n")
-        else:
-            self.stream.write(self._template % tuple(values))
+        self.stream.write(self._template % tuple(values))
 
 
 def _state_columns(system: str, with_y: bool) -> list[str]:
-    if system == "y":
+    if not _SYSTEMS[system].signed:
         return ["ell", "y1_re", "y1_im", "y2_re", "y2_im"]
     cols = ["ell", "branch", "x1_re", "x1_im", "x2_re", "x2_im"]
     if with_y:
@@ -284,26 +284,25 @@ def cmd_iterate(args: argparse.Namespace) -> int:
     state = _parse_state(args.x0)
     _check_steps(args.steps)
     signs = _parse_signs(args.signs, args.steps)
+    signed = spec.signed
+    if not signed and args.signs is not None:
+        raise ConfigError(f"the {args.system} system takes no per-step signs")
 
     stream, close = _open_out(args.out)
     try:
-        if args.system == "y":
-            if args.signs is not None:
-                raise ConfigError("the y system takes no per-step signs")
-            writer = _Writer(stream, args.format, _state_columns("y", with_y=False))
-            y = YState(*state)
-            writer.row([0, *_flatten((y.y1, y.y2))])
-            for ell in range(args.steps):
-                y = y_step(params, y, step=ell)
-                writer.row([ell + 1, *_flatten((y.y1, y.y2))])
-        else:
-            writer = _Writer(stream, args.format, _state_columns(args.system, with_y=False))
-            writer.row([0, "", *_flatten(state)])
-            prefix = ""
-            for ell, s in enumerate(signs):
-                state = tuple(spec.step(params, s, state, ell))
-                prefix += "+" if s == PLUS else "-"
-                writer.row([ell + 1, prefix, *_flatten(state)])
+        writer = _Writer(stream, args.format, _state_columns(args.system, with_y=False))
+        flat = _flatten(state)
+        writer.row([0, "", *flat] if signed else [0, *flat])
+        prefix = ""
+        for ell, s in enumerate(signs):
+            state = tuple(spec.step(params, s, state, ell))
+            flat = _flatten(state)
+            # A finite sum means finite values; an overflowing sum is checked value by value.
+            if not math.isfinite(sum(flat)):
+                for z in state:
+                    ensure_finite(z, step=ell)
+            prefix += "+" if s == PLUS else "-"
+            writer.row([ell + 1, prefix, *flat] if signed else [ell + 1, *flat])
     finally:
         if close:
             stream.close()
@@ -318,22 +317,15 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
     stream, close = _open_out(args.out)
     try:
-        if args.system == "y":
-            writer = _Writer(stream, args.format, _state_columns("y", with_y=False))
-            y0 = YState(*state)
-            powers = OrbitPowers(params, y0)
-            for ell in range(args.steps + 1):
-                y = y_closed(params, y0, ell, powers=powers).state
-                writer.row([ell, *_flatten((y.y1, y.y2))])
-            return 0
-        if spec.solve is None:
-            raise ConfigError(f"system {args.system!r} has no closed-form solver")
         solution = spec.solve(params, state, args.steps)
         writer = _Writer(stream, args.format, _state_columns(args.system, with_y=True))
         for entry in solution.entries:
             yflat = _flatten((entry.y.y1, entry.y.y2))
-            writer.row([entry.ell, "+", *_flatten(entry.plus), *yflat])
-            writer.row([entry.ell, "-", *_flatten(entry.minus), *yflat])
+            if spec.signed:
+                writer.row([entry.ell, "+", *_flatten(entry.plus), *yflat])
+                writer.row([entry.ell, "-", *_flatten(entry.minus), *yflat])
+            else:
+                writer.row([entry.ell, *yflat])
         if solution.error is not None:
             print(
                 f"error: closed-form evaluation failed at step {solution.overflow_at}: "
@@ -369,7 +361,6 @@ def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--params", help="JSON object of named parameters")
     parser.add_argument("--x0", help="initial state: two complex literals, e.g. '[[1,0],[0,0]]'")
     parser.add_argument("--steps", type=int, default=1, help="number of discrete-time steps")
-    parser.add_argument("--signs", help="per-step sign string over '+-' (default: all '+')")
     parser.add_argument("--out", help="output path (default: stdout)")
     parser.add_argument("--format", choices=("csv", "jsonl"), default="csv")
 
@@ -383,6 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_iterate = sub.add_parser("iterate", help="iterate a step map along a sign sequence")
     _add_run_arguments(p_iterate)
+    p_iterate.add_argument("--signs", help="per-step sign string over '+-' (default: all '+')")
     p_iterate.set_defaults(func=cmd_iterate)
 
     p_solve = sub.add_parser("solve", help="evaluate the closed-form branch solution")
@@ -405,9 +397,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except NumericError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -12,20 +12,23 @@ orbit costs far less than a fresh closed-form call per step while every
 result stays bit-identical to one.
 
 If closed-form evaluation or the bridge inversion fails with a numeric error
-(overflow, zero base to a negative power) before ``ellmax``, the solution is
-truncated at the failing step and records the error.
+(overflow, zero base to a negative power), or yields a non-finite value,
+before ``ellmax``, the solution is truncated at the failing step and records
+the error.
 """
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, field
 
 from .errors import NumericError
-from .numeric import MINUS, PLUS, ComplexPair
+from .numeric import MINUS, PLUS, ComplexPair, ensure_finite
 from .polybridge import (
     DistinctZeroPair,
     MonicQuadratic,
     ZeroPair,
+    cubic_from_zeros,
     cubic_zeros_branch,
     quad_from_zeros,
     quad_zeros,
@@ -38,7 +41,7 @@ from .stepmaps import (
     yz_forward,
     yz_invert,
 )
-from .ysystem import OrbitPowers, YClosedForm, YParams, YState, y_closed, y_closed_special
+from .ysystem import OrbitPowers, YParams, YState, y_closed, y_closed_special
 
 
 @dataclass(frozen=True)
@@ -69,29 +72,34 @@ class BranchSolution:
         return (entry.plus, entry.minus)
 
 
-def _evolve(
-    yp: YParams,
-    y0: YState,
-    ellmax: int,
-    invert,
-    special: bool,
-) -> BranchSolution:
+def _evolve(yp: YParams, y0: YState, ellmax: int, closed_form, invert) -> BranchSolution:
+    """Evaluate ``closed_form`` at each step and ``invert`` its state into branches.
+
+    Callers name the closed form at the call, never as a default argument:
+    a default is bound once, when the module is loaded, and would bypass a
+    later rebinding of the module attribute.
+    """
     solution = BranchSolution()
     powers = OrbitPowers(yp, y0)
     for ell in range(ellmax + 1):
         try:
-            closed: YClosedForm = (
-                y_closed_special(yp, y0, ell, powers=powers)
-                if special
-                else y_closed(yp, y0, ell, powers=powers)
-            )
-            plus, minus = invert(closed.state)
+            y = closed_form(yp, y0, ell, powers=powers).state
+            plus, minus = invert(y)
+            # A finite sum means finite values; an overflowing sum is checked value by value.
+            if not cmath.isfinite(plus[0] + plus[1] + minus[0] + minus[1] + y.y1 + y.y2):
+                for z in (*plus, *minus, y.y1, y.y2):
+                    ensure_finite(z, step=ell)
         except NumericError as exc:
             solution.overflow_at = ell
             solution.error = exc
             break
-        solution.entries.append(BranchEntry(ell, plus, minus, closed.state))
+        solution.entries.append(BranchEntry(ell, plus, minus, y))
     return solution
+
+
+def _identity_invert(y: YState) -> tuple[ComplexPair, ComplexPair]:
+    pair = (y.y1, y.y2)
+    return pair, pair
 
 
 def _quad_invert(y: YState) -> tuple[ZeroPair, ZeroPair]:
@@ -107,30 +115,29 @@ def _cubic_invert(y: YState) -> tuple[DistinctZeroPair, DistinctZeroPair]:
     )
 
 
+def solve_y(p: YParams, y0: ComplexPair, ellmax: int) -> BranchSolution:
+    """Closed-form orbit of the y-system itself; both branches are (y1, y2)."""
+    return _evolve(p, YState(*y0), ellmax, y_closed, _identity_invert)
+
+
 def solve_sqrt_quadratic(p: YParams, x0: ZeroPair, ellmax: int) -> BranchSolution:
     """Closed-form orbit of the square-root quadratic system (free q, r)."""
-    y0 = quad_from_zeros(x0)
-    return _evolve(p, YState(y0.y1, y0.y2), ellmax, _quad_invert, special=False)
+    return _evolve(p, YState(*quad_from_zeros(x0)), ellmax, y_closed, _quad_invert)
 
 
 def solve_quadratic_family(p: QuadraticFamilyParams, x0: ZeroPair, ellmax: int) -> BranchSolution:
     """Closed-form orbit of the quadratic family."""
-    y0 = quad_from_zeros(x0)
-    return _evolve(p.y_params(), YState(y0.y1, y0.y2), ellmax, _quad_invert, special=True)
+    return _evolve(p.y_params(), YState(*quad_from_zeros(x0)), ellmax, y_closed_special, _quad_invert)
 
 
 def solve_sqrt_cubic(p: YParams, x0: DistinctZeroPair, ellmax: int) -> BranchSolution:
     """Closed-form orbit of the square-root cubic system (free q, r)."""
-    x1, x2 = x0
-    y0 = YState(-(2 * x1 + x2), x1 * (x1 + 2 * x2))
-    return _evolve(p, y0, ellmax, _cubic_invert, special=False)
+    return _evolve(p, YState(*cubic_from_zeros(x0)[:2]), ellmax, y_closed, _cubic_invert)
 
 
 def solve_cubic_family(p: CubicFamilyParams, x0: DistinctZeroPair, ellmax: int) -> BranchSolution:
     """Closed-form orbit of the cubic family."""
-    x1, x2 = x0
-    y0 = YState(-(2 * x1 + x2), x1 * (x1 + 2 * x2))
-    return _evolve(p.y_params(), y0, ellmax, _cubic_invert, special=True)
+    return _evolve(p.y_params(), YState(*cubic_from_zeros(x0)[:2]), ellmax, y_closed_special, _cubic_invert)
 
 
 def solve_generalized(p: GeneralizedParams, z0: ComplexPair, ellmax: int) -> BranchSolution:
@@ -139,18 +146,16 @@ def solve_generalized(p: GeneralizedParams, z0: ComplexPair, ellmax: int) -> Bra
     def invert(y: YState) -> tuple[ComplexPair, ComplexPair]:
         return yz_invert(p, y, PLUS), yz_invert(p, y, MINUS)
 
-    return _evolve(p.y_params(), yz_forward(p, z0), ellmax, invert, special=True)
+    return _evolve(p.y_params(), yz_forward(p, z0), ellmax, y_closed_special, invert)
 
 
 def solve_conjugated(
     A: LinearChange, p: CubicFamilyParams, z0: ComplexPair, ellmax: int
 ) -> BranchSolution:
     """Closed-form orbit of the conjugated cubic family: A applied componentwise."""
-    x0 = A.invert(z0)
-    inner = solve_cubic_family(p, DistinctZeroPair(*x0), ellmax)
-    mapped = BranchSolution(overflow_at=inner.overflow_at, error=inner.error)
-    for entry in inner.entries:
-        mapped.entries.append(
-            BranchEntry(entry.ell, A.apply(entry.plus), A.apply(entry.minus), entry.y)
-        )
-    return mapped
+
+    def invert(y: YState) -> tuple[ComplexPair, ComplexPair]:
+        plus, minus = _cubic_invert(y)
+        return A.apply(plus), A.apply(minus)
+
+    return _evolve(p.y_params(), YState(*cubic_from_zeros(A.invert(z0))[:2]), ellmax, y_closed_special, invert)

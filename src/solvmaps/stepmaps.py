@@ -18,15 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import ConfigError, DegenerateQuadraticError, SingularChangeError
+from .errors import ConfigError, DegenerateQuadraticError, NumericOverflowError, SingularChangeError
 from .numeric import ComplexPair, Sign, cpow, sqrt_branch
 from .polybridge import DistinctZeroPair, ZeroPair
-from .ysystem import YParams, YState
-
-
-def _require_int(name: str, value: int) -> None:
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise TypeError(f"{name} must be an integer, got {value!r}")
+from .ysystem import YParams, YState, _require_int
 
 
 @dataclass(frozen=True)
@@ -363,6 +358,8 @@ def yz_forward(p: GeneralizedParams, z: ComplexPair) -> YState:
 def yz_invert(p: GeneralizedParams, y: YState, b: Sign) -> ComplexPair:
     """One branch of the inversion of :func:`yz_forward`."""
     b2sq = p.B2 * p.B2
+    if b2sq == 0:
+        raise NumericOverflowError("reciprocal of underflowed power")
     f = p.denom / b2sq
     if f == 0:
         raise DegenerateQuadraticError("inversion quadratic has zero leading coefficient")

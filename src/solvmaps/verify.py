@@ -368,14 +368,14 @@ def _draw_reductions(rng: random.Random, record: Callable[..., None]) -> None:
     k = rng.choice([-1, 1, 2])
     x0 = draw_pair(rng)
     qp = QuadraticFamilyParams(a, b, k)
-    sp = YParams(2 * a, 2 * b, a * a - b * b, k, 2 * k, 2 * (1 + k))
+    sp = qp.y_params()
     for s in SIGNS:
         got = step_sqrt_quadratic(sp, s, x0)
         want_plus = step_quadratic_family(qp, PLUS, x0)
         record(0, pair_residual_unordered(got, want_plus))
 
     cp = CubicFamilyParams(a, b, k)
-    scp = YParams(3 * a, 3 * b, 3 * (a * a - b * b), k, 2 * k, 2 * (1 + k))
+    scp = cp.y_params()
     branch_want = [step_cubic_family(cp, s, x0) for s in SIGNS]
     for s in SIGNS:
         got = step_sqrt_cubic(scp, s, x0)

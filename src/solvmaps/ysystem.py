@@ -29,7 +29,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ConfigError, NonIntegerExponentError, QRMismatchError
-from .numeric import DEFAULT_TOL, Powers, Tolerance, approx_eq, cpow
+from .numeric import Powers, approx_eq, cpow
+
+
+def _require_int(name: str, value: int) -> None:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -45,9 +50,7 @@ class YParams:
 
     def __post_init__(self) -> None:
         for name in ("k", "q", "r"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise TypeError(f"{name} must be an integer, got {value!r}")
+            _require_int(name, getattr(self, name))
         if self.k == 0:
             raise ConfigError("k = 0 is rejected: closed-form exponents divide by k")
         object.__setattr__(self, "alpha", complex(self.alpha))
@@ -137,34 +140,34 @@ def y_step(p: YParams, s: YState, step: int | None = None) -> YState:
     return YState(y1n, y2n)
 
 
-def _y1_closed(p: YParams, powers: OrbitPowers, ell: int) -> complex:
-    growth = (1 + p.k) ** ell
-    e_alpha = _exact_div(growth - 1, p.k)
-    return powers.alpha.pow(e_alpha, step=ell) * powers.y10.pow(growth, step=ell)
-
-
-def y_closed(
-    p: YParams, y0: YState, ell: int, *, powers: OrbitPowers | None = None
+def _closed(
+    p: YParams, y0: YState, ell: int, powers: OrbitPowers | None, add_gamma
 ) -> YClosedForm:
-    """General closed-form solution at time ``ell`` (arbitrary integer q, r).
-
-    ``powers`` shares squarings and accumulator terms between the steps of
-    one orbit; without it the call builds its own.
-    """
+    """The closed form at time ``ell``, with the gamma terms added by ``add_gamma``."""
     if ell < 0:
         raise ValueError("ell must be non-negative")
     powers = _orbit_powers(p, y0, powers)
     alpha, beta, y10 = powers.alpha, powers.beta, powers.y10
     k, q = p.k, p.q
     growth = (1 + k) ** ell
-    y1 = _y1_closed(p, powers, ell)
+    y1 = alpha.pow(_exact_div(growth - 1, k), step=ell) * y10.pow(growth, step=ell)
 
     e_alpha = _exact_div(q * (growth - k * ell - 1), k * k)
     e_y10 = _exact_div(q * (growth - 1), k)
-    u = p.u
     # beta**(2 ell)-scaled accumulator: polynomial in beta, so beta = 0 is fine.
-    bracket = beta.pow(2 * ell, step=ell) * y0.y2
+    bracket = add_gamma(p, powers, y0, ell, beta.pow(2 * ell, step=ell) * y0.y2)
+    y2 = alpha.pow(e_alpha, step=ell) * y10.pow(e_y10, step=ell) * bracket
+    accumulator = bracket * beta.pow(-2 * ell) if p.beta != 0 else bracket
+    return YClosedForm(YState(y1, y2), accumulator, p.u)
+
+
+def _add_gamma_terms(
+    p: YParams, powers: OrbitPowers, y0: YState, ell: int, bracket: complex
+) -> complex:
+    """The general form's gamma terms, one for each s < ell."""
     if p.gamma != 0:
+        alpha, beta, y10 = powers.alpha, powers.beta, powers.y10
+        k, q, u = p.k, p.q, p.u
         for s in range(ell):
             gs = (1 + k) ** s
             e_s = _exact_div(u * (gs - 1) + q * s * k, k * k)
@@ -175,54 +178,57 @@ def y_closed(
                 * alpha.pow(e_s, step=ell)
                 * y10.pow(f_s, step=ell)
             )
-    y2 = alpha.pow(e_alpha, step=ell) * y10.pow(e_y10, step=ell) * bracket
-    accumulator = bracket * beta.pow(-2 * ell) if p.beta != 0 else bracket
-    return YClosedForm(YState(y1, y2), accumulator, u)
+    return bracket
 
 
-def y_closed_special(
-    p: YParams,
-    y0: YState,
-    ell: int,
-    tol: Tolerance = DEFAULT_TOL,
-    *,
-    powers: OrbitPowers | None = None,
-) -> YClosedForm:
-    """Closed form under q = 2k, r = 2(1+k): the sum becomes geometric.
+def _add_geometric_sum(
+    p: YParams, powers: OrbitPowers, y0: YState, ell: int, bracket: complex
+) -> complex:
+    """The special form's gamma term: sum_{s<ell} beta**(2(ell-1-s)) alpha**(2s).
 
-    When (alpha/beta)**2 = 1 to tolerance the degenerate geometric ratio is
-    resolved by its analytic limit ell.  ``powers`` is as for
-    :func:`y_closed`.
+    The sum is evaluated even when gamma = 0, so an overflowing
+    alpha**(2 ell) still fails the step.
     """
-    if ell < 0:
-        raise ValueError("ell must be non-negative")
-    k = p.k
-    if p.q != 2 * k or p.r != 2 * (1 + k):
-        raise QRMismatchError(
-            f"special closed form requires q = 2k, r = 2(1+k); got q={p.q}, r={p.r}"
-        )
-    powers = _orbit_powers(p, y0, powers)
-    alpha, beta, y10 = powers.alpha, powers.beta, powers.y10
-    growth = (1 + k) ** ell
-    y1 = _y1_closed(p, powers, ell)
-
-    e_alpha = _exact_div(2 * (growth - k * ell - 1), k)
-    e_y10 = 2 * (growth - 1)
+    alpha, beta = powers.alpha, powers.beta
     a2 = p.alpha * p.alpha
     b2 = p.beta * p.beta
-    # Scaled geometric sum: sum_{s=0}^{ell-1} beta**(2(ell-1-s)) alpha**(2s).
     if ell == 0:
         gsum = 0j
-    elif approx_eq(a2, b2, tol):
+    elif approx_eq(a2, b2):
         gsum = ell * beta.pow(2 * (ell - 1), step=ell)
     else:
         gsum = (alpha.pow(2 * ell, step=ell) - beta.pow(2 * ell, step=ell)) / (a2 - b2)
-    bracket = beta.pow(2 * ell, step=ell) * y0.y2
     if p.gamma != 0:
         bracket += p.gamma * y0.y1 * y0.y1 * gsum
-    y2 = alpha.pow(e_alpha, step=ell) * y10.pow(e_y10, step=ell) * bracket
-    accumulator = bracket * beta.pow(-2 * ell) if p.beta != 0 else bracket
-    return YClosedForm(YState(y1, y2), accumulator, p.u)
+    return bracket
+
+
+def y_closed(
+    p: YParams, y0: YState, ell: int, *, powers: OrbitPowers | None = None
+) -> YClosedForm:
+    """General closed-form solution at time ``ell`` (arbitrary integer q, r).
+
+    ``powers`` shares squarings and accumulator terms between the steps of
+    one orbit; without it the call builds its own.
+    """
+    return _closed(p, y0, ell, powers, _add_gamma_terms)
+
+
+def y_closed_special(
+    p: YParams, y0: YState, ell: int, *, powers: OrbitPowers | None = None
+) -> YClosedForm:
+    """Closed form under q = 2k, r = 2(1+k): the sum becomes geometric.
+
+    When (alpha/beta)**2 = 1 to the default tolerance the degenerate
+    geometric ratio is resolved by its analytic limit ell.  ``powers`` is as
+    for :func:`y_closed`.
+    """
+    # A negative ell is reported first, by _closed.
+    if ell >= 0 and (p.q != 2 * p.k or p.r != 2 * (1 + p.k)):
+        raise QRMismatchError(
+            f"special closed form requires q = 2k, r = 2(1+k); got q={p.q}, r={p.r}"
+        )
+    return _closed(p, y0, ell, powers, _add_geometric_sum)
 
 
 def y_iterate(p: YParams, y0: YState, ell: int) -> YState:

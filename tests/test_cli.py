@@ -3,9 +3,10 @@
 import csv
 import io
 import json
+import re
 
 import pytest
-from hypothesis import example, given
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from solvmaps import (
@@ -18,7 +19,7 @@ from solvmaps import (
     step_cubic_family,
     y_closed,
 )
-from solvmaps.cli import SEED_ENV_VAR, _state_columns, _Writer, main
+from solvmaps.cli import _SYSTEMS, SEED_ENV_VAR, _state_columns, _Writer, main
 from solvmaps.verify import pair_residual
 
 
@@ -237,6 +238,27 @@ class TestSolve:
         _, rows = parse_csv(out)
         assert rows[2] == ["2", "16", "0", "64", "0"]
 
+    def test_y_system_truncates_like_the_others(self, capsys):
+        code, out, err = run_cli(
+            capsys,
+            "solve", "--system", "y",
+            "--params", '{"alpha": 2, "beta": 1, "gamma": 0, "k": 1, "q": 2, "r": 4}',
+            "--x0", "[1e100, 1]", "--steps", "4",
+        )
+        assert code == 3
+        assert [row[0] for row in parse_csv(out)[1]] == ["0", "1"]
+        assert err == (
+            "error: closed-form evaluation failed at step 2: "
+            "result overflowed to a non-finite value; output truncated\n"
+        )
+
+    def test_signs_option_is_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--system", "cubic-family", "--params", CUBIC_PARAMS,
+                  "--x0", "[1, 0]", "--signs", "xyz"])
+        assert exc.value.code == 2
+        assert "--signs" in capsys.readouterr().err
+
     def test_out_file(self, capsys, tmp_path):
         path = tmp_path / "orbit.csv"
         code, out, _ = run_cli(
@@ -320,6 +342,97 @@ def test_bad_complex_input_exits_2_before_any_row(capsys, name):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+NONFINITE = re.compile("nan|inf", re.IGNORECASE)
+
+#: Runs whose values overflow to a nan or inf: argv and the finite rows written.
+OVERFLOWING_RUNS = {
+    "solve cubic-family gamma overflows": (
+        ["solve", "--system", "cubic-family", "--params", '{"a": 1e200, "b": 0, "k": 1}',
+         "--x0", "[1e50, 0]", "--steps", "1"],
+        ["ell,branch,x1_re,x1_im,x2_re,x2_im,y1_re,y1_im,y2_re,y2_im"],
+    ),
+    "iterate quad-family": (
+        ["iterate", "--system", "quad-family", "--params", '{"a": 1e200, "b": 0, "k": 1}',
+         "--x0", "[1e100, 0]", "--steps", "3"],
+        ["ell,branch,x1_re,x1_im,x2_re,x2_im", "0,,1e+100,0,0,0"],
+    ),
+    "iterate generalized jsonl": (
+        ["iterate", "--system", "generalized", "--params", json.dumps({**GENERALIZED, "alpha": 1e300}),
+         "--x0", "[1, 2]", "--steps", "3", "--format", "jsonl"],
+        ['{"ell": 0, "branch": "", "x1_re": 1.0, "x1_im": 0.0, "x2_re": 2.0, "x2_im": 0.0}',
+         '{"ell": 1, "branch": "+", "x1_re": 4.5000000000000005e+300, "x1_im": 0.0, '
+         '"x2_re": 4.5000000000000005e+300, "x2_im": 0.0}'],
+    ),
+    "solve generalized jsonl": (
+        ["solve", "--system", "generalized", "--params", json.dumps({**GENERALIZED, "alpha": 1e300}),
+         "--x0", "[1, 2]", "--steps", "3", "--format", "jsonl"],
+        [],
+    ),
+    "iterate y alpha times a finite power": (
+        ["iterate", "--system", "y",
+         "--params", '{"alpha": 1e300, "beta": 0, "gamma": 1, "k": 1, "q": 0, "r": 0}',
+         "--x0", "[1e10, 1]", "--steps", "3"],
+        ["ell,y1_re,y1_im,y2_re,y2_im", "0,10000000000,0,1,0"],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OVERFLOWING_RUNS))
+def test_overflow_exits_3_after_the_finite_rows(capsys, name):
+    argv, rows = OVERFLOWING_RUNS[name]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3
+    assert out.splitlines() == rows
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def _complex_literals(magnitudes):
+    return st.one_of(
+        magnitudes,
+        st.tuples(magnitudes, magnitudes).map(list),
+    )
+
+
+#: In-range values, and huge or tiny ones that overflow or underflow.
+_scalars = st.one_of(
+    st.floats(-2, 2),
+    st.floats(1e100, 1e308) | st.floats(-1e308, -1e100),
+    st.floats(-1e-300, 1e-300),
+)
+
+
+@st.composite
+def cli_runs(draw):
+    system = draw(st.sampled_from(sorted(_SYSTEMS)))
+    params = {}
+    for name in _SYSTEMS[system].param_names:
+        if name in ("k", "q", "r"):
+            params[name] = draw(st.integers(-3, 6))
+        else:
+            params[name] = draw(_complex_literals(_scalars))
+    command = draw(st.sampled_from(["iterate", "solve"]))
+    steps = draw(st.integers(0, 30))
+    argv = [
+        command, "--system", system, "--params", json.dumps(params),
+        "--x0", json.dumps([draw(_complex_literals(_scalars)) for _ in range(2)]),
+        "--steps", str(steps), "--format", draw(st.sampled_from(["csv", "jsonl"])),
+    ]
+    if command == "iterate" and draw(st.booleans()):
+        argv.append("--signs=" + draw(st.text("+-", min_size=steps, max_size=steps)))
+    return argv
+
+
+# run_cli reads and clears the capture, so sharing capsys across examples is safe.
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=cli_runs())
+@example(argv=OVERFLOWING_RUNS["solve cubic-family gamma overflows"][0])
+def test_fuzz_systems_exit_cleanly_with_finite_rows(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err
+    assert not NONFINITE.search(out)
+
+
 @pytest.mark.parametrize("command", ["iterate", "solve"])
 def test_negative_steps_exits_2(capsys, command):
     code, out, err = run_cli(
@@ -352,11 +465,11 @@ SCHEMAS = [
     _state_columns("quad-family", with_y=True),
 ]
 
-#: Values that the csv and json modules spell in their own way.
-SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e308, -1e308, 1e16, 0.1,
-                  float("inf"), float("-inf"), float("nan")]
+#: Values that the csv and json modules spell in their own way.  Only finite
+#: floats: the commands never hand the writer a nan or inf.
+SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e308, -1e308, 1e16, 0.1]
 
-reals = st.one_of(st.floats(), st.sampled_from(SPECIAL_FLOATS))
+reals = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.sampled_from(SPECIAL_FLOATS))
 #: Branch labels: ``iterate`` writes sign prefixes, ``solve`` one sign.
 labels = st.one_of(st.sampled_from(["", "+", "-"]), st.text("+-", max_size=1500))
 
@@ -408,7 +521,7 @@ def tables(draw):
 
 @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
 @given(table=tables())
-@example(table=(SCHEMAS[1], [[1, "-+", float("nan"), float("inf"), float("-inf"), -0.0]]))
+@example(table=(SCHEMAS[1], [[1, "-+", -0.0, 5e-324, -2.2250738585072014e-308, 0.1]]))
 @example(table=(SCHEMAS[1], [[2, "+-", 1e308, 1e308, 1.0, 5e-324], [3, "", 0.5, -0.0, 0.1, 1e16]]))
 def test_writer_matches_csv_and_json_modules(fmt, table):
     assert _written(_formatted, fmt, *table) == _written(_reference, fmt, *table)
