@@ -78,7 +78,6 @@ from .verify import (
 )
 from .ysystem import (
     OrbitPowers,
-    YClosedForm,
     YParams,
     YState,
     u_exponent,

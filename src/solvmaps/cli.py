@@ -67,7 +67,7 @@ class SystemSpec:
 
     param_names: tuple[str, ...]
     build: Callable[[dict], object]
-    step: Callable[[object, Sign, ComplexPair, int], ComplexPair]
+    step: Callable[[object, Sign, ComplexPair], ComplexPair]
     solve: Callable[[object, ComplexPair, int], BranchSolution]
     signed: bool = True
 
@@ -90,24 +90,25 @@ def _build_conjugated(params: dict) -> tuple[LinearChange, CubicFamilyParams]:
     )
 
 
+# Each step entry looks its map up by name at every call, so a rebound module attribute is used.
 _SYSTEMS: dict[str, SystemSpec] = {
     "y": SystemSpec(
         ("alpha", "beta", "gamma", "k", "q", "r"),
         _build_y,
-        lambda p, s, y, ell: _pair(y_step(p, YState(*y), step=ell)),
+        lambda p, s, y: _pair(y_step(p, YState(*y))),
         solve_y,
         signed=False,
     ),
     "quad-family": SystemSpec(
         ("a", "b", "k"),
         lambda d: QuadraticFamilyParams(d["a"], d["b"], d["k"]),
-        lambda p, s, x, ell: step_quadratic_family(p, s, x, step=ell),
+        lambda p, s, x: step_quadratic_family(p, s, x),
         solve_quadratic_family,
     ),
     "cubic-family": SystemSpec(
         ("a", "b", "k"),
         lambda d: CubicFamilyParams(d["a"], d["b"], d["k"]),
-        lambda p, s, x, ell: step_cubic_family(p, s, x, step=ell),
+        lambda p, s, x: step_cubic_family(p, s, x),
         solve_cubic_family,
     ),
     "generalized": SystemSpec(
@@ -115,25 +116,25 @@ _SYSTEMS: dict[str, SystemSpec] = {
         lambda d: GeneralizedParams(
             d["alpha"], d["beta"], d["B1"], d["B2"], d["C1"], d["C2"], d["C3"], d["k"]
         ),
-        lambda p, s, x, ell: step_generalized(p, s, x, step=ell),
+        lambda p, s, x: step_generalized(p, s, x),
         solve_generalized,
     ),
     "sqrt-quad": SystemSpec(
         ("alpha", "beta", "gamma", "k", "q", "r"),
         _build_y,
-        lambda p, s, x, ell: step_sqrt_quadratic(p, s, x, step=ell),
+        lambda p, s, x: step_sqrt_quadratic(p, s, x),
         solve_sqrt_quadratic,
     ),
     "sqrt-cubic": SystemSpec(
         ("alpha", "beta", "gamma", "k", "q", "r"),
         _build_y,
-        lambda p, s, x, ell: step_sqrt_cubic(p, s, x, step=ell),
+        lambda p, s, x: step_sqrt_cubic(p, s, x),
         solve_sqrt_cubic,
     ),
     "conjugated": SystemSpec(
         ("a", "b", "k", "A11", "A12", "A21", "A22"),
         _build_conjugated,
-        lambda p, s, x, ell: step_conjugated(p[0], p[1], s, x, step=ell),
+        lambda p, s, x: step_conjugated(p[0], p[1], s, x),
         lambda p, x0, n: solve_conjugated(p[0], p[1], x0, n),
     ),
 }
@@ -294,15 +295,19 @@ def cmd_iterate(args: argparse.Namespace) -> int:
         flat = _flatten(state)
         writer.row([0, "", *flat] if signed else [0, *flat])
         prefix = ""
-        for ell, s in enumerate(signs):
-            state = tuple(spec.step(params, s, state, ell))
-            flat = _flatten(state)
-            # A finite sum means finite values; an overflowing sum is checked value by value.
-            if not math.isfinite(sum(flat)):
-                for z in state:
-                    ensure_finite(z, step=ell)
+        for ell, s in enumerate(signs, 1):
+            try:
+                state = tuple(spec.step(params, s, state))
+                flat = _flatten(state)
+                # A finite sum means finite values; an overflowing sum is checked value by value.
+                if not math.isfinite(sum(flat)):
+                    for z in state:
+                        ensure_finite(z)
+            except NumericError as exc:
+                exc.step = ell
+                raise
             prefix += "+" if s == PLUS else "-"
-            writer.row([ell + 1, prefix, *flat] if signed else [ell + 1, *flat])
+            writer.row([ell, prefix, *flat] if signed else [ell, *flat])
     finally:
         if close:
             stream.close()

@@ -1,8 +1,10 @@
 """Exception hierarchy shared across the package.
 
-Numeric failures carry the discrete-time step index at which they occurred
-whenever the caller knows it, so orbit drivers can report where an orbit
-died instead of propagating Inf/NaN.
+A numeric failure is raised by the primitive that met it, which does not
+know which step of an orbit it serves.  The orbit loops
+(``solver._evolve``, ``ysystem.y_iterate`` and the CLI's ``iterate``) catch
+it and set its ``step`` to the ``ell`` of the first state the orbit did not
+deliver, which is also the number of states it did deliver.
 """
 
 from __future__ import annotations
@@ -15,15 +17,17 @@ class SolvmapsError(Exception):
 class NumericError(SolvmapsError):
     """Base class for arithmetic failures (carries an optional step index).
 
-    ``reason`` is the message without the step suffix.
+    ``reason`` is the message without the step suffix; the step is read when
+    the message is, so an orbit loop may set it after catching the error.
     """
 
-    def __init__(self, message: str, step: int | None = None):
-        self.reason = message
+    def __init__(self, reason: str, step: int | None = None):
+        super().__init__(reason)
+        self.reason = reason
         self.step = step
-        if step is not None:
-            message = f"{message} (at step {step})"
-        super().__init__(message)
+
+    def __str__(self) -> str:
+        return self.reason if self.step is None else f"{self.reason} (at step {self.step})"
 
 
 class ZeroToNegativePowerError(NumericError):

@@ -52,10 +52,10 @@ def is_finite(z: complex) -> bool:
     return math.isfinite(z.real) and math.isfinite(z.imag)
 
 
-def ensure_finite(z: complex, step: int | None = None) -> complex:
+def ensure_finite(z: complex) -> complex:
     """Return ``z`` unchanged, or raise instead of propagating Inf/NaN."""
     if not is_finite(z):
-        raise NumericOverflowError("result overflowed to a non-finite value", step=step)
+        raise NumericOverflowError("result overflowed to a non-finite value")
     return z
 
 
@@ -63,6 +63,7 @@ def cpow(z: complex, n: int, step: int | None = None) -> complex:
     """``z`` raised to the signed integer ``n`` by binary exponentiation.
 
     ``0**0`` is defined as 1 so closed forms degrade gracefully at ell=0.
+    ``step`` only labels a raised error.
     """
     z = complex(z)
     if n == 0:
@@ -81,12 +82,14 @@ def cpow(z: complex, n: int, step: int | None = None) -> complex:
         if m:
             base *= base
     if n < 0:
-        ensure_finite(result, step=step)
         if result == 0:
             # |z|**|n| underflowed; its reciprocal is an overflow.
             raise NumericOverflowError("reciprocal of underflowed power", step=step)
-        result = 1 / result
-    return ensure_finite(result, step=step)
+        if is_finite(result):
+            result = 1 / result
+    if not is_finite(result):
+        raise NumericOverflowError("result overflowed to a non-finite value", step=step)
+    return result
 
 
 #: Maps the digits of ``bin(n)`` to the bytes 0 and 1, so the bits of ``n``
@@ -101,8 +104,8 @@ class Powers:
     product for every ``|n|`` already asked for.  A power is the product of
     the ladder entries at the set bits of ``|n|``, multiplied low bit first
     onto ``1+0j``: the same squarings and the same multiplication order as
-    :func:`cpow`, so ``Powers(z).pow(n, step)`` equals ``cpow(z, n, step)``
-    bit for bit and raises the same errors.  Meant to live for one orbit.
+    :func:`cpow`, so ``Powers(z).pow(n)`` equals ``cpow(z, n)`` bit for bit
+    and raises the same errors.  Meant to live for one orbit.
     """
 
     __slots__ = ("base", "_ladder", "_products")
@@ -116,13 +119,13 @@ class Powers:
         """Number of ladder entries built so far (squarings + 1)."""
         return len(self._ladder)
 
-    def pow(self, n: int, step: int | None = None) -> complex:
-        """``base**n``, exactly as ``cpow(base, n, step)``."""
+    def pow(self, n: int) -> complex:
+        """``base**n``, exactly as ``cpow(base, n)``."""
         if n == 0:
             return 1 + 0j
         if self.base == 0:
             if n < 0:
-                raise ZeroToNegativePowerError("zero base raised to a negative power", step=step)
+                raise ZeroToNegativePowerError("zero base raised to a negative power")
             return 0j
         m = -n if n < 0 else n
         products = self._products
@@ -143,11 +146,11 @@ class Powers:
             result *= ladder[top]
             products[m] = result
         if n < 0:
-            ensure_finite(result, step=step)
+            ensure_finite(result)
             if result == 0:
-                raise NumericOverflowError("reciprocal of underflowed power", step=step)
+                raise NumericOverflowError("reciprocal of underflowed power")
             result = 1 / result
-        return ensure_finite(result, step=step)
+        return ensure_finite(result)
 
 
 def principal_sqrt(z: complex) -> complex:

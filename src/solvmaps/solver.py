@@ -14,7 +14,7 @@ result stays bit-identical to one.
 If closed-form evaluation or the bridge inversion fails with a numeric error
 (overflow, zero base to a negative power), or yields a non-finite value,
 before ``ellmax``, the solution is truncated at the failing step and records
-the error.
+the error, whose ``step`` is set to that ``ell``.
 """
 
 from __future__ import annotations
@@ -58,13 +58,17 @@ class BranchEntry:
 class BranchSolution:
     """Per-step branch sets.
 
-    A truncated solution has ``overflow_at`` set to the step that failed
-    (whatever the numeric error was) and ``error`` to the error itself.
+    A truncated solution has ``error`` set to the numeric error (whatever it
+    was) that ended it, and ``overflow_at`` names its step: the ``ell`` of
+    the first entry not delivered.
     """
 
     entries: list[BranchEntry] = field(default_factory=list)
-    overflow_at: int | None = None
     error: NumericError | None = None
+
+    @property
+    def overflow_at(self) -> int | None:
+        return None if self.error is None else self.error.step
 
     def branch_set(self, ell: int) -> tuple[ComplexPair, ComplexPair]:
         entry = self.entries[ell]
@@ -83,14 +87,14 @@ def _evolve(yp: YParams, y0: YState, ellmax: int, closed_form, invert) -> Branch
     powers = OrbitPowers(yp, y0)
     for ell in range(ellmax + 1):
         try:
-            y = closed_form(yp, y0, ell, powers=powers).state
+            y = closed_form(yp, y0, ell, powers=powers)
             plus, minus = invert(y)
             # A finite sum means finite values; an overflowing sum is checked value by value.
             if not cmath.isfinite(plus[0] + plus[1] + minus[0] + minus[1] + y.y1 + y.y2):
                 for z in (*plus, *minus, y.y1, y.y2):
-                    ensure_finite(z, step=ell)
+                    ensure_finite(z)
         except NumericError as exc:
-            solution.overflow_at = ell
+            exc.step = ell
             solution.error = exc
             break
         solution.entries.append(BranchEntry(ell, plus, minus, y))

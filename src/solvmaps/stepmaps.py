@@ -184,20 +184,20 @@ class K1CoeffTable(NamedTuple):
         return ((self.a11, self.a12, self.a13), (self.a21, self.a22, self.a23))
 
 
-def step_quadratic_family(p: QuadraticFamilyParams, s: Sign, x: ZeroPair, step: int | None = None) -> ZeroPair:
+def step_quadratic_family(p: QuadraticFamilyParams, s: Sign, x: ZeroPair) -> ZeroPair:
     """One step of the quadratic family (flipping s swaps the components)."""
     x1, x2 = x
     w = x1 + x2
-    base = cpow(-w, p.k, step=step)
+    base = cpow(-w, p.k)
     diff = p.b * (x1 - x2)
     return (base * (p.a * w - s * diff), base * (p.a * w + s * diff))
 
 
-def step_cubic_family(p: CubicFamilyParams, s: Sign, x: DistinctZeroPair, step: int | None = None) -> DistinctZeroPair:
+def step_cubic_family(p: CubicFamilyParams, s: Sign, x: DistinctZeroPair) -> DistinctZeroPair:
     """One step of the cubic family (ordered: the labels are meaningful)."""
     x1, x2 = x
     w = 2 * x1 + x2
-    base = cpow(w, p.k, step=step)
+    base = cpow(w, p.k)
     sign_k = -1 if p.k % 2 else 1
     diff = s * p.b * (x1 - x2)
     return DistinctZeroPair(
@@ -206,7 +206,7 @@ def step_cubic_family(p: CubicFamilyParams, s: Sign, x: DistinctZeroPair, step: 
     )
 
 
-def double_step_cubic(p: CubicFamilyParams, s01: Sign, x: DistinctZeroPair, step: int | None = None) -> DistinctZeroPair:
+def double_step_cubic(p: CubicFamilyParams, s01: Sign, x: DistinctZeroPair) -> DistinctZeroPair:
     """Two steps of the cubic family at once; only the sign product matters."""
     x1, x2 = x
     w = 2 * x1 + x2
@@ -214,41 +214,41 @@ def double_step_cubic(p: CubicFamilyParams, s01: Sign, x: DistinctZeroPair, step
     sign_k = -1 if p.k % 2 else 1
     prefactor = (
         sign_k
-        * cpow(complex(3), p.k + 1, step=step)
-        * cpow(p.a, p.k, step=step)
-        * cpow(w, p.k * (p.k + 2), step=step)
+        * cpow(complex(3), p.k + 1)
+        * cpow(p.a, p.k)
+        * cpow(w, p.k * (p.k + 2))
     )
     aw = p.a * p.a * w
     bv = s01 * p.b * p.b * v
     return DistinctZeroPair(prefactor * (aw + bv), prefactor * (aw - 2 * bv))
 
 
-def step_generalized(p: GeneralizedParams, s: Sign, z: ComplexPair, step: int | None = None) -> ComplexPair:
+def step_generalized(p: GeneralizedParams, s: Sign, z: ComplexPair) -> ComplexPair:
     """One step of the generalized B/C system."""
     z1, z2 = z
     e = p.e_table(s)
-    base = cpow(p.B1 * z1 + p.B2 * z2, p.k, step=step)
+    base = cpow(p.B1 * z1 + p.B2 * z2, p.k)
     return (
         base * (e[0][0] * z1 + e[0][1] * z2),
         base * (e[1][0] * z1 + e[1][1] * z2),
     )
 
 
-def step_sqrt_quadratic(p: YParams, s: Sign, x: ZeroPair, step: int | None = None) -> ZeroPair:
+def step_sqrt_quadratic(p: YParams, s: Sign, x: ZeroPair) -> ZeroPair:
     """One step of the square-root quadratic system (free exponents q, r)."""
     x1, x2 = x
     t = -(x1 + x2)
-    radicand = p.alpha * p.alpha * cpow(t, 2 * (p.k + 1), step=step)
+    radicand = p.alpha * p.alpha * cpow(t, 2 * (p.k + 1))
     if p.beta != 0:
-        radicand -= 4 * p.beta * p.beta * x1 * x2 * cpow(t, p.q, step=step)
+        radicand -= 4 * p.beta * p.beta * x1 * x2 * cpow(t, p.q)
     if p.gamma != 0:
-        radicand -= 4 * p.gamma * cpow(t, p.r, step=step)
+        radicand -= 4 * p.gamma * cpow(t, p.r)
     delta = sqrt_branch(radicand, s)
-    head = -p.alpha * cpow(t, p.k + 1, step=step)
+    head = -p.alpha * cpow(t, p.k + 1)
     return ((head - delta) / 2, (head + delta) / 2)
 
 
-def step_sqrt_cubic(p: YParams, s: Sign, x: DistinctZeroPair, step: int | None = None) -> DistinctZeroPair:
+def step_sqrt_cubic(p: YParams, s: Sign, x: DistinctZeroPair) -> DistinctZeroPair:
     """One step of the square-root cubic system (free exponents q, r).
 
     The radicand carries the full dependent coefficient x1 (x1 + 2 x2) of the
@@ -259,13 +259,13 @@ def step_sqrt_cubic(p: YParams, s: Sign, x: DistinctZeroPair, step: int | None =
     x1, x2 = x
     t = -(2 * x1 + x2)
     y2 = x1 * (x1 + 2 * x2)
-    radicand = p.alpha * p.alpha * cpow(t, 2 * (p.k + 1), step=step)
+    radicand = p.alpha * p.alpha * cpow(t, 2 * (p.k + 1))
     if p.beta != 0:
-        radicand -= 3 * p.beta * p.beta * y2 * cpow(t, p.q, step=step)
+        radicand -= 3 * p.beta * p.beta * y2 * cpow(t, p.q)
     if p.gamma != 0:
-        radicand -= 3 * p.gamma * cpow(t, p.r, step=step)
+        radicand -= 3 * p.gamma * cpow(t, p.r)
     delta = sqrt_branch(radicand, s)
-    head = -p.alpha * cpow(t, p.k + 1, step=step)
+    head = -p.alpha * cpow(t, p.k + 1)
     return DistinctZeroPair((head - delta) / 3, (head + 2 * delta) / 3)
 
 
@@ -290,16 +290,14 @@ def _conjugated_f_coeffs(A: LinearChange, p: CubicFamilyParams, s: Sign) -> list
     return coeffs
 
 
-def step_conjugated(
-    A: LinearChange, p: CubicFamilyParams, s: Sign, z: ComplexPair, step: int | None = None
-) -> ComplexPair:
+def step_conjugated(A: LinearChange, p: CubicFamilyParams, s: Sign, z: ComplexPair) -> ComplexPair:
     """One step of the cubic family conjugated by the linear change A."""
     z1, z2 = z
     base_lin = (2 * A.A22 - A.A21) * z1 + (A.A11 - 2 * A.A12) * z2
     (f11, f12), (f21, f22) = _conjugated_f_coeffs(A, p, s)
     f1 = f11 * z1 + f12 * z2
     f2 = f21 * z1 + f22 * z2
-    prefactor = cpow(A.det, -(p.k + 1), step=step) * cpow(base_lin, p.k, step=step)
+    prefactor = cpow(A.det, -(p.k + 1)) * cpow(base_lin, p.k)
     return (
         prefactor * (A.A11 * f1 + A.A12 * f2),
         prefactor * (A.A21 * f1 + A.A22 * f2),

@@ -278,15 +278,15 @@ def _draw_y_closed(rng: random.Random, record: Callable[..., None]) -> None:
     p = YParams(draw_complex(rng, 1.5), draw_complex(rng, 1.5), draw_complex(rng, 1.5), k, q, r)
     y0 = YState(draw_complex(rng, 1.5), draw_complex(rng, 1.5))
     ell = rng.randint(0, 6)
-    closed = y_closed(p, y0, ell).state
+    closed = y_closed(p, y0, ell)
     iterated = y_iterate(p, y0, ell)
     record(0, residual(closed.y1, iterated.y1), residual(closed.y2, iterated.y2))
     if special:
-        spec = y_closed_special(p, y0, ell).state
+        spec = y_closed_special(p, y0, ell)
         record(1, residual(spec.y1, closed.y1), residual(spec.y2, closed.y2))
         a = rng.randint(0, ell)
-        mid = y_closed_special(p, y0, a).state
-        chained = y_closed_special(p, mid, ell - a).state
+        mid = y_closed_special(p, y0, a)
+        chained = y_closed_special(p, mid, ell - a)
         record(2, residual(chained.y1, closed.y1), residual(chained.y2, closed.y2))
 
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ConfigError, NonIntegerExponentError, QRMismatchError
+from .errors import ConfigError, NonIntegerExponentError, NumericError, QRMismatchError
 from .numeric import Powers, approx_eq, cpow
 
 
@@ -72,21 +72,6 @@ class YState:
         object.__setattr__(self, "y2", complex(self.y2))
 
 
-@dataclass(frozen=True)
-class YClosedForm:
-    """Closed-form evaluation result: state plus the bracketed accumulator.
-
-    ``Y2`` is the unscaled accumulator (so ``Y2 == y2`` at ell = 0).  When
-    beta = 0 the unscaled accumulator does not exist (it carries a beta**-2
-    factor); in that case ``Y2`` holds the beta**(2 ell)-scaled bracket that
-    the state was actually computed from.
-    """
-
-    state: YState
-    Y2: complex
-    u: int
-
-
 class OrbitPowers:
     """Squaring ladders of alpha, beta and y1(0) for one orbit of one system.
 
@@ -125,24 +110,24 @@ def _exact_div(num: int, den: int) -> int:
     return q
 
 
-def y_step(p: YParams, s: YState, step: int | None = None) -> YState:
+def y_step(p: YParams, s: YState) -> YState:
     """One step of the recursion.
 
     Terms with an identically zero coefficient are skipped, so e.g. gamma = 0
     never evaluates y1**r.
     """
-    y1n = p.alpha * cpow(s.y1, 1 + p.k, step=step)
+    y1n = p.alpha * cpow(s.y1, 1 + p.k)
     y2n = 0j
     if p.beta != 0:
-        y2n += p.beta * p.beta * s.y2 * cpow(s.y1, p.q, step=step)
+        y2n += p.beta * p.beta * s.y2 * cpow(s.y1, p.q)
     if p.gamma != 0:
-        y2n += p.gamma * cpow(s.y1, p.r, step=step)
+        y2n += p.gamma * cpow(s.y1, p.r)
     return YState(y1n, y2n)
 
 
 def _closed(
     p: YParams, y0: YState, ell: int, powers: OrbitPowers | None, add_gamma
-) -> YClosedForm:
+) -> YState:
     """The closed form at time ``ell``, with the gamma terms added by ``add_gamma``."""
     if ell < 0:
         raise ValueError("ell must be non-negative")
@@ -150,15 +135,13 @@ def _closed(
     alpha, beta, y10 = powers.alpha, powers.beta, powers.y10
     k, q = p.k, p.q
     growth = (1 + k) ** ell
-    y1 = alpha.pow(_exact_div(growth - 1, k), step=ell) * y10.pow(growth, step=ell)
+    y1 = alpha.pow(_exact_div(growth - 1, k)) * y10.pow(growth)
 
     e_alpha = _exact_div(q * (growth - k * ell - 1), k * k)
     e_y10 = _exact_div(q * (growth - 1), k)
     # beta**(2 ell)-scaled accumulator: polynomial in beta, so beta = 0 is fine.
-    bracket = add_gamma(p, powers, y0, ell, beta.pow(2 * ell, step=ell) * y0.y2)
-    y2 = alpha.pow(e_alpha, step=ell) * y10.pow(e_y10, step=ell) * bracket
-    accumulator = bracket * beta.pow(-2 * ell) if p.beta != 0 else bracket
-    return YClosedForm(YState(y1, y2), accumulator, p.u)
+    bracket = add_gamma(p, powers, y0, ell, beta.pow(2 * ell) * y0.y2)
+    return YState(y1, alpha.pow(e_alpha) * y10.pow(e_y10) * bracket)
 
 
 def _add_gamma_terms(
@@ -174,9 +157,9 @@ def _add_gamma_terms(
             f_s = _exact_div(u * gs + q, k)
             bracket += (
                 p.gamma
-                * beta.pow(2 * (ell - 1 - s), step=ell)
-                * alpha.pow(e_s, step=ell)
-                * y10.pow(f_s, step=ell)
+                * beta.pow(2 * (ell - 1 - s))
+                * alpha.pow(e_s)
+                * y10.pow(f_s)
             )
     return bracket
 
@@ -195,9 +178,9 @@ def _add_geometric_sum(
     if ell == 0:
         gsum = 0j
     elif approx_eq(a2, b2):
-        gsum = ell * beta.pow(2 * (ell - 1), step=ell)
+        gsum = ell * beta.pow(2 * (ell - 1))
     else:
-        gsum = (alpha.pow(2 * ell, step=ell) - beta.pow(2 * ell, step=ell)) / (a2 - b2)
+        gsum = (alpha.pow(2 * ell) - beta.pow(2 * ell)) / (a2 - b2)
     if p.gamma != 0:
         bracket += p.gamma * y0.y1 * y0.y1 * gsum
     return bracket
@@ -205,7 +188,7 @@ def _add_geometric_sum(
 
 def y_closed(
     p: YParams, y0: YState, ell: int, *, powers: OrbitPowers | None = None
-) -> YClosedForm:
+) -> YState:
     """General closed-form solution at time ``ell`` (arbitrary integer q, r).
 
     ``powers`` shares squarings and accumulator terms between the steps of
@@ -216,7 +199,7 @@ def y_closed(
 
 def y_closed_special(
     p: YParams, y0: YState, ell: int, *, powers: OrbitPowers | None = None
-) -> YClosedForm:
+) -> YState:
     """Closed form under q = 2k, r = 2(1+k): the sum becomes geometric.
 
     When (alpha/beta)**2 = 1 to the default tolerance the degenerate
@@ -234,6 +217,10 @@ def y_closed_special(
 def y_iterate(p: YParams, y0: YState, ell: int) -> YState:
     """Chain ``ell`` steps of :func:`y_step` (the iteration oracle)."""
     state = y0
-    for step in range(ell):
-        state = y_step(p, state, step=step)
+    for step in range(1, ell + 1):
+        try:
+            state = y_step(p, state)
+        except NumericError as exc:
+            exc.step = step
+            raise
     return state

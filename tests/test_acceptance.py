@@ -64,14 +64,14 @@ def test_criterion_01_closed_form_iteration_equivalence():
             )
             ell = rng.randint(0, 6)
             try:
-                closed = y_closed(p, y0, ell).state
+                closed = y_closed(p, y0, ell)
                 iterated = y_iterate(p, y0, ell)
             except NUMERIC_ERRORS:
                 continue
             for got, want in ((closed.y1, iterated.y1), (closed.y2, iterated.y2)):
                 assert abs(got - want) <= 1e-9 * max(abs(got), abs(want), 1.0)
             if special:
-                spec = y_closed_special(p, y0, ell).state
+                spec = y_closed_special(p, y0, ell)
                 for got, want in ((spec.y1, closed.y1), (spec.y2, closed.y2)):
                     assert abs(got - want) <= 1e-9 * max(abs(got), abs(want), 1.0)
             checked += 1

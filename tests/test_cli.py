@@ -20,7 +20,7 @@ from solvmaps import (
     y_closed,
 )
 from solvmaps.cli import _SYSTEMS, SEED_ENV_VAR, _state_columns, _Writer, main
-from solvmaps.verify import pair_residual
+from solvmaps.verify import pair_residual, pair_residual_unordered
 
 
 def run_cli(capsys, *argv):
@@ -221,7 +221,7 @@ class TestSolve:
         y0 = YState(complex(*x0[0]), complex(*x0[1]))
         want = []
         for ell in range(26):
-            y = y_closed(p, y0, ell).state
+            y = y_closed(p, y0, ell)
             want.append([str(ell), *(f"{v:.17g}" for v in (y.y1.real, y.y1.imag, y.y2.real, y.y2.imag))])
         header, rows = parse_csv(out)
         assert header == ["ell", "y1_re", "y1_im", "y2_re", "y2_im"]
@@ -251,6 +251,25 @@ class TestSolve:
             "error: closed-form evaluation failed at step 2: "
             "result overflowed to a non-finite value; output truncated\n"
         )
+
+    def test_small_beta_runs_the_whole_bounded_orbit(self, capsys):
+        # beta = 2b: beta**(-2 ell) overflows from ell = 58 on, and no closed form needs it.
+        argv = ["--system", "quad-family", "--params", '{"a": 0.5, "b": 0.001, "k": 1}',
+                "--x0", "[1, 0]", "--steps", "100"]
+        code, out, _ = run_cli(capsys, "solve", *argv)
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert len(rows) == 202
+        code, out, _ = run_cli(capsys, "iterate", *argv)
+        assert code == 0
+        orbit = [row_state(row) for row in parse_csv(out)[1]]
+        for row in rows:
+            x1, x2 = orbit[int(row[0])]
+            y = (complex(float(row[6]), float(row[7])), complex(float(row[8]), float(row[9])))
+            assert pair_residual(y, (-(x1 + x2), x1 * x2)) <= 1e-12
+            # The zeros come from sqrt(y1**2 - 4 y2), which near this double
+            # root cancels to about sqrt(eps): 5.3e-9 here.
+            assert pair_residual_unordered(row_state(row), (x1, x2)) <= 1e-8
 
     def test_signs_option_is_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -377,6 +396,13 @@ OVERFLOWING_RUNS = {
 }
 
 
+def _states_written(out):
+    lines = out.splitlines()
+    if lines and lines[0].startswith("ell,"):
+        return len({line.split(",")[0] for line in lines[1:]})
+    return len({json.loads(line)["ell"] for line in lines})
+
+
 @pytest.mark.parametrize("name", sorted(OVERFLOWING_RUNS))
 def test_overflow_exits_3_after_the_finite_rows(capsys, name):
     argv, rows = OVERFLOWING_RUNS[name]
@@ -384,6 +410,8 @@ def test_overflow_exits_3_after_the_finite_rows(capsys, name):
     assert code == 3
     assert out.splitlines() == rows
     assert err.startswith("error: ") and err.count("\n") == 1
+    # iterate and solve name the same step: the ell of the first state not written.
+    assert [int(n) for n in re.findall(r"step (\d+)", err)] == [_states_written(out)]
 
 
 def _complex_literals(magnitudes):

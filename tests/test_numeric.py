@@ -76,7 +76,7 @@ def _outcome(fn, *args):
     try:
         z = fn(*args)
     except NumericError as exc:
-        return type(exc), exc.step, str(exc)
+        return type(exc), exc.reason
     return z.real.hex(), z.imag.hex()
 
 
@@ -101,21 +101,22 @@ class TestPowers:
         # |n| plus a new top bit reuses the product for |n|; the reversed
         # second pass hits the memo.
         grown = [abs(n) + (1 << abs(n).bit_length()) for n in ns]
-        for step, n in enumerate(ns + grown + ns[::-1]):
-            want = _outcome(cpow, z, n, step)
-            assert _outcome(Powers(z).pow, n, step) == want
-            assert _outcome(reused.pow, n, step) == want
+        for n in ns + grown + ns[::-1]:
+            want = _outcome(cpow, z, n)
+            assert _outcome(Powers(z).pow, n) == want
+            assert _outcome(reused.pow, n) == want
 
     @pytest.mark.parametrize("z", [0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)])
     @pytest.mark.parametrize("n", [0, 1, 2, 7, -1, -2, 2**1001 + 1, -(2**1001)])
     def test_zero_base(self, z, n):
-        assert _outcome(Powers(z).pow, n, 4) == _outcome(cpow, z, n, 4)
+        assert _outcome(Powers(z).pow, n) == _outcome(cpow, z, n)
 
     @pytest.mark.parametrize("z", [1 + 1j, 0j, float("inf"), complex(float("nan"), 0)])
     def test_zero_exponent_is_one(self, z):
-        assert _outcome(Powers(z).pow, 0, None) == _outcome(cpow, z, 0, None) == ((1.0).hex(), (0.0).hex())
+        assert _outcome(Powers(z).pow, 0) == _outcome(cpow, z, 0) == ((1.0).hex(), (0.0).hex())
 
-    def test_overflow_and_underflow_raise_with_step(self):
+    def test_overflow_and_underflow_raise_without_step(self):
+        """A power does not know its step; the orbit loop that catches the error sets it."""
         cases = [
             (1e200 + 0j, 5),
             (1e150 + 0j, -3),  # |z|**3 is inf + 0j, whose reciprocal would be a finite 0
@@ -124,9 +125,10 @@ class TestPowers:
             (1.5 + 0j, -(2**1000)),
         ]
         for z, n in cases:
-            with pytest.raises(NumericOverflowError, match="at step 9"):
-                Powers(z).pow(n, step=9)
-            assert _outcome(Powers(z).pow, n, 9) == _outcome(cpow, z, n, 9)
+            with pytest.raises(NumericOverflowError) as exc:
+                Powers(z).pow(n)
+            assert exc.value.step is None
+            assert _outcome(Powers(z).pow, n) == _outcome(cpow, z, n)
 
     def test_ladder_grows_to_the_largest_bit_length(self):
         powers = Powers(1j)

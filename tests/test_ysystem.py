@@ -20,6 +20,7 @@ from solvmaps.errors import (
     QRMismatchError,
     ZeroToNegativePowerError,
 )
+from solvmaps.numeric import is_finite
 from solvmaps.verify import draw_complex, residual
 
 NUMERIC_ERRORS = (ZeroToNegativePowerError, NumericOverflowError)
@@ -75,19 +76,25 @@ class TestStep:
         assert y_step(p, YState(0, 5)) == YState(0, 0)
 
 
+class TestIterate:
+    def test_error_names_the_first_state_not_delivered(self):
+        # y1 = 1e200 after one step; squaring it overflows in the second.
+        p = YParams(1, 1, 0, 1, 2, 4)
+        with pytest.raises(NumericOverflowError, match=r"\(at step 2\)") as exc:
+            y_iterate(p, YState(1e100, 0), 5)
+        assert exc.value.step == 2
+
+
 class TestClosedForm:
     def test_ell_zero_identity(self):
         p = YParams(2 + 1j, 3, 4 - 1j, 2, 3, -1)
         y0 = YState(0.5 + 0.5j, -1 + 2j)
-        closed = y_closed(p, y0, 0)
-        assert closed.state == y0
-        assert closed.Y2 == y0.y2
-        assert closed.u == p.u
+        assert y_closed(p, y0, 0) == y0
 
     def test_two_step_worked_example(self):
         p = YParams(1, 1, 0, 1, 2, 4)
         closed = y_closed(p, YState(2, 1), 2)
-        assert state_residual(closed.state, YState(16, 64)) <= 1e-12
+        assert state_residual(closed, YState(16, 64)) <= 1e-12
 
     def test_ell_one_equals_step(self):
         rng = random.Random("ysystem:ell1")
@@ -98,7 +105,7 @@ class TestClosedForm:
             )
             y0 = YState(draw_complex(rng), draw_complex(rng))
             try:
-                closed = y_closed(p, y0, 1).state
+                closed = y_closed(p, y0, 1)
                 stepped = y_step(p, y0)
             except NUMERIC_ERRORS:
                 continue
@@ -116,7 +123,7 @@ class TestClosedForm:
             y0 = YState(draw_complex(rng, 1.5), draw_complex(rng, 1.5))
             ell = rng.randint(0, 6)
             try:
-                closed = y_closed(p, y0, ell).state
+                closed = y_closed(p, y0, ell)
                 iterated = y_iterate(p, y0, ell)
             except NUMERIC_ERRORS:
                 continue
@@ -135,14 +142,22 @@ class TestClosedForm:
             y0 = YState(draw_complex(rng), draw_complex(rng))
             a, b = rng.randint(0, 3), rng.randint(0, 3)
             try:
-                whole = y_closed(p, y0, a + b).state
-                mid = y_closed(p, y0, a).state
-                chained = y_closed(p, mid, b).state
+                whole = y_closed(p, y0, a + b)
+                mid = y_closed(p, y0, a)
+                chained = y_closed(p, mid, b)
             except NUMERIC_ERRORS:
                 continue
             assert state_residual(whole, chained) <= 1e-9
             checked += 1
         assert checked >= 25
+
+    def test_small_beta_long_orbit(self):
+        # beta**(-2 ell) overflows at ell = 60, and the state does not depend on it.
+        p = YParams(1, 2e-3, 0.25, 1, 2, 4)
+        y0 = YState(1, 0)
+        closed = y_closed(p, y0, 60)
+        assert is_finite(closed.y1) and is_finite(closed.y2)
+        assert state_residual(closed, y_iterate(p, y0, 60)) <= 1e-12
 
     def test_negative_ell_rejected(self):
         p = YParams(1, 1, 0, 1, 2, 4)
@@ -159,7 +174,7 @@ class TestSpecialClosedForm:
     def test_worked_example(self):
         p = YParams(3, 3, 0, 1, 2, 4)
         closed = y_closed_special(p, YState(-2, 1), 1)
-        assert state_residual(closed.state, YState(12, 36)) <= 1e-12
+        assert state_residual(closed, YState(12, 36)) <= 1e-12
 
     def test_agrees_with_general(self):
         rng = random.Random("ysystem:special")
@@ -173,8 +188,8 @@ class TestSpecialClosedForm:
             y0 = YState(draw_complex(rng), draw_complex(rng))
             ell = rng.randint(0, 5)
             try:
-                special = y_closed_special(p, y0, ell).state
-                general = y_closed(p, y0, ell).state
+                special = y_closed_special(p, y0, ell)
+                general = y_closed(p, y0, ell)
             except NUMERIC_ERRORS:
                 continue
             assert state_residual(special, general) <= 1e-9
@@ -182,22 +197,20 @@ class TestSpecialClosedForm:
         assert checked >= 25
 
     def test_equal_ratio_limit(self):
-        # alpha = beta: the accumulator grows linearly in ell.
+        # alpha = beta: the geometric sum takes its limit ell * beta**(2(ell-1)).
         alpha = 1.5 - 0.5j
         gamma = 0.25 + 1j
         p = YParams(alpha, alpha, gamma, 1, 2, 4)
         y0 = YState(0.7 + 0.2j, -0.3 + 0.9j)
         for ell in range(5):
-            closed = y_closed_special(p, y0, ell)
-            want = y0.y2 + gamma * y0.y1 * y0.y1 * ell / (alpha * alpha)
-            assert residual(closed.Y2, want) <= 1e-12
+            assert state_residual(y_closed_special(p, y0, ell), y_iterate(p, y0, ell)) <= 1e-12
 
     def test_beta_zero_supported(self):
-        # beta = 0 has no unscaled accumulator but the state is well defined.
+        # beta = 0: the bracket is a polynomial in beta, so the state is well defined.
         p = YParams(2, 0, 1, 1, 2, 4)
         y0 = YState(1 + 1j, 2 - 1j)
         for ell in range(4):
-            closed = y_closed_special(p, y0, ell).state
+            closed = y_closed_special(p, y0, ell)
             iterated = y_iterate(p, y0, ell)
             assert state_residual(closed, iterated) <= 1e-12
 
@@ -220,8 +233,7 @@ def _closed_bits(closed, p, y0, ell, powers):
         form = closed(p, y0, ell, powers=powers)
     except NumericError as exc:
         return type(exc), str(exc)
-    values = (form.state.y1, form.state.y2, form.Y2)
-    return tuple((z.real.hex(), z.imag.hex()) for z in values)
+    return tuple((z.real.hex(), z.imag.hex()) for z in (form.y1, form.y2))
 
 
 class TestOrbitPowers:
