@@ -7,7 +7,6 @@ built on polynomial zero/coefficient bridges.
 
 from .errors import (
     ConfigError,
-    DegenerateQuadraticError,
     NonIntegerExponentError,
     NumericError,
     NumericOverflowError,

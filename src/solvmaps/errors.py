@@ -50,9 +50,5 @@ class SingularChangeError(SolvmapsError):
     """Linear change of variables with zero determinant."""
 
 
-class DegenerateQuadraticError(SolvmapsError):
-    """Coefficient-to-state inversion degenerates (leading coefficient zero)."""
-
-
 class ConfigError(SolvmapsError, ValueError):
     """Invalid run configuration or parameters (CLI exit code 2)."""

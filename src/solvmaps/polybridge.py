@@ -53,20 +53,25 @@ def quad_from_zeros(p: ZeroPair) -> MonicQuadratic:
 
 
 def quad_zeros(m: MonicQuadratic) -> ZeroPair:
-    """The unordered zero pair of z**2 + y1 z + y2.
-
-    Uses the cancellation-free form: the larger-magnitude root from the
-    sign-matched discriminant, the companion root via division by y2.
-    """
+    """The unordered zero pair of z**2 + y1 z + y2, the larger-magnitude zero first."""
     y1, y2 = complex(m[0]), complex(m[1])
     s = principal_sqrt(y1 * y1 - 4 * y2)
-    t = -y1
-    big = t + s if abs(t + s) >= abs(t - s) else t - s
-    if big == 0:
-        return (0j, 0j)
-    r1 = big / 2
-    r2 = y2 / r1
-    return (r1, r2)
+    if abs(-y1 + s) < abs(-y1 - s):
+        s = -s  # the sign-matched root: (-y1 + s) / 2 is the larger zero
+    return quad_zeros_from_root(y1, s, y2)
+
+
+def quad_zeros_from_root(y1: complex, r: complex, y2: complex) -> ZeroPair:
+    """The zero pair ((-y1 + r) / 2, (-y1 - r) / 2) of z**2 + y1 z + y2.
+
+    ``r`` is a square root of the discriminant y1**2 - 4 y2; the other root
+    swaps the pair.  Only the larger zero is taken from that sum: the smaller
+    one would cancel in it, so it is y2 over the larger (Vieta).
+    """
+    first, second = (-y1 + r) / 2, (-y1 - r) / 2
+    if abs(second) > abs(first):
+        return (y2 / second, second)
+    return (first, y2 / first) if first else (0j, 0j)
 
 
 def cubic_from_zeros(d: DistinctZeroPair) -> MonicCubic:
@@ -82,10 +87,21 @@ def cubic_zeros_branch(y1: complex, y2: complex, b: Sign) -> DistinctZeroPair:
     solutions, with x2 back-substituted from y1 = -(2 x1 + x2).  A zero
     discriminant yields the triple-root pair for both branches.
     """
-    s = principal_sqrt(y1 * y1 - 3 * y2)
-    x1 = (-y1 + b * s) / 3
-    x2 = -y1 - 2 * x1
-    return DistinctZeroPair(x1, x2)
+    return cubic_zeros_from_root(y1, b * principal_sqrt(y1 * y1 - 3 * y2), y2)
+
+
+def cubic_zeros_from_root(y1: complex, r: complex, y2: complex) -> DistinctZeroPair:
+    """The double-root pair with 2 x1 + x2 = -y1 and x1 - x2 = r.
+
+    ``r`` is a square root of the discriminant y1**2 - 3 y2; the two roots
+    give the two branches.  x1 = (-y1 + r) / 3, unless that sum comes out
+    smaller than y1 and so has cancelled: then x1 is y2 / (-y1 - r), since
+    (-y1 + r)(-y1 - r) = 3 y2.  A simple zero x2 far smaller than x1 keeps
+    only the absolute accuracy of y1, as (y1, y2) determine it no better.
+    """
+    head = -y1 + r
+    x1 = y2 / (-y1 - r) if abs(head) < abs(y1) else head / 3
+    return DistinctZeroPair(x1, -y1 - 2 * x1)
 
 
 def cubic_zeros_printed(y1: complex, y2: complex, s: Sign) -> DistinctZeroPair:

@@ -1,46 +1,45 @@
 """Closed-form initial-value solvers.
 
-Each solver evolves the polynomial coefficients with the y-system closed
-form (evaluated directly per step, not by chaining), inverts the matching
-bridge, and returns the explicit two-branch solution set.  Branch labels
-follow the bridge conventions and are not claimed to align with any
-particular sign sequence; the contract is set-equality per step.
+Each solver evolves the coefficients (y1, y2) with the y-system closed form
+(evaluated directly per step, not by chaining) and inverts them into the
+explicit two-branch solution set.  Branch labels follow the principal square
+root of the inversion; the contract is set-equality per step.
 
-The squarings of alpha, beta and y1(0) are shared across the steps of one
-orbit (one :class:`~solvmaps.ysystem.OrbitPowers` per solve), so a long
-orbit costs far less than a fresh closed-form call per step while every
-result stays bit-identical to one.
+Zeros rebuilt from sqrt(y1**2 - c y2) lose half their digits near a double
+zero, where that difference cancels.  So the four special-form families
+(q = 2k, r = 2(1+k)) also evolve D, the discriminant of their inversion:
+(x1 - x2)**2 in the quadratic and cubic families, (g2 z1 + g3 z2)**2 in the
+generalized system.  D obeys the y-system with gamma = 0,
+D' = beta**2 y1**(2k) D, so its closed form is a product of powers with
+nothing to cancel, and each zero is linear in (y1, +/-sqrt(D)).  Where that
+linear form cancels instead, because one zero is far smaller than the other,
+the quadratic and cubic maps take the small zero from y2 (Vieta).  The
+square-root systems' D carries a gamma term, so they invert (y1, y2) alone.
 
-If closed-form evaluation or the bridge inversion fails with a numeric error
-(overflow, zero base to a negative power), or yields a non-finite value,
-before ``ellmax``, the solution is truncated at the failing step and records
-the error, whose ``step`` is set to that ``ell``.
+A numeric error (overflow, zero base to a negative power) or a non-finite
+value before ``ellmax`` truncates the solution at the failing step and is
+recorded with its ``step`` set to that ``ell``.
 """
 
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .errors import NumericError
-from .numeric import MINUS, PLUS, ComplexPair, ensure_finite
+from .numeric import MINUS, PLUS, ComplexPair, ensure_finite, principal_sqrt
 from .polybridge import (
     DistinctZeroPair,
     MonicQuadratic,
     ZeroPair,
     cubic_from_zeros,
     cubic_zeros_branch,
+    cubic_zeros_from_root,
     quad_from_zeros,
     quad_zeros,
+    quad_zeros_from_root,
 )
-from .stepmaps import (
-    CubicFamilyParams,
-    GeneralizedParams,
-    LinearChange,
-    QuadraticFamilyParams,
-    yz_forward,
-    yz_invert,
-)
+from .stepmaps import CubicFamilyParams, GeneralizedParams, LinearChange, QuadraticFamilyParams, yz_forward, yz_from_root
 from .ysystem import OrbitPowers, YParams, YState, y_closed, y_closed_special
 
 
@@ -76,19 +75,12 @@ class BranchSolution:
         return (entry.plus, entry.minus)
 
 
-def _evolve(yp: YParams, y0: YState, ellmax: int, closed_form, invert) -> BranchSolution:
-    """Evaluate ``closed_form`` at each step and ``invert`` its state into branches.
-
-    Callers name the closed form at the call, never as a default argument:
-    a default is bound once, when the module is loaded, and would bypass a
-    later rebinding of the module attribute.
-    """
+def _evolve(ellmax: int, branches) -> BranchSolution:
+    """Collect ``branches(ell) = (plus, minus, y)`` for ``ell = 0 .. ellmax``."""
     solution = BranchSolution()
-    powers = OrbitPowers(yp, y0)
     for ell in range(ellmax + 1):
         try:
-            y = closed_form(yp, y0, ell, powers=powers)
-            plus, minus = invert(y)
+            plus, minus, y = branches(ell)
             # A finite sum means finite values; an overflowing sum is checked value by value.
             if not cmath.isfinite(plus[0] + plus[1] + minus[0] + minus[1] + y.y1 + y.y2):
                 for z in (*plus, *minus, y.y1, y.y2):
@@ -101,65 +93,70 @@ def _evolve(yp: YParams, y0: YState, ellmax: int, closed_form, invert) -> Branch
     return solution
 
 
-def _identity_invert(y: YState) -> tuple[ComplexPair, ComplexPair]:
-    pair = (y.y1, y.y2)
-    return pair, pair
+def _solve_coefficients(yp: YParams, y0: YState, ellmax: int, invert) -> BranchSolution:
+    """Evolve (y1, y2) with the general closed form; ``invert`` maps it to ``(plus, minus, y)``."""
+    powers = OrbitPowers(yp, y0)
+    return _evolve(ellmax, lambda ell: invert(y_closed(yp, y0, ell, powers=powers)))
 
 
-def _quad_invert(y: YState) -> tuple[ZeroPair, ZeroPair]:
+def _quad_invert(y: YState) -> tuple[ZeroPair, ZeroPair, YState]:
     pair = quad_zeros(MonicQuadratic(y.y1, y.y2))
     # Indistinguishable zeros: both branches coincide as unordered pairs.
-    return pair, (pair[1], pair[0])
+    return pair, (pair[1], pair[0]), y
 
 
-def _cubic_invert(y: YState) -> tuple[DistinctZeroPair, DistinctZeroPair]:
-    return (
-        cubic_zeros_branch(y.y1, y.y2, PLUS),
-        cubic_zeros_branch(y.y1, y.y2, MINUS),
-    )
+def _cubic_invert(y: YState) -> tuple[DistinctZeroPair, DistinctZeroPair, YState]:
+    return cubic_zeros_branch(y.y1, y.y2, PLUS), cubic_zeros_branch(y.y1, y.y2, MINUS), y
+
+
+def _solve_family(yp: YParams, y0: YState, r: complex, ellmax: int, zeros) -> BranchSolution:
+    """Evolve (y1, y2) and (y1, D = r**2); the branches are ``zeros(y1, +/-sqrt(D), y2)``."""
+    dp, d0 = replace(yp, gamma=0), YState(y0.y1, r * r)
+    powers = OrbitPowers(yp, y0)  # D's orbit has the same alpha, beta and y1(0)
+
+    def branches(ell: int) -> tuple[ComplexPair, ComplexPair, YState]:
+        y = y_closed_special(yp, y0, ell, powers=powers)
+        root = principal_sqrt(y_closed(dp, d0, ell, powers=powers).y2)
+        return zeros(y.y1, root, y.y2), zeros(y.y1, -root, y.y2), y
+
+    return _evolve(ellmax, branches)
 
 
 def solve_y(p: YParams, y0: ComplexPair, ellmax: int) -> BranchSolution:
     """Closed-form orbit of the y-system itself; both branches are (y1, y2)."""
-    return _evolve(p, YState(*y0), ellmax, y_closed, _identity_invert)
+    return _solve_coefficients(p, YState(*y0), ellmax, lambda y: ((y.y1, y.y2), (y.y1, y.y2), y))
 
 
 def solve_sqrt_quadratic(p: YParams, x0: ZeroPair, ellmax: int) -> BranchSolution:
     """Closed-form orbit of the square-root quadratic system (free q, r)."""
-    return _evolve(p, YState(*quad_from_zeros(x0)), ellmax, y_closed, _quad_invert)
+    return _solve_coefficients(p, YState(*quad_from_zeros(x0)), ellmax, _quad_invert)
 
 
 def solve_quadratic_family(p: QuadraticFamilyParams, x0: ZeroPair, ellmax: int) -> BranchSolution:
     """Closed-form orbit of the quadratic family."""
-    return _evolve(p.y_params(), YState(*quad_from_zeros(x0)), ellmax, y_closed_special, _quad_invert)
+    return _solve_family(p.y_params(), YState(*quad_from_zeros(x0)), x0[0] - x0[1], ellmax, quad_zeros_from_root)
 
 
 def solve_sqrt_cubic(p: YParams, x0: DistinctZeroPair, ellmax: int) -> BranchSolution:
     """Closed-form orbit of the square-root cubic system (free q, r)."""
-    return _evolve(p, YState(*cubic_from_zeros(x0)[:2]), ellmax, y_closed, _cubic_invert)
+    return _solve_coefficients(p, YState(*cubic_from_zeros(x0)[:2]), ellmax, _cubic_invert)
 
 
 def solve_cubic_family(p: CubicFamilyParams, x0: DistinctZeroPair, ellmax: int) -> BranchSolution:
     """Closed-form orbit of the cubic family."""
-    return _evolve(p.y_params(), YState(*cubic_from_zeros(x0)[:2]), ellmax, y_closed_special, _cubic_invert)
+    return _solve_family(p.y_params(), YState(*cubic_from_zeros(x0)[:2]), x0[0] - x0[1], ellmax, cubic_zeros_from_root)
 
 
 def solve_generalized(p: GeneralizedParams, z0: ComplexPair, ellmax: int) -> BranchSolution:
     """Closed-form orbit of the generalized B/C system."""
-
-    def invert(y: YState) -> tuple[ComplexPair, ComplexPair]:
-        return yz_invert(p, y, PLUS), yz_invert(p, y, MINUS)
-
-    return _evolve(p.y_params(), yz_forward(p, z0), ellmax, y_closed_special, invert)
+    r0 = p.g2 * z0[0] + p.g3 * z0[1]
+    return _solve_family(p.y_params(), yz_forward(p, z0), r0, ellmax, lambda y1, r, y2: yz_from_root(p, y1, r))
 
 
-def solve_conjugated(
-    A: LinearChange, p: CubicFamilyParams, z0: ComplexPair, ellmax: int
-) -> BranchSolution:
+def solve_conjugated(A: LinearChange, p: CubicFamilyParams, z0: ComplexPair, ellmax: int) -> BranchSolution:
     """Closed-form orbit of the conjugated cubic family: A applied componentwise."""
-
-    def invert(y: YState) -> tuple[ComplexPair, ComplexPair]:
-        plus, minus = _cubic_invert(y)
-        return A.apply(plus), A.apply(minus)
-
-    return _evolve(p.y_params(), YState(*cubic_from_zeros(A.invert(z0))[:2]), ellmax, y_closed_special, invert)
+    x0 = A.invert(z0)
+    return _solve_family(
+        p.y_params(), YState(*cubic_from_zeros(x0)[:2]), x0[0] - x0[1], ellmax,
+        lambda y1, r, y2: A.apply(cubic_zeros_from_root(y1, r, y2)),
+    )

@@ -18,9 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import ConfigError, DegenerateQuadraticError, NumericOverflowError, SingularChangeError
+from .errors import ConfigError, SingularChangeError
 from .numeric import ComplexPair, Sign, cpow, sqrt_branch
-from .polybridge import DistinctZeroPair, ZeroPair
+from .polybridge import DistinctZeroPair, ZeroPair, quad_zeros_from_root
 from .ysystem import YParams, YState, _require_int
 
 
@@ -235,17 +235,21 @@ def step_generalized(p: GeneralizedParams, s: Sign, z: ComplexPair) -> ComplexPa
 
 
 def step_sqrt_quadratic(p: YParams, s: Sign, x: ZeroPair) -> ZeroPair:
-    """One step of the square-root quadratic system (free exponents q, r)."""
+    """One step of the square-root quadratic system (free exponents q, r).
+
+    The zeros are ``(head -/+ delta) / 2``, head = -y1', the smaller one taken
+    as y2' over the larger (see :func:`~solvmaps.polybridge.quad_zeros_from_root`).
+    """
     x1, x2 = x
     t = -(x1 + x2)
-    radicand = p.alpha * p.alpha * cpow(t, 2 * (p.k + 1))
+    y2 = 0j
     if p.beta != 0:
-        radicand -= 4 * p.beta * p.beta * x1 * x2 * cpow(t, p.q)
+        y2 += p.beta * p.beta * x1 * x2 * cpow(t, p.q)
     if p.gamma != 0:
-        radicand -= 4 * p.gamma * cpow(t, p.r)
-    delta = sqrt_branch(radicand, s)
+        y2 += p.gamma * cpow(t, p.r)
+    delta = sqrt_branch(p.alpha * p.alpha * cpow(t, 2 * (p.k + 1)) - 4 * y2, s)
     head = -p.alpha * cpow(t, p.k + 1)
-    return ((head - delta) / 2, (head + delta) / 2)
+    return quad_zeros_from_root(-head, -delta, y2)
 
 
 def step_sqrt_cubic(p: YParams, s: Sign, x: DistinctZeroPair) -> DistinctZeroPair:
@@ -353,17 +357,18 @@ def yz_forward(p: GeneralizedParams, z: ComplexPair) -> YState:
     )
 
 
+def yz_from_root(p: GeneralizedParams, y1: complex, r: complex) -> ComplexPair:
+    """The state with B1 z1 + B2 z2 = y1 and g2 z1 + g3 z2 = r.
+
+    ``r`` is a square root of the inversion discriminant
+    (C3**2 - 4 C1 C2) y1**2 + 4 denom y2; its two roots give the two
+    branches.  Nothing is divided by B2, so a tiny B2 loses no digits.
+    """
+    d2 = 2 * p.denom
+    return ((p.B2 * r - p.g3 * y1) / d2, (p.g2 * y1 - p.B1 * r) / d2)
+
+
 def yz_invert(p: GeneralizedParams, y: YState, b: Sign) -> ComplexPair:
     """One branch of the inversion of :func:`yz_forward`."""
-    b2sq = p.B2 * p.B2
-    if b2sq == 0:
-        raise NumericOverflowError("reciprocal of underflowed power")
-    f = p.denom / b2sq
-    if f == 0:
-        raise DegenerateQuadraticError("inversion quadratic has zero leading coefficient")
-    g = p.g3 * y.y1 / b2sq
-    h = (p.C2 * y.y1 * y.y1 - b2sq * y.y2) / b2sq
-    big_gamma = sqrt_branch(g * g - 4 * f * h, b)
-    z1 = (-g + big_gamma) / (2 * f)
-    z2 = (y.y1 - p.B1 * z1) / p.B2
-    return (z1, z2)
+    disc = (p.C3 * p.C3 - 4 * p.C1 * p.C2) * y.y1 * y.y1 + 4 * p.denom * y.y2
+    return yz_from_root(p, y.y1, sqrt_branch(disc, b))

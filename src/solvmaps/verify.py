@@ -16,6 +16,7 @@ byte-identical JSON document.
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Iterable, Sequence
@@ -252,12 +253,14 @@ def _run_draws(
     """Run ``draws`` draws and append one result per ``(name, tol)`` property.
 
     A draw that raises ``skip`` counts as skipped; the residuals it recorded
-    before raising still count.
+    before raising still count.  A NaN residual fails its property.
     """
     worst = [0.0] * len(properties)
 
     def record(i: int, *residuals: float) -> None:
-        worst[i] = max(worst[i], *residuals)
+        # max() keeps a number over a NaN that follows it, yet a NaN must fail the
+        # property.  Residuals are non-negative: their sum is NaN iff one of them is.
+        worst[i] = math.nan if math.isnan(sum(residuals)) else max(worst[i], *residuals)
 
     suite.draws += draws
     for _ in range(draws):

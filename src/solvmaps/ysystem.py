@@ -19,9 +19,12 @@ Every power of alpha, beta and y1(0) is drawn from an :class:`OrbitPowers`,
 one squaring ladder per base.  A caller that evaluates many steps of one
 orbit builds it once and passes it to each call, so the squarings are shared
 across the orbit and the general form's accumulator terms, which do not
-depend on ell, are computed once.  The closed form is still evaluated
-directly at every step, and every result is bit-identical to evaluating each
-power on its own with :func:`~solvmaps.numeric.cpow`.
+depend on ell, are computed once.  Orbits with the same alpha, beta and
+y1(0) (the family solvers' coefficients and discriminant) may share one; it
+keeps the last step's factors, so the second orbit's step draws no power.
+The closed form is still evaluated directly at every step, and every result
+is bit-identical to evaluating each power on its own with
+:func:`~solvmaps.numeric.cpow`.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ConfigError, NonIntegerExponentError, NumericError, QRMismatchError
-from .numeric import Powers, approx_eq, cpow
+from .numeric import Powers, approx_eq, cpow, ensure_finite
 
 
 def _require_int(name: str, value: int) -> None:
@@ -73,28 +76,46 @@ class YState:
 
 
 class OrbitPowers:
-    """Squaring ladders of alpha, beta and y1(0) for one orbit of one system.
+    """Squaring ladders of alpha, beta and y1(0).
 
-    Pass the same instance to every closed-form call of the orbit it was
-    built for, with the same ``p`` and ``y0`` objects; drop it when the
-    orbit is done.
+    Pass the same instance to every closed-form call whose alpha, beta and
+    y1(0) it was built from: the steps of one orbit, and orbits that share
+    those bases, such as one with another y2(0) or gamma.  Drop it when they
+    are done.
     """
 
-    __slots__ = ("params", "y0", "alpha", "beta", "y10")
+    __slots__ = ("alpha", "beta", "y10", "_last")
 
     def __init__(self, p: YParams, y0: YState):
-        self.params = p
-        self.y0 = y0
         self.alpha = Powers(p.alpha)
         self.beta = Powers(p.beta)
         self.y10 = Powers(y0.y1)
+        self._last: tuple | None = None
+
+    def factors(self, k: int, q: int, ell: int) -> tuple[complex, complex, complex]:
+        """``(y1, beta**(2 ell), alpha**e_alpha * y1(0)**e_y10)`` at time ``ell``.
+
+        The last result is kept, so orbits sharing these bases and k, q
+        compute each step's factors once.
+        """
+        last = self._last
+        if last is not None and last[0] == (k, q, ell):
+            return last[1]
+        growth = (1 + k) ** ell
+        y1 = self.alpha.pow(_exact_div(growth - 1, k)) * self.y10.pow(growth)
+        e_alpha = _exact_div(q * (growth - k * ell - 1), k * k)
+        e_y10 = _exact_div(q * (growth - 1), k)
+        result = (y1, self.beta.pow(2 * ell), self.alpha.pow(e_alpha) * self.y10.pow(e_y10))
+        self._last = ((k, q, ell), result)
+        return result
 
 
 def _orbit_powers(p: YParams, y0: YState, powers: OrbitPowers | None) -> OrbitPowers:
     if powers is None:
         return OrbitPowers(p, y0)
-    if powers.params is not p or powers.y0 is not y0:
-        raise ValueError("powers were built for a different orbit")
+    # Tuple equality tries identity first, so the very base a ladder was built from matches even if NaN.
+    if (powers.alpha.base, powers.beta.base, powers.y10.base) != (p.alpha, p.beta, y0.y1):
+        raise ValueError("powers were built for other bases")
     return powers
 
 
@@ -114,7 +135,8 @@ def y_step(p: YParams, s: YState) -> YState:
     """One step of the recursion.
 
     Terms with an identically zero coefficient are skipped, so e.g. gamma = 0
-    never evaluates y1**r.
+    never evaluates y1**r.  A product of finite factors that overflows raises,
+    as a power would.
     """
     y1n = p.alpha * cpow(s.y1, 1 + p.k)
     y2n = 0j
@@ -122,26 +144,23 @@ def y_step(p: YParams, s: YState) -> YState:
         y2n += p.beta * p.beta * s.y2 * cpow(s.y1, p.q)
     if p.gamma != 0:
         y2n += p.gamma * cpow(s.y1, p.r)
-    return YState(y1n, y2n)
+    return YState(ensure_finite(y1n), ensure_finite(y2n))
 
 
 def _closed(
     p: YParams, y0: YState, ell: int, powers: OrbitPowers | None, add_gamma
 ) -> YState:
-    """The closed form at time ``ell``, with the gamma terms added by ``add_gamma``."""
+    """The closed form at time ``ell``, with the gamma terms added by ``add_gamma``.
+
+    Every power is finite, but their products may still overflow: those raise.
+    """
     if ell < 0:
         raise ValueError("ell must be non-negative")
     powers = _orbit_powers(p, y0, powers)
-    alpha, beta, y10 = powers.alpha, powers.beta, powers.y10
-    k, q = p.k, p.q
-    growth = (1 + k) ** ell
-    y1 = alpha.pow(_exact_div(growth - 1, k)) * y10.pow(growth)
-
-    e_alpha = _exact_div(q * (growth - k * ell - 1), k * k)
-    e_y10 = _exact_div(q * (growth - 1), k)
+    y1, beta_2ell, scale = powers.factors(p.k, p.q, ell)
     # beta**(2 ell)-scaled accumulator: polynomial in beta, so beta = 0 is fine.
-    bracket = add_gamma(p, powers, y0, ell, beta.pow(2 * ell) * y0.y2)
-    return YState(y1, alpha.pow(e_alpha) * y10.pow(e_y10) * bracket)
+    bracket = add_gamma(p, powers, y0, ell, beta_2ell * y0.y2)
+    return YState(ensure_finite(y1), ensure_finite(scale * bracket))
 
 
 def _add_gamma_terms(
@@ -170,14 +189,15 @@ def _add_geometric_sum(
     """The special form's gamma term: sum_{s<ell} beta**(2(ell-1-s)) alpha**(2s).
 
     The sum is evaluated even when gamma = 0, so an overflowing
-    alpha**(2 ell) still fails the step.
+    alpha**(2 ell) still fails the step.  At ell = 0 it is empty and gamma
+    is not read, so a non-finite gamma leaves the initial state intact.
     """
+    if ell == 0:
+        return bracket
     alpha, beta = powers.alpha, powers.beta
     a2 = p.alpha * p.alpha
     b2 = p.beta * p.beta
-    if ell == 0:
-        gsum = 0j
-    elif approx_eq(a2, b2):
+    if approx_eq(a2, b2):
         gsum = ell * beta.pow(2 * (ell - 1))
     else:
         gsum = (alpha.pow(2 * ell) - beta.pow(2 * ell)) / (a2 - b2)

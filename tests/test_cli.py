@@ -368,7 +368,10 @@ OVERFLOWING_RUNS = {
     "solve cubic-family gamma overflows": (
         ["solve", "--system", "cubic-family", "--params", '{"a": 1e200, "b": 0, "k": 1}',
          "--x0", "[1e50, 0]", "--steps", "1"],
-        ["ell,branch,x1_re,x1_im,x2_re,x2_im,y1_re,y1_im,y2_re,y2_im"],
+        ["ell,branch,x1_re,x1_im,x2_re,x2_im,y1_re,y1_im,y2_re,y2_im",
+         "0,+,1.0000000000000001e+50,0,0,0,-2.0000000000000002e+50,-0,1.0000000000000002e+100,0",
+         "0,-,3.3333333333333338e+49,0,1.3333333333333333e+50,0,"
+         "-2.0000000000000002e+50,-0,1.0000000000000002e+100,0"],
     ),
     "iterate quad-family": (
         ["iterate", "--system", "quad-family", "--params", '{"a": 1e200, "b": 0, "k": 1}',
@@ -385,7 +388,10 @@ OVERFLOWING_RUNS = {
     "solve generalized jsonl": (
         ["solve", "--system", "generalized", "--params", json.dumps({**GENERALIZED, "alpha": 1e300}),
          "--x0", "[1, 2]", "--steps", "3", "--format", "jsonl"],
-        [],
+        ['{"ell": 0, "branch": "+", "x1_re": 2.0, "x1_im": 0.0, "x2_re": 1.0, "x2_im": 0.0, '
+         '"y1_re": 3.0, "y1_im": 0.0, "y2_re": 5.0, "y2_im": 0.0}',
+         '{"ell": 0, "branch": "-", "x1_re": 1.0, "x1_im": -0.0, "x2_re": 2.0, "x2_im": 0.0, '
+         '"y1_re": 3.0, "y1_im": 0.0, "y2_re": 5.0, "y2_im": 0.0}'],
     ),
     "iterate y alpha times a finite power": (
         ["iterate", "--system", "y",
@@ -555,6 +561,20 @@ def test_writer_matches_csv_and_json_modules(fmt, table):
     assert _written(_formatted, fmt, *table) == _written(_reference, fmt, *table)
 
 
+def test_solve_keeps_the_small_zero(capsys):
+    # Zeros 1e8 and 1e-8 with gamma = 0: each row's zeros multiply to its y2.
+    code, out, _ = run_cli(
+        capsys, "solve", "--system", "quad-family", "--params", '{"a": 1, "b": 1, "k": 1}',
+        "--x0", "[1e8, 1e-8]", "--steps", "2",
+    )
+    assert code == 0
+    _, rows = parse_csv(out)
+    assert rows[0][2:] == ["100000000", "0", "1e-08", "0", "-100000000.00000001", "-0", "1", "0"]
+    for row in rows:
+        x1, x2, _, y2 = (complex(float(row[i]), float(row[i + 1])) for i in range(2, 10, 2))
+        assert abs(x1 * x2 - y2) <= 1e-15 * abs(y2)
+
+
 class TestVerify:
     def test_full_suite_exits_0(self, capsys, tmp_path):
         path = tmp_path / "report.json"
@@ -570,6 +590,18 @@ class TestVerify:
         assert code == 0
         report = json.loads(out)
         assert [s["name"] for s in report["suites"]] == ["conda"]
+
+    def test_failing_report_exits_1(self, capsys, monkeypatch):
+        from solvmaps import verify
+
+        def nan_suite(suite, rng):
+            verify._run_draws(suite, rng, 2, lambda rng, record: record(0, float("nan")), [("nan", 1.0)])
+
+        monkeypatch.setitem(verify._SUITES, "conda", nan_suite)
+        code, out, err = run_cli(capsys, "verify", "--seed", "42", "--suites", "conda")
+        assert code == 1
+        assert json.loads(out)["passed"] is False
+        assert "overall: FAIL" in err
 
     def test_unknown_suite_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--suites", "bogus")

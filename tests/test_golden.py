@@ -3,6 +3,11 @@
 The pinned digests were taken before the closed forms started sharing
 squarings across an orbit; any change to the order of floating-point
 operations in ``numeric``, ``ysystem`` or the solvers shows up here.  The
+verify reports and the ``quad-family`` solve were re-pinned when the family
+solvers started reading their zeros off (y1, +/-sqrt(D)): the verify
+residuals near a double zero shrank, and the quadratic family's branch labels
+now follow the principal root of D, so its two rows swap at every odd ell
+(the values are unchanged).  The
 ``solve`` instances follow the long-orbit benchmark workload (bases that are
 fourth roots of unity, so nothing overflows), cut to 200 steps.
 
@@ -19,9 +24,9 @@ import pytest
 from solvmaps.cli import main
 
 
-def _sha256_of_run(tmp_path, argv, exit_code=0) -> str:
+def _sha256_of_run(tmp_path, argv) -> str:
     path = tmp_path / "out"
-    assert main([*argv, "--out", str(path)]) == exit_code
+    assert main([*argv, "--out", str(path)]) == 0
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
@@ -31,10 +36,11 @@ def test_verify_seed_42_report(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("seed", [17, 138])
-def test_failing_verify_report(tmp_path, capsys, seed):
-    """Reports with ``passed: false`` (exit 1) are pinned as well."""
-    digest = _sha256_of_run(tmp_path, ["verify", "--seed", str(seed)], exit_code=1)
-    assert digest == VERIFY_FAILING[seed]
+def test_near_double_zero_verify_report(tmp_path, capsys, seed):
+    """Seeds whose worst draw nears a double zero, where zeros rebuilt from
+    sqrt(y1**2 - c y2) failed the collapse tolerance; they pass now."""
+    digest = _sha256_of_run(tmp_path, ["verify", "--seed", str(seed)])
+    assert digest == VERIFY_NEAR_DOUBLE_ZERO[seed]
 
 
 SOLVE_CASES = {
@@ -106,17 +112,17 @@ def test_iterate(tmp_path, name, fmt):
     assert _sha256_of_run(tmp_path, argv) == ITERATE[name, fmt]
 
 
-VERIFY_SEED_42 = "c37a7e553bf2b8b27fe0e6eb4e518f8ea7391e1fcaa272fae79d866807cbb99b"
+VERIFY_SEED_42 = "dfcd70b48a9e57d68b58520292806c615f18b411ef4cb19b9102d2f26fe5a286"
 
-#: Seed 17 fails cubic-collapse, seed 138 fails quad-family.
-VERIFY_FAILING = {
-    17: "8e073309af3c5877c7205fc8e9f1c2e38b2706eb758d4f318dd22b18ac41a311",
-    138: "11553741b64fa5554f148e70a3af41c9ae01c59b2a5e9a3a40d6450d6080c27f",
+#: Seed 17's worst draw is in cubic-collapse, seed 138's in quad-family.
+VERIFY_NEAR_DOUBLE_ZERO = {
+    17: "c7c3d4f3873bab9e6240563c15fffc27e036c9b4171e8e7b9e98d88dc4a8741f",
+    138: "6618b077f4f96afdb4a06840b912de688f8740ac16a5d28b66554ba3892d3b7c",
 }
 
 SOLVE_CSV = {
     "cubic-family k=1": "ddb0a2b3f7b8d281ff5bea09b98684ff31fd38c18e4446c8530a370fd301464b",
-    "quad-family k=2": "328be71796d31553da4e90efc3ed1a57f67c2b3df966c9d20d8ffcc477638334",
+    "quad-family k=2": "c51a89484a0c62ebb272bff0e6c43d3d8e1192b9dc364587e98b16b29d7ca093",
     "sqrt-cubic q=1 r=3": "ae649f3de69a86667a2f6dfd2c257539afa91bd35b1c9b3ed7bf8a23805e5365",
 }
 

@@ -30,6 +30,7 @@ from solvmaps import (
     step_sqrt_cubic,
     step_sqrt_quadratic,
     y_closed_special,
+    y_iterate,
     YState,
 )
 from solvmaps.errors import NumericOverflowError, ZeroToNegativePowerError
@@ -151,6 +152,15 @@ class TestWorkedInstances:
         sol = solve_sqrt_quadratic(sp, (1, 0), 1)
         assert pair_eq_unordered(sol.entries[1].plus, (0, -2))
 
+    def test_generalized_tiny_b2(self):
+        # y1 = z1 + B2 z2 rounds to z1, and B2**2 underflows; nothing divides by B2.
+        p = GeneralizedParams(1, 1, 1, 1e-100, 1, 1, 0, 1)
+        sol = solve_generalized(p, (1, 2), 2)
+        assert len(sol.entries) == 3
+        for entry in sol.entries:
+            assert branch_set_matches(sol.branch_set(entry.ell), [(1, 2), (1, -2)], tol=1e-15)
+            assert (entry.y.y1, entry.y.y2) == (1, 5)
+
     def test_conjugated_diagonal_change(self):
         A = LinearChange(1, 0, 0, 2)
         sol = solve_conjugated(A, CubicFamilyParams(1, 1, 1), (1, 0), 1)
@@ -220,6 +230,61 @@ class TestStructuralProperties:
             for ge, qe in zip(gen.entries, quad.entries):
                 for branch in (ge.plus, ge.minus):
                     assert pair_residual_unordered(branch, qe.plus) <= 1e-8
+
+
+def _relative(got: complex, want: complex) -> float:
+    return abs(got - want) / abs(want)
+
+
+class TestWidelySeparatedZeros:
+    """Zeros 1e8 and 1e-8.  With a = b, gamma = 0 keeps y2 / y1**2 at 1e-16 all
+    along the orbit, where P y1**2 - D or -y1 +/- sqrt(D) would cancel the
+    small zero and y2 away."""
+
+    def _iterated(self, p, x0, ell, from_zeros):
+        return y_iterate(p.y_params(), YState(*from_zeros(x0)[:2]), ell)
+
+    def test_quadratic_family(self):
+        p, x0 = QuadraticFamilyParams(1, 1, 1), (1e8, 1e-8)
+        sol = solve_quadratic_family(p, x0, 3)
+        assert sol.entries[0].plus == x0 and sol.entries[0].y.y2 == 1
+        for entry in sol.entries:
+            want = self._iterated(p, x0, entry.ell, quad_from_zeros)
+            assert _relative(entry.y.y2, want.y2) <= 1e-14
+            for x1, x2 in sol.branch_set(entry.ell):
+                assert _relative(x1 * x2, want.y2) <= 1e-14
+                assert _relative(x1 + x2, -want.y1) <= 1e-14
+
+    def test_cubic_family_small_double_zero(self):
+        p, x0 = CubicFamilyParams(1, 1, 1), DistinctZeroPair(1e-8, 1e8)
+        sol = solve_cubic_family(p, x0, 3)
+        assert sol.entries[0].minus == x0 and sol.entries[0].y.y2 == x0.x1 * (x0.x1 + 2 * x0.x2)
+        for entry in sol.entries:
+            want = self._iterated(p, x0, entry.ell, cubic_from_zeros)
+            assert _relative(entry.y.y2, want.y2) <= 1e-14
+            # The branch of the small double zero: x1 = y2 / (x1 + 2 x2) to full precision.
+            x1, x2 = min(sol.branch_set(entry.ell), key=lambda b: abs(b[0]))
+            assert _relative(x1 * (x1 + 2 * x2), want.y2) <= 1e-14
+            assert _relative(2 * x1 + x2, -want.y1) <= 1e-14
+
+    def test_cubic_family_small_simple_zero(self):
+        # (y1, y2) fix a simple zero far below the double one only to the
+        # absolute accuracy of y1; y2 itself keeps its digits.
+        p, x0 = CubicFamilyParams(1, 1, 1), DistinctZeroPair(1e8, 1e-8)
+        sol = solve_cubic_family(p, x0, 3)
+        for entry in sol.entries:
+            want = self._iterated(p, x0, entry.ell, cubic_from_zeros)
+            assert _relative(entry.y.y2, want.y2) <= 1e-14
+            for x1, x2 in sol.branch_set(entry.ell):
+                assert abs(2 * x1 + x2 + want.y1) <= 1e-15 * abs(want.y1)
+
+
+@pytest.mark.xfail(strict=True, reason="a power of y1(0) underflows to 0 though the product is representable")
+def test_closed_form_y2_survives_an_underflowing_power():
+    # y2(5) = 20**242 * 0.1**484 * 1 ~ 7e-170, but 0.1**484 alone is 0 in doubles.
+    p, y0 = YParams(20, 20, 0, 2, 4, 6), YState(0.1, 1)
+    want = y_iterate(p, y0, 5).y2
+    assert _relative(y_closed_special(p, y0, 5).y2, want) <= 1e-12
 
 
 class TestSharedSquarings:

@@ -31,6 +31,7 @@ from solvmaps import (
     yz_invert,
 )
 from solvmaps.errors import SingularChangeError, ZeroToNegativePowerError
+from solvmaps.solver import solve_sqrt_quadratic
 from solvmaps.stepmaps import IDENTITY_CHANGE
 from solvmaps.verify import draw_complex, draw_pair, pair_residual, pair_residual_unordered, residual
 
@@ -223,6 +224,16 @@ class TestSqrtSystems:
         t = -(x[0] + x[1])
         got = step_sqrt_quadratic(sp, PLUS, x)
         assert pair_eq_unordered(got, (0, -1.5 * t * t))
+
+    def test_small_zero_kept_when_the_other_dwarfs_it(self):
+        # y2 stays 0.775 while one zero grows past 1e80: (head - delta) / 2
+        # would cancel the small zero away and make x1 x2 about 1e146.
+        sp = YParams(-1.234, 1e-200, 0.775, 2, 5, 0)
+        x = (-1.237 + 0.56j, -0.567 - 1.286j)
+        for _ in range(5):
+            x = step_sqrt_quadratic(sp, PLUS, x)
+        y2 = solve_sqrt_quadratic(sp, (-1.237 + 0.56j, -0.567 - 1.286j), 5).entries[5].y.y2
+        assert abs(x[0] * x[1] - y2) <= 1e-12 * abs(y2)
 
     def test_degenerate_line_maps_to_origin(self):
         sp = YParams(1, 2, 3, 1, 2, 4)

@@ -118,6 +118,13 @@ class TestReport:
         with pytest.raises(TypeError):
             run_verify(seed=42, suites=[suite])
 
+    @pytest.mark.parametrize("residuals", [(1e-3, float("nan")), (float("nan"), 1e-3)])
+    def test_nan_residual_fails_its_property(self, residuals):
+        values = iter(residuals)
+        suite = verify.SuiteResult("nan")
+        verify._run_draws(suite, None, 2, lambda rng, record: record(0, next(values)), [("residual", 1.0)])
+        assert not suite.properties[0].passed
+
     def test_skip_accounting_within_bounds(self):
         report = run_verify(seed=42)
         for suite in report.suites:

@@ -251,6 +251,15 @@ class TestOrbitPowers:
                 shared = _closed_bits(closed, p, y0, ell, powers)
                 assert shared == _closed_bits(closed, p, y0, ell, None)
 
+    def test_orbits_with_the_same_bases_share_powers(self):
+        # As the family solvers do: another y2(0) and gamma, the same alpha, beta and y1(0).
+        p, y0 = YParams(1.5j, 0.5 - 1j, 2, 1, 2, 4), YState(0.9 + 0.1j, 3)
+        powers = OrbitPowers(p, y0)
+        q, d0 = YParams(1.5j, 0.5 - 1j, 0, 1, 2, 4), YState(0.9 + 0.1j, -1j)
+        for ell in range(12):
+            assert _closed_bits(y_closed_special, p, y0, ell, powers) == _closed_bits(y_closed_special, p, y0, ell, None)
+            assert _closed_bits(y_closed, q, d0, ell, powers) == _closed_bits(y_closed, q, d0, ell, None)
+
     def test_powers_of_another_orbit_are_rejected(self):
         p = YParams(1, 1, 1, 1, 2, 4)
         y0 = YState(1, 0)
