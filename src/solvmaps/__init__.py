@@ -32,7 +32,6 @@ from .numeric import (
 from .polybridge import (
     DistinctZeroPair,
     MonicCubic,
-    MonicQuadratic,
     ZeroPair,
     cubic_from_zeros,
     cubic_zeros_branch,

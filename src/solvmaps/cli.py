@@ -79,10 +79,6 @@ def _build_y(params: dict) -> YParams:
     )
 
 
-def _pair(y: YState) -> ComplexPair:
-    return (y.y1, y.y2)
-
-
 def _build_conjugated(params: dict) -> tuple[LinearChange, CubicFamilyParams]:
     return (
         LinearChange(params["A11"], params["A12"], params["A21"], params["A22"]),
@@ -95,7 +91,7 @@ _SYSTEMS: dict[str, SystemSpec] = {
     "y": SystemSpec(
         ("alpha", "beta", "gamma", "k", "q", "r"),
         _build_y,
-        lambda p, s, y: _pair(y_step(p, YState(*y))),
+        lambda p, s, y: y_step(p, YState(*y)),
         solve_y,
         signed=False,
     ),
@@ -325,7 +321,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         solution = spec.solve(params, state, args.steps)
         writer = _Writer(stream, args.format, _state_columns(args.system, with_y=True))
         for entry in solution.entries:
-            yflat = _flatten((entry.y.y1, entry.y.y2))
+            yflat = _flatten(entry.y)
             if spec.signed:
                 writer.row([entry.ell, "+", *_flatten(entry.plus), *yflat])
                 writer.row([entry.ell, "-", *_flatten(entry.minus), *yflat])

@@ -18,13 +18,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .numeric import ComplexPair, Sign, cpow, principal_sqrt, sqrt_branch
-
-
-class MonicQuadratic(NamedTuple):
-    """Coefficients of z**2 + y1 z + y2."""
-
-    y1: complex
-    y2: complex
+from .ysystem import YState
 
 
 class MonicCubic(NamedTuple):
@@ -46,13 +40,13 @@ class DistinctZeroPair(NamedTuple):
 ZeroPair = ComplexPair
 
 
-def quad_from_zeros(p: ZeroPair) -> MonicQuadratic:
+def quad_from_zeros(p: ZeroPair) -> YState:
     """Vieta: coefficients of the monic quadratic with the given zeros."""
     x1, x2 = p
-    return MonicQuadratic(-(x1 + x2), x1 * x2)
+    return YState(-(x1 + x2), x1 * x2)
 
 
-def quad_zeros(m: MonicQuadratic) -> ZeroPair:
+def quad_zeros(m: YState) -> ZeroPair:
     """The unordered zero pair of z**2 + y1 z + y2, the larger-magnitude zero first."""
     y1, y2 = complex(m[0]), complex(m[1])
     s = principal_sqrt(y1 * y1 - 4 * y2)

@@ -30,7 +30,6 @@ from .errors import NumericError
 from .numeric import MINUS, PLUS, ComplexPair, ensure_finite, principal_sqrt
 from .polybridge import (
     DistinctZeroPair,
-    MonicQuadratic,
     ZeroPair,
     cubic_from_zeros,
     cubic_zeros_branch,
@@ -100,7 +99,7 @@ def _solve_coefficients(yp: YParams, y0: YState, ellmax: int, invert) -> BranchS
 
 
 def _quad_invert(y: YState) -> tuple[ZeroPair, ZeroPair, YState]:
-    pair = quad_zeros(MonicQuadratic(y.y1, y.y2))
+    pair = quad_zeros(y)
     # Indistinguishable zeros: both branches coincide as unordered pairs.
     return pair, (pair[1], pair[0]), y
 
@@ -124,17 +123,17 @@ def _solve_family(yp: YParams, y0: YState, r: complex, ellmax: int, zeros) -> Br
 
 def solve_y(p: YParams, y0: ComplexPair, ellmax: int) -> BranchSolution:
     """Closed-form orbit of the y-system itself; both branches are (y1, y2)."""
-    return _solve_coefficients(p, YState(*y0), ellmax, lambda y: ((y.y1, y.y2), (y.y1, y.y2), y))
+    return _solve_coefficients(p, YState(*y0), ellmax, lambda y: (y, y, y))
 
 
 def solve_sqrt_quadratic(p: YParams, x0: ZeroPair, ellmax: int) -> BranchSolution:
     """Closed-form orbit of the square-root quadratic system (free q, r)."""
-    return _solve_coefficients(p, YState(*quad_from_zeros(x0)), ellmax, _quad_invert)
+    return _solve_coefficients(p, quad_from_zeros(x0), ellmax, _quad_invert)
 
 
 def solve_quadratic_family(p: QuadraticFamilyParams, x0: ZeroPair, ellmax: int) -> BranchSolution:
     """Closed-form orbit of the quadratic family."""
-    return _solve_family(p.y_params(), YState(*quad_from_zeros(x0)), x0[0] - x0[1], ellmax, quad_zeros_from_root)
+    return _solve_family(p.y_params(), quad_from_zeros(x0), x0[0] - x0[1], ellmax, quad_zeros_from_root)
 
 
 def solve_sqrt_cubic(p: YParams, x0: DistinctZeroPair, ellmax: int) -> BranchSolution:

@@ -15,13 +15,20 @@ states.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .errors import ConfigError, SingularChangeError
 from .numeric import ComplexPair, Sign, cpow, sqrt_branch
-from .polybridge import DistinctZeroPair, ZeroPair, quad_zeros_from_root
-from .ysystem import YParams, YState, _require_int
+from .polybridge import (
+    DistinctZeroPair,
+    ZeroPair,
+    cubic_from_zeros,
+    cubic_zeros_branch,
+    quad_from_zeros,
+    quad_zeros_from_root,
+)
+from .ysystem import YParams, YState, _require_int, y_step
 
 
 @dataclass(frozen=True)
@@ -66,6 +73,7 @@ class GeneralizedParams:
 
     Invariants checked at construction: B2 != 0 (divisor in the update of the
     second component) and B1**2 C2 + B2**2 C1 - B1 B2 C3 != 0 (divisor in d).
+    The derived coefficients are computed once, there.
     """
 
     alpha: complex
@@ -76,41 +84,34 @@ class GeneralizedParams:
     C2: complex
     C3: complex
     k: int
+    denom: complex = field(init=False, repr=False, compare=False)
+    d: complex = field(init=False, repr=False, compare=False)
+    g1: complex = field(init=False, repr=False, compare=False)
+    g2: complex = field(init=False, repr=False, compare=False)
+    g3: complex = field(init=False, repr=False, compare=False)
+    #: The coefficient-evolution inhomogeneity implied by the B/C assignment.
+    gamma: complex = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         _require_int("k", self.k)
         for name in ("alpha", "beta", "B1", "B2", "C1", "C2", "C3"):
             object.__setattr__(self, name, complex(getattr(self, name)))
-        if self.B2 == 0:
+        B1, B2, C1, C2, C3 = self.B1, self.B2, self.C1, self.C2, self.C3
+        if B2 == 0:
             raise ConfigError("B2 must be nonzero")
-        if self.denom == 0:
+        denom = B1 * B1 * C2 + B2 * B2 * C1 - B1 * B2 * C3
+        if denom == 0:
             raise ConfigError("B1**2 C2 + B2**2 C1 - B1 B2 C3 must be nonzero")
-
-    @property
-    def denom(self) -> complex:
-        return self.B1 * self.B1 * self.C2 + self.B2 * self.B2 * self.C1 - self.B1 * self.B2 * self.C3
-
-    @property
-    def d(self) -> complex:
-        return 1 / (2 * self.denom)
-
-    @property
-    def g1(self) -> complex:
-        return 2 * self.B1 * self.C2 - self.B2 * self.C3
-
-    @property
-    def g2(self) -> complex:
-        return 2 * self.B2 * self.C1 - self.B1 * self.C3
-
-    @property
-    def g3(self) -> complex:
-        return self.B2 * self.C3 - 2 * self.B1 * self.C2
-
-    @property
-    def gamma(self) -> complex:
-        """The coefficient-evolution inhomogeneity implied by the B/C assignment."""
-        num = (self.C3 * self.C3 - 4 * self.C1 * self.C2) * (self.beta * self.beta - self.alpha * self.alpha)
-        return num / (4 * self.denom)
+        num = (C3 * C3 - 4 * C1 * C2) * (self.beta * self.beta - self.alpha * self.alpha)
+        for name, value in (
+            ("denom", denom),
+            ("d", 1 / (2 * denom)),
+            ("g1", 2 * B1 * C2 - B2 * C3),
+            ("g2", 2 * B2 * C1 - B1 * C3),
+            ("g3", B2 * C3 - 2 * B1 * C2),
+            ("gamma", num / (4 * denom)),
+        ):
+            object.__setattr__(self, name, value)
 
     def e_table(self, s: Sign) -> tuple[tuple[complex, complex], tuple[complex, complex]]:
         """The 2x2 linear-part coefficient table for the given sign.
@@ -237,40 +238,25 @@ def step_generalized(p: GeneralizedParams, s: Sign, z: ComplexPair) -> ComplexPa
 def step_sqrt_quadratic(p: YParams, s: Sign, x: ZeroPair) -> ZeroPair:
     """One step of the square-root quadratic system (free exponents q, r).
 
-    The zeros are ``(head -/+ delta) / 2``, head = -y1', the smaller one taken
-    as y2' over the larger (see :func:`~solvmaps.polybridge.quad_zeros_from_root`).
+    The coefficients of the zeros take one :func:`~solvmaps.ysystem.y_step`;
+    the zeros are read back as the quadratic solver reads them, the larger
+    first (see :func:`~solvmaps.polybridge.quad_zeros_from_root`).
     """
-    x1, x2 = x
-    t = -(x1 + x2)
-    y2 = 0j
-    if p.beta != 0:
-        y2 += p.beta * p.beta * x1 * x2 * cpow(t, p.q)
-    if p.gamma != 0:
-        y2 += p.gamma * cpow(t, p.r)
-    delta = sqrt_branch(p.alpha * p.alpha * cpow(t, 2 * (p.k + 1)) - 4 * y2, s)
-    head = -p.alpha * cpow(t, p.k + 1)
-    return quad_zeros_from_root(-head, -delta, y2)
+    y = y_step(p, quad_from_zeros(x))
+    return quad_zeros_from_root(y.y1, sqrt_branch(y.y1 * y.y1 - 4 * y.y2, -s), y.y2)
 
 
 def step_sqrt_cubic(p: YParams, s: Sign, x: DistinctZeroPair) -> DistinctZeroPair:
     """One step of the square-root cubic system (free exponents q, r).
 
-    The radicand carries the full dependent coefficient x1 (x1 + 2 x2) of the
-    double-root cubic (the consistent choice; the source display abbreviates
-    it inconsistently).  The inversion uses the corrected prefactor 1/3; the
-    printed 1/2 variant is :func:`~solvmaps.polybridge.cubic_zeros_printed`.
+    The coefficients (y1, y2) of the double-root cubic take one
+    :func:`~solvmaps.ysystem.y_step`, so the radicand carries the full
+    dependent coefficient x1 (x1 + 2 x2) (the consistent choice; the source
+    display abbreviates it inconsistently).  The inversion is the cubic
+    solver's, with the corrected prefactor 1/3; the printed 1/2 variant is
+    :func:`~solvmaps.polybridge.cubic_zeros_printed`.
     """
-    x1, x2 = x
-    t = -(2 * x1 + x2)
-    y2 = x1 * (x1 + 2 * x2)
-    radicand = p.alpha * p.alpha * cpow(t, 2 * (p.k + 1))
-    if p.beta != 0:
-        radicand -= 3 * p.beta * p.beta * y2 * cpow(t, p.q)
-    if p.gamma != 0:
-        radicand -= 3 * p.gamma * cpow(t, p.r)
-    delta = sqrt_branch(radicand, s)
-    head = -p.alpha * cpow(t, p.k + 1)
-    return DistinctZeroPair((head - delta) / 3, (head + 2 * delta) / 3)
+    return cubic_zeros_branch(*y_step(p, YState(*cubic_from_zeros(x)[:2])), -s)
 
 
 def _theta(k: int, n1: int, n2: int, n: int, a: complex, b: complex, s: Sign) -> complex:

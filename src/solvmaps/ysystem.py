@@ -30,6 +30,7 @@ is bit-identical to evaluating each power on its own with
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ConfigError, NonIntegerExponentError, NumericError, QRMismatchError
 from .numeric import Powers, approx_eq, cpow, ensure_finite
@@ -65,14 +66,11 @@ class YParams:
         return u_exponent(self.k, self.q, self.r)
 
 
-@dataclass(frozen=True)
-class YState:
+class YState(NamedTuple):
+    """Coefficients (y1, y2) of the system, and of the monic quadratic z**2 + y1 z + y2."""
+
     y1: complex
     y2: complex
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "y1", complex(self.y1))
-        object.__setattr__(self, "y2", complex(self.y2))
 
 
 class OrbitPowers:

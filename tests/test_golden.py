@@ -7,13 +7,17 @@ verify reports and the ``quad-family`` solve were re-pinned when the family
 solvers started reading their zeros off (y1, +/-sqrt(D)): the verify
 residuals near a double zero shrank, and the quadratic family's branch labels
 now follow the principal root of D, so its two rows swap at every odd ell
-(the values are unchanged).  The
+(the values are unchanged).  The verify reports were re-pinned again when the
+square-root step maps became ``y_step`` between the bridge and its inverse:
+only the two ``reductions`` square-root residuals moved, by roundoff.  The
 ``solve`` instances follow the long-orbit benchmark workload (bases that are
 fourth roots of unity, so nothing overflows), cut to 200 steps.
 
 The ``iterate`` and JSONL pins were taken while rows still went through
 ``csv.writer`` and ``json.dumps``, so they also pin the byte conventions of
-the row formatter: number spellings, separators and line ends.
+the row formatter: number spellings, separators and line ends.  The
+``sqrt-quad`` and ``sqrt-cubic`` iterate pins were taken later, on the step
+maps that go through ``y_step``.
 """
 
 import hashlib
@@ -80,6 +84,10 @@ SIGNS_500 = "".join("+-"[bin(i).count("1") % 2] for i in range(1, 501))
 
 X0 = "[[0.6, -0.2], [-0.3, 0.7]]"
 
+#: The y-system parameters of the ``y``, ``sqrt-quad`` and ``sqrt-cubic`` cases:
+#: with k = -1, y1 is alpha after one step, and |beta / alpha| < 1 contracts y2.
+Y_PARAMS = {"alpha": [0.9, 0.3], "beta": [0.4, -0.2], "gamma": [0.5, 0.5], "k": -1, "q": -2, "r": 0}
+
 #: Contracting k = -1 orbits, so all 500 steps stay finite.
 ITERATE_CASES = {
     "quad-family k=-1": [
@@ -97,10 +105,15 @@ ITERATE_CASES = {
     ],
     "y k=-1": [
         "--system", "y",
-        "--params", json.dumps(
-            {"alpha": [0.9, 0.3], "beta": [0.4, -0.2], "gamma": [0.5, 0.5], "k": -1, "q": -2, "r": 0}
-        ),
-        "--x0", X0,
+        "--params", json.dumps(Y_PARAMS), "--x0", X0,
+    ],
+    "sqrt-quad k=-1": [
+        "--system", "sqrt-quad",
+        "--params", json.dumps(Y_PARAMS), "--x0", X0, f"--signs={SIGNS_500}",
+    ],
+    "sqrt-cubic k=-1": [
+        "--system", "sqrt-cubic",
+        "--params", json.dumps(Y_PARAMS), "--x0", X0, f"--signs={SIGNS_500}",
     ],
 }
 
@@ -112,12 +125,12 @@ def test_iterate(tmp_path, name, fmt):
     assert _sha256_of_run(tmp_path, argv) == ITERATE[name, fmt]
 
 
-VERIFY_SEED_42 = "dfcd70b48a9e57d68b58520292806c615f18b411ef4cb19b9102d2f26fe5a286"
+VERIFY_SEED_42 = "42d6673ef7be583921ae120ff6473bbbb95ad18278949bf1f9ec403ae95828e2"
 
 #: Seed 17's worst draw is in cubic-collapse, seed 138's in quad-family.
 VERIFY_NEAR_DOUBLE_ZERO = {
-    17: "c7c3d4f3873bab9e6240563c15fffc27e036c9b4171e8e7b9e98d88dc4a8741f",
-    138: "6618b077f4f96afdb4a06840b912de688f8740ac16a5d28b66554ba3892d3b7c",
+    17: "89ade5c19eb82c50b65d8526a300b518e81b0dbc3b4f29bacaef0fb4d774214e",
+    138: "5b9622117df159bcc2debf6607fa5524eeccb453c98188fdb9fac71569bc0dc9",
 }
 
 SOLVE_CSV = {
@@ -135,4 +148,8 @@ ITERATE = {
     ("conjugated k=-1", "jsonl"): "a4e7469e7a1afe5e28c778ffd5fbc2a846848515b6d9b8e0fbaded33ae5ec9f2",
     ("y k=-1", "csv"): "a3ea146e763da83c11b6189d2f8a250feaa74b0fdef4fb8a67c2045b2cde9df3",
     ("y k=-1", "jsonl"): "72e5eac01ff8b27abfba8887793d2018dc84d66afa9309cf6835a4eadbc0a11e",
+    ("sqrt-quad k=-1", "csv"): "220a4a090f56e8025295436f5c7f70c66baaaec112e0bb0bce49b5679fcc49c5",
+    ("sqrt-quad k=-1", "jsonl"): "0287540fc82daa46a6da7fc5b8c793ccde2327fbcf3f3dd2199876fa507b5c94",
+    ("sqrt-cubic k=-1", "csv"): "9ddd22566d2562a3e306d8245b12b13826ea74d01fc1787190e2195e360810c0",
+    ("sqrt-cubic k=-1", "jsonl"): "797960c175f456a90c966539bbc81dae8ccaf1310accfbf82f3914c6ec82e4b7",
 }

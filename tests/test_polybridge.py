@@ -6,10 +6,10 @@ import pytest
 
 from solvmaps import (
     DistinctZeroPair,
-    MonicQuadratic,
     MINUS,
     PLUS,
     SIGNS,
+    YState,
     cubic_from_zeros,
     cubic_zeros_branch,
     pair_eq_unordered,
@@ -43,11 +43,11 @@ class TestQuadBridge:
         ],
     )
     def test_zeros(self, coeffs, want):
-        got = quad_zeros(MonicQuadratic(*coeffs))
+        got = quad_zeros(YState(*coeffs))
         assert pair_eq_unordered(got, want)
 
     def test_zero_polynomial(self):
-        assert quad_zeros(MonicQuadratic(0, 0)) == (0j, 0j)
+        assert quad_zeros(YState(0, 0)) == (0j, 0j)
 
     def test_round_trips(self):
         rng = random.Random("polybridge:quad")

@@ -31,7 +31,7 @@ from solvmaps import (
     yz_invert,
 )
 from solvmaps.errors import SingularChangeError, ZeroToNegativePowerError
-from solvmaps.solver import solve_sqrt_quadratic
+from solvmaps.solver import solve_sqrt_cubic, solve_sqrt_quadratic
 from solvmaps.stepmaps import IDENTITY_CHANGE
 from solvmaps.verify import draw_complex, draw_pair, pair_residual, pair_residual_unordered, residual
 
@@ -226,7 +226,7 @@ class TestSqrtSystems:
         assert pair_eq_unordered(got, (0, -1.5 * t * t))
 
     def test_small_zero_kept_when_the_other_dwarfs_it(self):
-        # y2 stays 0.775 while one zero grows past 1e80: (head - delta) / 2
+        # y2 stays 0.775 while one zero grows past 1e80: (-y1 -/+ r) / 2
         # would cancel the small zero away and make x1 x2 about 1e146.
         sp = YParams(-1.234, 1e-200, 0.775, 2, 5, 0)
         x = (-1.237 + 0.56j, -0.567 - 1.286j)
@@ -254,6 +254,20 @@ class TestSqrtSystems:
                     assert min(pair_residual(got, w) for w in want) <= 1e-9
             except ZeroToNegativePowerError:
                 continue
+
+    def test_cubic_small_double_zero_kept_when_the_simple_one_dwarfs_it(self):
+        # The quadratic reproducer through the cubic bridge: x1 = (-y1 + r) / 3
+        # would cancel to exactly 0 at ell 3, while y2 = x1 (x1 + 2 x2) stays 0.775.
+        sp = YParams(-1.234, 1e-200, 0.775, 2, 5, 0)
+        x = x0 = DistinctZeroPair(-1.237 + 0.56j, -0.567 - 1.286j)
+        solution = solve_sqrt_cubic(sp, x0, 4)
+        for ell in range(1, 5):
+            x = step_sqrt_cubic(sp, PLUS, x)
+            err = min(
+                max(abs(got - want) / abs(want) for got, want in zip(x, branch))
+                for branch in solution.branch_set(ell)
+            )
+            assert err <= 1e-12, (ell, x)
 
     def test_cubic_equal_zeros_branches_coincide(self):
         a, b = 0.8, 0.3
