@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
+from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Callable, Sequence, TextIO
+from typing import Callable, ContextManager, Sequence, TextIO
 
 from .errors import ConfigError, NumericError, SolvmapsError
 from .numeric import (
@@ -26,7 +26,7 @@ from .numeric import (
     Sign,
     complex_from_obj,
     complex_to_list,
-    ensure_finite,
+    ensure_all_finite,
     is_finite,
 )
 from .solver import (
@@ -266,11 +266,12 @@ def _flatten(pair: ComplexPair) -> list[float]:
     return complex_to_list(pair[0]) + complex_to_list(pair[1])
 
 
-def _open_out(path: str | None):
+def _open_out(path: str | None) -> ContextManager[TextIO]:
+    """The ``--out`` stream as a context manager; stdout is never closed."""
     if path is None or path == "-":
-        return sys.stdout, False
+        return nullcontext(sys.stdout)
     try:
-        return open(path, "w", newline=""), True
+        return open(path, "w", newline="")
     except OSError as exc:
         raise ConfigError(f"cannot write --out {path}: {exc.strerror or exc}") from exc
 
@@ -280,13 +281,12 @@ def cmd_iterate(args: argparse.Namespace) -> int:
     params = spec.build(_parse_params(args.system, args.params))
     state = _parse_state(args.x0)
     _check_steps(args.steps)
-    signs = _parse_signs(args.signs, args.steps)
     signed = spec.signed
     if not signed and args.signs is not None:
         raise ConfigError(f"the {args.system} system takes no per-step signs")
+    signs = _parse_signs(args.signs, args.steps)
 
-    stream, close = _open_out(args.out)
-    try:
+    with _open_out(args.out) as stream:
         writer = _Writer(stream, args.format, _state_columns(args.system, with_y=False))
         flat = _flatten(state)
         writer.row([0, "", *flat] if signed else [0, *flat])
@@ -294,19 +294,13 @@ def cmd_iterate(args: argparse.Namespace) -> int:
         for ell, s in enumerate(signs, 1):
             try:
                 state = tuple(spec.step(params, s, state))
-                flat = _flatten(state)
-                # A finite sum means finite values; an overflowing sum is checked value by value.
-                if not math.isfinite(sum(flat)):
-                    for z in state:
-                        ensure_finite(z)
+                ensure_all_finite(*state)
             except NumericError as exc:
                 exc.step = ell
                 raise
             prefix += "+" if s == PLUS else "-"
+            flat = _flatten(state)
             writer.row([ell, prefix, *flat] if signed else [ell, *flat])
-    finally:
-        if close:
-            stream.close()
     return 0
 
 
@@ -316,8 +310,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     state = _parse_state(args.x0)
     _check_steps(args.steps)
 
-    stream, close = _open_out(args.out)
-    try:
+    with _open_out(args.out) as stream:
         solution = spec.solve(params, state, args.steps)
         writer = _Writer(stream, args.format, _state_columns(args.system, with_y=True))
         for entry in solution.entries:
@@ -334,9 +327,6 @@ def cmd_solve(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 3
-    finally:
-        if close:
-            stream.close()
     return 0
 
 
@@ -345,12 +335,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.suites is not None:
         suites = [name.strip() for name in args.suites.split(",") if name.strip()]
     report = run_verify(seed=_resolve_seed(args.seed), suites=suites)
-    stream, close = _open_out(args.out)
-    try:
+    with _open_out(args.out) as stream:
         stream.write(report.to_json() + "\n")
-    finally:
-        if close:
-            stream.close()
     print(report.summary(), file=sys.stderr)
     return 0 if report.passed else 1
 

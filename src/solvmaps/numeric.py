@@ -59,6 +59,16 @@ def ensure_finite(z: complex) -> complex:
     return z
 
 
+def ensure_all_finite(*values: complex) -> None:
+    """Raise ``NumericOverflowError`` if any of ``values`` is not finite.
+
+    A finite sum means finite values; a sum that overflows is checked value by value.
+    """
+    if not cmath.isfinite(sum(values)):
+        for z in values:
+            ensure_finite(z)
+
+
 def cpow(z: complex, n: int, step: int | None = None) -> complex:
     """``z`` raised to the signed integer ``n`` by binary exponentiation.
 
@@ -203,6 +213,8 @@ def complex_from_obj(obj: object) -> complex:
         return obj
     if isinstance(obj, (list, tuple)) and len(obj) == 2:
         re, im = obj
+        if isinstance(re, bool) or isinstance(im, bool):
+            raise ValueError(f"not a complex literal: {obj!r}")
         return complex(float(re), float(im))
     if isinstance(obj, str):
         text = obj.strip().replace(" ", "").replace("i", "j")

@@ -23,11 +23,10 @@ recorded with its ``step`` set to that ``ell``.
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass, field, replace
 
 from .errors import NumericError
-from .numeric import MINUS, PLUS, ComplexPair, ensure_finite, principal_sqrt
+from .numeric import MINUS, PLUS, ComplexPair, ensure_all_finite, principal_sqrt
 from .polybridge import (
     DistinctZeroPair,
     ZeroPair,
@@ -80,10 +79,7 @@ def _evolve(ellmax: int, branches) -> BranchSolution:
     for ell in range(ellmax + 1):
         try:
             plus, minus, y = branches(ell)
-            # A finite sum means finite values; an overflowing sum is checked value by value.
-            if not cmath.isfinite(plus[0] + plus[1] + minus[0] + minus[1] + y.y1 + y.y2):
-                for z in (*plus, *minus, y.y1, y.y2):
-                    ensure_finite(z)
+            ensure_all_finite(*plus, *minus, *y)
         except NumericError as exc:
             exc.step = ell
             solution.error = exc

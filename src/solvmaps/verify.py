@@ -19,7 +19,7 @@ import json
 import math
 import random
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import ConfigError, NumericError, SingularChangeError
 from .numeric import (
@@ -293,15 +293,6 @@ def _draw_y_closed(rng: random.Random, record: Callable[..., None]) -> None:
         record(2, residual(chained.y1, closed.y1), residual(chained.y2, closed.y2))
 
 
-def _suite_y_closed(suite: SuiteResult, rng: random.Random) -> None:
-    tol = DEFAULT_TOL.rel
-    _run_draws(suite, rng, 100, _draw_y_closed, [
-        ("closed-form equals iteration", tol),
-        ("special closed form equals general", tol),
-        ("semigroup property", tol),
-    ])
-
-
 def _draw_quad_family(rng: random.Random, record: Callable[..., None]) -> None:
     p = QuadraticFamilyParams(draw_complex(rng), draw_complex(rng), rng.choice([-1, 1, 2]))
     x0 = draw_pair(rng)
@@ -317,13 +308,6 @@ def _draw_quad_family(rng: random.Random, record: Callable[..., None]) -> None:
     record(1, res)
 
 
-def _suite_quad_family(suite: SuiteResult, rng: random.Random) -> None:
-    _run_draws(suite, rng, 50, _draw_quad_family, [
-        ("sign flip swaps components exactly", 0.0),
-        ("orbits match closed-form unordered pair", 1e-8),
-    ])
-
-
 def _draw_cubic_collapse(rng: random.Random, record: Callable[..., None]) -> None:
     p = CubicFamilyParams(draw_complex(rng), draw_complex(rng), rng.choice([-1, 1, 2]))
     x0 = draw_pair(rng)
@@ -331,18 +315,6 @@ def _draw_cubic_collapse(rng: random.Random, record: Callable[..., None]) -> Non
     step = lambda s, x: step_cubic_family(p, s, x)
     res, _ = check_branch_collapse(step, solution, x0, len(solution.entries) - 1)
     record(0, res)
-
-
-def _suite_cubic_collapse(suite: SuiteResult, rng: random.Random) -> None:
-    _run_draws(suite, rng, 25, _draw_cubic_collapse, [
-        ("2**ell orbits collapse to solver branch pair", 1e-8),
-    ])
-
-    # Worked instance: a = b = k = 1, x0 = (1, 0) -> step-1 set {(-6,0), (-2,-8)}.
-    solution = solve_cubic_family(CubicFamilyParams(1, 1, 1), (1, 0), 1)
-    want = [(-6 + 0j, 0j), (-2 + 0j, -8 + 0j)]
-    res = _set_equal_residual(list(solution.branch_set(1)), want, unordered=False)
-    suite.properties.append(_property("worked instance branch set", res, 1e-12))
 
 
 def _draw_double_step(rng: random.Random, record: Callable[..., None]) -> None:
@@ -353,17 +325,6 @@ def _draw_double_step(rng: random.Random, record: Callable[..., None]) -> None:
             two = step_cubic_family(p, s1, step_cubic_family(p, s0, x0))
             direct = double_step_cubic(p, s0 * s1, x0)
             record(0, pair_residual(direct, two))
-
-
-def _suite_double_step(suite: SuiteResult, rng: random.Random) -> None:
-    _run_draws(suite, rng, 50, _draw_double_step, [
-        ("double-step formula equals two steps", DEFAULT_TOL.rel),
-    ])
-
-    # Hand instance: a = b = k = 1, x0 = (1, 0), sign product + -> (-216, 0).
-    direct = double_step_cubic(CubicFamilyParams(1, 1, 1), PLUS, (1, 0))
-    res = pair_residual(direct, (-216 + 0j, 0j))
-    suite.properties.append(_property("hand instance (-216, 0)", res, 1e-12))
 
 
 def _draw_reductions(rng: random.Random, record: Callable[..., None]) -> None:
@@ -390,15 +351,6 @@ def _draw_reductions(rng: random.Random, record: Callable[..., None]) -> None:
         record(2, min(pair_residual(got, step_quadratic_family(qp, ss, x0)) for ss in SIGNS))
 
 
-def _suite_reductions(suite: SuiteResult, rng: random.Random) -> None:
-    tol = DEFAULT_TOL.rel
-    _run_draws(suite, rng, 50, _draw_reductions, [
-        ("sqrt-quadratic reduces to quadratic family", tol),
-        ("sqrt-cubic reduces to cubic family", tol),
-        ("generalized reduces to quadratic family", tol),
-    ])
-
-
 def _draw_conda(rng: random.Random, record: Callable[..., None]) -> None:
     A = LinearChange(*(draw_complex(rng) for _ in range(4)))
     p = CubicFamilyParams(draw_complex(rng), draw_complex(rng), 1)
@@ -406,16 +358,6 @@ def _draw_conda(rng: random.Random, record: Callable[..., None]) -> None:
     scale = max(abs(c) for c in table.rows[0] + table.rows[1])
     bound = max(scale, 1e-6) ** 4
     record(0, abs(conda_residual(table)) / bound)
-
-
-def _suite_conda(suite: SuiteResult, rng: random.Random) -> None:
-    _run_draws(suite, rng, 100, _draw_conda, [
-        ("common-zero constraint residual vanishes", 1e-9),
-    ], skip=SingularChangeError)
-
-    control = K1CoeffTable(1, 0, 0, 0, 1, 0)
-    res = abs(conda_residual(control) - 1)
-    suite.properties.append(_property("positive control residual equals 1", res, 0.0))
 
 
 def _draw_conjugation(rng: random.Random, record: Callable[..., None]) -> None:
@@ -436,14 +378,6 @@ def _draw_conjugation(rng: random.Random, record: Callable[..., None]) -> None:
                 table.a21 * w[0] ** 2 + table.a22 * w[1] ** 2 + table.a23 * w[0] * w[1],
             )
             record(1, pair_residual(via_table, step_conjugated(A, p, s, w)))
-
-
-def _suite_conjugation(suite: SuiteResult, rng: random.Random) -> None:
-    tol = DEFAULT_TOL.rel
-    _run_draws(suite, rng, 100, _draw_conjugation, [
-        ("conjugation identity", tol),
-        ("k=1 coefficient table matches map on probes", tol),
-    ], skip=(SingularChangeError, NumericError))
 
 
 def _draw_yz(rng: random.Random, record: Callable[..., None]) -> None:
@@ -469,56 +403,88 @@ def _draw_yz(rng: random.Random, record: Callable[..., None]) -> None:
     record(3, abs(gp.g3 + gp.g1))
 
 
-def _suite_yz(suite: SuiteResult, rng: random.Random) -> None:
-    tol = DEFAULT_TOL.rel
-    _run_draws(suite, rng, 100, _draw_yz, [
-        ("yz forward/inverse round trip", tol),
-        ("inverse recovers state on one branch", tol),
-        ("coefficient image sign-independent and y-steps", tol),
-        ("g3 = -g1 exactly", 0.0),
-    ], skip=(ConfigError, NumericError))
+def _cubic_worked_instance() -> list[PropertyResult]:
+    """a = b = k = 1, x0 = (1, 0): the step-1 branch set is {(-6, 0), (-2, -8)}."""
+    branches = solve_cubic_family(CubicFamilyParams(1, 1, 1), (1, 0), 1).branch_set(1)
+    res = _set_equal_residual(list(branches), [(-6 + 0j, 0j), (-2 + 0j, -8 + 0j)], unordered=False)
+    return [_property("worked instance branch set", res, 1e-12)]
 
 
-def _suite_prefactor(suite: SuiteResult, rng: random.Random) -> None:
+def _double_step_hand_instance() -> list[PropertyResult]:
+    """a = b = k = 1, x0 = (1, 0), sign product +: the double step gives (-216, 0)."""
+    direct = double_step_cubic(CubicFamilyParams(1, 1, 1), PLUS, (1, 0))
+    return [_property("hand instance (-216, 0)", pair_residual(direct, (-216 + 0j, 0j)), 1e-12)]
+
+
+def _conda_positive_control() -> list[PropertyResult]:
+    res = abs(conda_residual(K1CoeffTable(1, 0, 0, 0, 1, 0)) - 1)
+    return [_property("positive control residual equals 1", res, 0.0)]
+
+
+def _prefactor_instances() -> list[PropertyResult]:
     """Demonstrates the printed 1/2 inversion prefactor is wrong and 1/3 right."""
     y1, y2 = -2 + 0j, 1 + 0j
-    corrected = 0.0
-    printed = float("inf")
+    corrected, printed = 0.0, float("inf")
     for s in SIGNS:
         m = cubic_from_zeros(cubic_zeros_branch(y1, y2, s))
         corrected = max(corrected, residual(m.y1, y1), residual(m.y2, y2))
         mp = cubic_from_zeros(cubic_zeros_printed(y1, y2, s))
         printed = min(printed, max(residual(mp.y1, y1), residual(mp.y2, y2)))
-    suite.properties.append(
-        _property(
-            "corrected 1/3 inversion round-trips",
-            corrected,
-            1e-12,
-            detail=f"printed 1/2 variant residual {printed:.3e} (> 0.1 demonstrates the misprint)",
-        )
-    )
-    # Inverted rule: this property passes when the printed variant fails.
-    suite.properties.append(
-        PropertyResult(
-            "printed 1/2 inversion fails round-trip",
-            printed > 0.1,
-            printed,
-            0.1,
-            detail="pass means the discrepancy is confirmed",
-        )
-    )
+    detail = f"printed 1/2 variant residual {printed:.3e} (> 0.1 demonstrates the misprint)"
+    return [
+        _property("corrected 1/3 inversion round-trips", corrected, 1e-12, detail),
+        # Inverted rule: this property passes when the printed variant fails.
+        PropertyResult("printed 1/2 inversion fails round-trip", printed > 0.1, printed, 0.1,
+                       detail="pass means the discrepancy is confirmed"),
+    ]
 
 
-_SUITES: dict[str, Callable[[SuiteResult, random.Random], None]] = {
-    "y-closed": _suite_y_closed,
-    "quad-family": _suite_quad_family,
-    "cubic-collapse": _suite_cubic_collapse,
-    "double-step": _suite_double_step,
-    "reductions": _suite_reductions,
-    "conda": _suite_conda,
-    "conjugation": _suite_conjugation,
-    "yz": _suite_yz,
-    "prefactor": _suite_prefactor,
+class _Suite(NamedTuple):
+    """One suite: ``draws`` calls of ``draw``, scored against ``properties`` in ``record`` index
+    order, skipping a draw that raises ``skip``; ``fixed()``'s results follow the drawn ones."""
+
+    draws: int
+    draw: Callable[[random.Random, Callable[..., None]], None] | None
+    properties: Sequence[tuple[str, float]]
+    skip: type[Exception] | tuple[type[Exception], ...] = NumericError
+    fixed: Callable[[], list[PropertyResult]] | None = None
+
+
+_SUITES: dict[str, _Suite] = {
+    "y-closed": _Suite(100, _draw_y_closed, [
+        ("closed-form equals iteration", DEFAULT_TOL.rel),
+        ("special closed form equals general", DEFAULT_TOL.rel),
+        ("semigroup property", DEFAULT_TOL.rel),
+    ]),
+    "quad-family": _Suite(50, _draw_quad_family, [
+        ("sign flip swaps components exactly", 0.0),
+        ("orbits match closed-form unordered pair", 1e-8),
+    ]),
+    "cubic-collapse": _Suite(25, _draw_cubic_collapse, [
+        ("2**ell orbits collapse to solver branch pair", 1e-8),
+    ], fixed=_cubic_worked_instance),
+    "double-step": _Suite(50, _draw_double_step, [
+        ("double-step formula equals two steps", DEFAULT_TOL.rel),
+    ], fixed=_double_step_hand_instance),
+    "reductions": _Suite(50, _draw_reductions, [
+        ("sqrt-quadratic reduces to quadratic family", DEFAULT_TOL.rel),
+        ("sqrt-cubic reduces to cubic family", DEFAULT_TOL.rel),
+        ("generalized reduces to quadratic family", DEFAULT_TOL.rel),
+    ]),
+    "conda": _Suite(100, _draw_conda, [
+        ("common-zero constraint residual vanishes", 1e-9),
+    ], skip=SingularChangeError, fixed=_conda_positive_control),
+    "conjugation": _Suite(100, _draw_conjugation, [
+        ("conjugation identity", DEFAULT_TOL.rel),
+        ("k=1 coefficient table matches map on probes", DEFAULT_TOL.rel),
+    ], skip=(SingularChangeError, NumericError)),
+    "yz": _Suite(100, _draw_yz, [
+        ("yz forward/inverse round trip", DEFAULT_TOL.rel),
+        ("inverse recovers state on one branch", DEFAULT_TOL.rel),
+        ("coefficient image sign-independent and y-steps", DEFAULT_TOL.rel),
+        ("g3 = -g1 exactly", 0.0),
+    ], skip=(ConfigError, NumericError)),
+    "prefactor": _Suite(0, None, [], fixed=_prefactor_instances),
 }
 
 SUITE_NAMES = tuple(_SUITES)
@@ -532,9 +498,12 @@ def run_verify(seed: int = 42, suites: Iterable[str] | None = None) -> VerifyRep
         raise ConfigError(f"unknown verify suites: {', '.join(unknown)}; known: {', '.join(SUITE_NAMES)}")
     report = VerifyReport(seed=seed)
     for name in names:
+        row = _SUITES[name]
         suite = SuiteResult(name)
         # Per-suite child seeds keep reports stable under suite selection.
-        _SUITES[name](suite, random.Random(f"{seed}:{name}"))
+        _run_draws(suite, random.Random(f"{seed}:{name}"), row.draws, row.draw, row.properties, row.skip)
+        if row.fixed is not None:
+            suite.properties += row.fixed()
         if suite.skipped > 0.2 * suite.draws:
             suite.notes.append(
                 f"skipped {suite.skipped}/{suite.draws} draws; consider lowering the sampling scale"

@@ -139,14 +139,16 @@ class TestIterate:
         assert rows[2] == ["2", "16", "0", "64", "0"]
 
     def test_y_system_rejects_signs(self, capsys):
-        code, _, err = run_cli(
-            capsys,
-            "iterate", "--system", "y",
-            "--params", '{"alpha": 1, "beta": 1, "gamma": 0, "k": 1, "q": 2, "r": 4}',
-            "--x0", "[2, 1]", "--steps", "1", "--signs", "+",
-        )
-        assert code == 2
-        assert "signs" in err
+        # Any --signs is refused as such, also one of the wrong length or with a bad character.
+        for steps, signs in [("1", "+"), ("2", "+"), ("1", "x")]:
+            code, _, err = run_cli(
+                capsys,
+                "iterate", "--system", "y",
+                "--params", '{"alpha": 1, "beta": 1, "gamma": 0, "k": 1, "q": 2, "r": 4}',
+                "--x0", "[2, 1]", "--steps", steps, "--signs", signs,
+            )
+            assert code == 2
+            assert "takes no per-step signs" in err
 
 
 class TestSolve:
@@ -349,6 +351,8 @@ HOSTILE_INPUTS = {
     "params object part": ["iterate", "--params", '{"a": [{}, 0], "b": 1, "k": 1}', "--x0", "[1, 0]"],
     "x0 null part": ["iterate", "--params", CUBIC_PARAMS, "--x0", "[[null, 0], 0]"],
     "x0 nested list": ["solve", "--params", CUBIC_PARAMS, "--x0", "[[[1], 0], 0]"],
+    "params true part": ["iterate", "--params", '{"a": [true, 0], "b": 1, "k": 1}', "--x0", "[1, 2]"],
+    "x0 bool parts": ["iterate", "--params", CUBIC_PARAMS, "--x0", "[[false, true], 2]"],
 }
 
 
@@ -594,9 +598,7 @@ class TestVerify:
     def test_failing_report_exits_1(self, capsys, monkeypatch):
         from solvmaps import verify
 
-        def nan_suite(suite, rng):
-            verify._run_draws(suite, rng, 2, lambda rng, record: record(0, float("nan")), [("nan", 1.0)])
-
+        nan_suite = verify._Suite(2, lambda rng, record: record(0, float("nan")), [("nan", 1.0)])
         monkeypatch.setitem(verify._SUITES, "conda", nan_suite)
         code, out, err = run_cli(capsys, "verify", "--seed", "42", "--suites", "conda")
         assert code == 1

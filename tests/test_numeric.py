@@ -211,3 +211,9 @@ class TestLiterals:
     def test_rejected_literals(self, obj):
         with pytest.raises(ValueError):
             complex_from_obj(obj)
+
+    def test_bool_pair_components_rejected(self):
+        # JSON true/false inside an [re, im] pair are not read as 1 and 0.
+        for obj in ([True, 0], [0, False], [False, True]):
+            with pytest.raises(ValueError):
+                complex_from_obj(obj)

@@ -89,6 +89,12 @@ class TestReport:
         assert [s.name for s in report.suites] == ["conda", "prefactor"]
         assert report.passed
 
+    @pytest.mark.parametrize("seed", [0, 42, 138])
+    def test_selected_suite_matches_its_full_report_entry(self, seed):
+        full = run_verify(seed=seed).to_dict()["suites"]
+        for name, entry in zip(SUITE_NAMES, full):
+            assert run_verify(seed, [name]).to_dict()["suites"] == [entry]
+
     def test_unknown_suite_rejected(self):
         with pytest.raises(ConfigError):
             run_verify(seed=42, suites=["no-such-suite"])
