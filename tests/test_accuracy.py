@@ -1,5 +1,5 @@
-"""Accuracy of the family solvers against a 60-digit reference, and the
-algebra they rest on, checked symbolically.
+"""Accuracy of the solvers against a 60-digit reference, and the algebra the
+family solvers rest on, checked symbolically.
 
 The family solvers evolve (y1, y2) and (y1, D), D the discriminant of their
 inversion, and read the zeros off (y1, +/-sqrt(D)).  That is exact only
@@ -19,15 +19,22 @@ import pytest
 pytest.importorskip("mpmath")
 sp = pytest.importorskip("sympy")
 
-from reference import family_orbit
+from reference import family_orbit, y_chain
 from solvmaps.polybridge import (
     cubic_from_zeros,
     cubic_zeros_from_root,
     quad_from_zeros,
     quad_zeros_from_root,
 )
-from solvmaps.solver import solve_cubic_family, solve_quadratic_family
+from solvmaps.solver import (
+    solve_cubic_family,
+    solve_quadratic_family,
+    solve_sqrt_cubic,
+    solve_sqrt_quadratic,
+    solve_y,
+)
 from solvmaps.stepmaps import CubicFamilyParams, QuadraticFamilyParams, yz_from_root
+from solvmaps.ysystem import YParams, YState, y_closed_special
 from solvmaps.verify import draw_complex, draw_pair, pair_residual
 
 FAMILIES = {
@@ -101,6 +108,77 @@ def test_zeros_of_widely_different_size_keep_their_digits(family):
             for got in (entry.plus, entry.minus):
                 worst = max(worst, min(_branch_error(family, got, w) for w in branches))
     assert worst <= 1e-12
+
+
+# --- the general form: y, sqrt-quad and sqrt-cubic ----------------------------
+
+GENERAL_SOLVERS = {"y": solve_y, "sqrt-quad": solve_sqrt_quadratic, "sqrt-cubic": solve_sqrt_cubic}
+
+
+def _draw_closed(rng: random.Random):
+    """The draw space of verify's y-closed suite: free or special q, r, ell <= 5."""
+    k = rng.choice([-2, -1, 1, 2])
+    q, r = (2 * k, 2 * (1 + k)) if rng.random() < 0.5 else (rng.randint(-3, 4), rng.randint(-3, 4))
+    p = YParams(draw_complex(rng, 1.5), draw_complex(rng, 1.5), draw_complex(rng, 1.5), k, q, r)
+    return p, (draw_complex(rng, 1.5), draw_complex(rng, 1.5)), 5
+
+
+def _draw_contracting(rng: random.Random):
+    """A 300-step k = -1 orbit: y1 = alpha from step 1 on, and y2 contracts by
+    beta**2 alpha**q, of modulus in [0.3, 0.95], to a fixed point."""
+    alpha = cmath.rect(rng.uniform(0.5, 1.5), rng.uniform(-math.pi, math.pi))
+    q, r = rng.randint(-3, 4), rng.randint(-3, 4)
+    ratio = cmath.rect(rng.uniform(0.3, 0.95), rng.uniform(-math.pi, math.pi))
+    p = YParams(alpha, cmath.sqrt(ratio / alpha**q), draw_complex(rng), -1, q, r)
+    return p, draw_pair(rng), 300
+
+
+#: (draw space, draws) -> solver -> (bound, underflowed zeros).  The bound is
+#: twice the largest relative error the solvers had before the general form's
+#: gamma sum became Horner's rule and the scale was read off y1, measured on
+#: these draws.  An exact 0 where the reference is not comes from a power of
+#: alpha or y1(0) that underflowed on its own, in a gamma term or, where k
+#: does not divide q, in the scale (see test_solver.py::
+#: test_closed_form_y2_survives_an_underflowing_power_when_k_does_not_divide_q):
+#: it is counted instead, and no more of them may appear than did then.
+GENERAL_BOUNDS = {
+    (_draw_closed, 500): {"y": (7.7e-14, 1), "sqrt-quad": (1.03e-13, 0), "sqrt-cubic": (8.1e-14, 0)},
+    (_draw_contracting, 30): {"y": (3.1e-14, 0), "sqrt-quad": (1.09e-14, 0), "sqrt-cubic": (4.5e-14, 0)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(GENERAL_SOLVERS))
+@pytest.mark.parametrize("space", list(GENERAL_BOUNDS), ids=lambda space: space[0].__name__)
+def test_general_form_matches_the_reference(name, space):
+    """Every delivered (y1, y2) against the 60-digit chain from the solver's own y(0)."""
+    draw, draws = space
+    solve = GENERAL_SOLVERS[name]
+    rng = random.Random(f"general:{draw.__name__}:{name}")
+    worst, zeros = 0.0, 0
+    for _ in range(draws):
+        p, x0, ellmax = draw(rng)
+        solution = solve(p, x0, ellmax)
+        if not solution.entries:
+            continue
+        chain = y_chain(p.alpha, p.beta, p.gamma, p.k, p.q, p.r, *solution.entries[0].y, len(solution.entries) - 1)
+        for entry, want in zip(solution.entries, chain):
+            for got, w in zip(entry.y, map(complex, want)):
+                if got == 0 != w:
+                    zeros += 1
+                else:
+                    worst = max(worst, _relative(got, w))
+    bound, underflowed = GENERAL_BOUNDS[space][name]
+    assert worst <= bound
+    assert zeros <= underflowed
+
+
+@pytest.mark.parametrize("d", [1e-12, 3e-10, 2e-9])
+def test_geometric_sum_near_equal_ratio(d):
+    """(alpha/beta)**2 just off 1: (a2**ell - b2**ell)/(a2 - b2) would cancel
+    (relative y2 errors of 1e-9 to 3e-7 here), the doubled sum does not."""
+    p, y0, ell = YParams(1, 1 + d, 0.5, -1, -2, 0), YState(0.9 + 0.1j, 0.3), 1000
+    want = complex(y_chain(p.alpha, p.beta, p.gamma, p.k, p.q, p.r, *y0, ell)[-1][1])
+    assert _relative(y_closed_special(p, y0, ell).y2, want) <= 1e-13
 
 
 # --- the algebra, symbolically ----------------------------------------------

@@ -29,10 +29,12 @@ from solvmaps import (
     step_quadratic_family,
     step_sqrt_cubic,
     step_sqrt_quadratic,
+    y_closed,
     y_closed_special,
     y_iterate,
     YState,
 )
+from solvmaps import ysystem
 from solvmaps.errors import NumericOverflowError, ZeroToNegativePowerError
 from solvmaps.verify import draw_complex, draw_pair, pair_residual, pair_residual_unordered, residual
 
@@ -279,12 +281,20 @@ class TestWidelySeparatedZeros:
                 assert abs(2 * x1 + x2 + want.y1) <= 1e-15 * abs(want.y1)
 
 
-@pytest.mark.xfail(strict=True, reason="a power of y1(0) underflows to 0 though the product is representable")
 def test_closed_form_y2_survives_an_underflowing_power():
     # y2(5) = 20**242 * 0.1**484 * 1 ~ 7e-170, but 0.1**484 alone is 0 in doubles.
+    # k divides q, so the scale is read off y1 and 0.1**484 is never formed.
     p, y0 = YParams(20, 20, 0, 2, 4, 6), YState(0.1, 1)
     want = y_iterate(p, y0, 5).y2
     assert _relative(y_closed_special(p, y0, 5).y2, want) <= 1e-12
+
+
+@pytest.mark.xfail(strict=True, reason="k does not divide q: a power of y1(0) underflows to 0 though the product is representable")
+def test_closed_form_y2_survives_an_underflowing_power_when_k_does_not_divide_q():
+    # y2(5) ~ 2.45e-124 by iteration; the scale's power of y1(0) underflows on its own.
+    p, y0 = YParams(20, 20, 0, 2, 3, 6), YState(0.1, 1)
+    want = y_iterate(p, y0, 5).y2
+    assert _relative(y_closed(p, y0, 5).y2, want) <= 1e-12
 
 
 class TestSharedSquarings:
@@ -313,8 +323,24 @@ class TestSharedSquarings:
         assert len(ladders) == 3  # alpha, beta, y1(0)
         for ladder in ladders:
             assert len(ladder) == largest[id(ladder)].bit_length()
-        # 2(2**1000 - 1001) for alpha, 2 * 1000 for beta, 2(2**1000 - 1) for y1(0).
-        assert [len(ladder) for ladder in ladders] == [1001, 11, 1001]
+        # 2**1000 - 1 for alpha, 2 * 1000 for beta, 2**1000 for y1(0).  k divides q,
+        # so the scale is read off y1 and e_alpha = 2(2**1000 - 1001) is never asked for.
+        assert [len(ladder) for ladder in ladders] == [1000, 11, 1001]
+
+    def test_general_form_adds_one_gamma_term_per_step(self, monkeypatch):
+        """A 150-step sqrt-cubic orbit evaluates 150 gamma terms, not one per (step, earlier step)."""
+        terms = []
+        term = ysystem._gamma_term
+
+        def counting_term(p, powers, s):
+            terms.append(s)
+            return term(p, powers, s)
+
+        monkeypatch.setattr(ysystem, "_gamma_term", counting_term)
+        p = YParams(1j, -1, -1j, 1, 1, 3)
+        sol = solve_sqrt_cubic(p, DistinctZeroPair(1, -2 - 1j), 150)
+        assert sol.overflow_at is None
+        assert terms == list(range(150))
 
 
 class TestOverflowTruncation:

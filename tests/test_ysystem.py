@@ -91,6 +91,20 @@ class TestClosedForm:
         y0 = YState(0.5 + 0.5j, -1 + 2j)
         assert y_closed(p, y0, 0) == y0
 
+    @pytest.mark.parametrize("closed", [y_closed, y_closed_special])
+    def test_ell_zero_identity_when_k_divides_q(self, closed):
+        # The scale is read off y1 only from ell = 1 on: y1(0)**2 * y1(0)**-2 is not exactly 1.
+        p = YParams(2 + 1j, 3, 4 - 1j, 1, 2, 4)
+        for y1 in (0.1, 0.3 + 0.7j, -1.7 + 0.2j):
+            y0 = YState(y1, -1 + 2j)
+            assert closed(p, y0, 0) == y0
+
+    def test_scale_of_an_underflowed_y1_comes_from_the_exponents(self):
+        # y1(1) = y1(0)**2 underflows to 0, so y1 * alpha**-1 * y1(0)**-1 would be 0;
+        # y2(1) = (beta**2 y2(0) + gamma) * y1(0) = 2e-200.
+        p, y0 = YParams(1, 1, 1, 1, 1, 1), YState(1e-200, 1)
+        assert y_closed(p, y0, 1) == y_iterate(p, y0, 1) == YState(0, 2e-200)
+
     def test_two_step_worked_example(self):
         p = YParams(1, 1, 0, 1, 2, 4)
         closed = y_closed(p, YState(2, 1), 2)
