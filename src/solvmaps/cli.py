@@ -15,7 +15,7 @@ import json
 import os
 import sys
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, ContextManager, Sequence, TextIO
 
 from .errors import ConfigError, NumericError, SolvmapsError
@@ -61,83 +61,64 @@ _INT_PARAMS = {"k", "q", "r"}
 
 @dataclass(frozen=True)
 class SystemSpec:
-    """One CLI system.  An unsigned system's step ignores the sign, and its
+    """One CLI system, read off its parameter types.
+
+    ``--params`` holds the ``init`` fields of each type, in order, and the
+    system's parameters are one instance of each type (a tuple of them when
+    there are several).  An unsigned system's step ignores the sign, and its
     rows have no ``branch`` column: its state is the coefficient pair itself.
     """
 
-    param_names: tuple[str, ...]
-    build: Callable[[dict], object]
+    types: tuple[type, ...]
     step: Callable[[object, Sign, ComplexPair], ComplexPair]
     solve: Callable[[object, ComplexPair, int], BranchSolution]
     signed: bool = True
 
+    @property
+    def param_names(self) -> tuple[str, ...]:
+        return tuple(name for cls in self.types for name in _init_names(cls))
 
-def _build_y(params: dict) -> YParams:
-    return YParams(
-        params["alpha"], params["beta"], params["gamma"],
-        params["k"], params["q"], params["r"],
-    )
+    def build(self, params: dict) -> object:
+        built = [cls(**{name: params[name] for name in _init_names(cls)}) for cls in self.types]
+        return built[0] if len(built) == 1 else tuple(built)
 
 
-def _build_conjugated(params: dict) -> tuple[LinearChange, CubicFamilyParams]:
-    return (
-        LinearChange(params["A11"], params["A12"], params["A21"], params["A22"]),
-        CubicFamilyParams(params["a"], params["b"], params["k"]),
-    )
+def _init_names(cls: type) -> list[str]:
+    return [f.name for f in fields(cls) if f.init]
 
 
 # Each step entry looks its map up by name at every call, so a rebound module attribute is used.
 _SYSTEMS: dict[str, SystemSpec] = {
     "y": SystemSpec(
-        ("alpha", "beta", "gamma", "k", "q", "r"),
-        _build_y,
-        lambda p, s, y: y_step(p, YState(*y)),
-        solve_y,
-        signed=False,
+        (YParams,), lambda p, s, y: y_step(p, YState(*y)), solve_y, signed=False
     ),
     "quad-family": SystemSpec(
-        ("a", "b", "k"),
-        lambda d: QuadraticFamilyParams(d["a"], d["b"], d["k"]),
+        (QuadraticFamilyParams,),
         lambda p, s, x: step_quadratic_family(p, s, x),
         solve_quadratic_family,
     ),
     "cubic-family": SystemSpec(
-        ("a", "b", "k"),
-        lambda d: CubicFamilyParams(d["a"], d["b"], d["k"]),
-        lambda p, s, x: step_cubic_family(p, s, x),
-        solve_cubic_family,
+        (CubicFamilyParams,), lambda p, s, x: step_cubic_family(p, s, x), solve_cubic_family
     ),
     "generalized": SystemSpec(
-        ("alpha", "beta", "B1", "B2", "C1", "C2", "C3", "k"),
-        lambda d: GeneralizedParams(
-            d["alpha"], d["beta"], d["B1"], d["B2"], d["C1"], d["C2"], d["C3"], d["k"]
-        ),
-        lambda p, s, x: step_generalized(p, s, x),
-        solve_generalized,
+        (GeneralizedParams,), lambda p, s, x: step_generalized(p, s, x), solve_generalized
     ),
     "sqrt-quad": SystemSpec(
-        ("alpha", "beta", "gamma", "k", "q", "r"),
-        _build_y,
-        lambda p, s, x: step_sqrt_quadratic(p, s, x),
-        solve_sqrt_quadratic,
+        (YParams,), lambda p, s, x: step_sqrt_quadratic(p, s, x), solve_sqrt_quadratic
     ),
     "sqrt-cubic": SystemSpec(
-        ("alpha", "beta", "gamma", "k", "q", "r"),
-        _build_y,
-        lambda p, s, x: step_sqrt_cubic(p, s, x),
-        solve_sqrt_cubic,
+        (YParams,), lambda p, s, x: step_sqrt_cubic(p, s, x), solve_sqrt_cubic
     ),
     "conjugated": SystemSpec(
-        ("a", "b", "k", "A11", "A12", "A21", "A22"),
-        _build_conjugated,
-        lambda p, s, x: step_conjugated(p[0], p[1], s, x),
-        lambda p, x0, n: solve_conjugated(p[0], p[1], x0, n),
+        (CubicFamilyParams, LinearChange),
+        lambda p, s, x: step_conjugated(p[1], p[0], s, x),
+        lambda p, x0, n: solve_conjugated(p[1], p[0], x0, n),
     ),
 }
 
 
 def _parse_params(system: str, raw: str | None) -> dict:
-    spec = _SYSTEMS[system]
+    names = _SYSTEMS[system].param_names
     if raw is None:
         raise ConfigError(f"--params is required for system {system!r}")
     try:
@@ -146,11 +127,14 @@ def _parse_params(system: str, raw: str | None) -> dict:
         raise ConfigError(f"--params is not valid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise ConfigError("--params must be a JSON object")
-    missing = [name for name in spec.param_names if name not in obj]
+    missing = [name for name in names if name not in obj]
     if missing:
         raise ConfigError(f"missing parameters for {system!r}: {', '.join(missing)}")
+    unknown = [name for name in obj if name not in names]
+    if unknown:
+        raise ConfigError(f"unknown parameters for {system!r}: {', '.join(map(repr, unknown))}")
     params: dict = {}
-    for name in spec.param_names:
+    for name in names:
         value = obj[name]
         if name in _INT_PARAMS:
             if not isinstance(value, int) or isinstance(value, bool):

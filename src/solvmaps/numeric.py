@@ -2,8 +2,8 @@
 
 Integer powers follow exact repeated-multiplication semantics (so the parity
 convention (-z)**s == (+/-) z**s holds with no branch-cut surprises), square
-roots are branch-explicit, and all comparisons go through a single
-relative/absolute tolerance type.  :class:`Powers` shares the squarings of
+roots are branch-explicit, and all comparisons share one
+relative-plus-absolute tolerance rule.  :class:`Powers` shares the squarings of
 one base across many exponents and returns exactly what :func:`cpow` would.
 """
 
@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from functools import reduce
 from itertools import compress
 from operator import mul
@@ -25,27 +24,6 @@ SIGNS = (PLUS, MINUS)
 
 Sign = int
 ComplexPair = tuple[complex, complex]
-
-
-@dataclass(frozen=True)
-class Tolerance:
-    """Combined relative/absolute comparison tolerance."""
-
-    rel: float = 1e-9
-    abs: float = 1e-12
-
-    def __post_init__(self) -> None:
-        if self.rel < 0 or self.abs < 0:
-            raise ValueError("tolerance components must be non-negative")
-
-
-#: Default tolerance for verification: absorbs double-precision error over
-#: <= 8 steps at unit-scale inputs.
-DEFAULT_TOL = Tolerance(rel=1e-9, abs=1e-12)
-
-#: Looser tolerance for orbit deduplication, so roundoff never splits a
-#: genuine branch into two.
-DEDUPE_TOL = Tolerance(rel=1e-8, abs=1e-12)
 
 
 def is_finite(z: complex) -> bool:
@@ -176,22 +154,26 @@ def sqrt_branch(z: complex, s: Sign) -> complex:
     return s * principal_sqrt(z)
 
 
-def approx_eq(a: complex, b: complex, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """True iff ``|a-b| <= tol.abs + tol.rel * max(|a|, |b|)``."""
-    return abs(a - b) <= tol.abs + tol.rel * max(abs(a), abs(b))
+def approx_eq(a: complex, b: complex, rel: float = 1e-9, abs_tol: float = 1e-12) -> bool:
+    """True iff ``|a-b| <= abs_tol + rel * max(|a|, |b|)``."""
+    return abs(a - b) <= abs_tol + rel * max(abs(a), abs(b))
 
 
-def pair_eq_unordered(p: ComplexPair, q: ComplexPair, tol: Tolerance = DEFAULT_TOL) -> bool:
+def pair_eq_unordered(
+    p: ComplexPair, q: ComplexPair, rel: float = 1e-9, abs_tol: float = 1e-12
+) -> bool:
     """Equality of two label-free pairs under some assignment of labels."""
     a1, a2 = p
     b1, b2 = q
-    return (approx_eq(a1, b1, tol) and approx_eq(a2, b2, tol)) or (
-        approx_eq(a1, b2, tol) and approx_eq(a2, b1, tol)
+    return (approx_eq(a1, b1, rel, abs_tol) and approx_eq(a2, b2, rel, abs_tol)) or (
+        approx_eq(a1, b2, rel, abs_tol) and approx_eq(a2, b1, rel, abs_tol)
     )
 
 
-def pair_eq_ordered(p: ComplexPair, q: ComplexPair, tol: Tolerance = DEFAULT_TOL) -> bool:
-    return approx_eq(p[0], q[0], tol) and approx_eq(p[1], q[1], tol)
+def pair_eq_ordered(
+    p: ComplexPair, q: ComplexPair, rel: float = 1e-9, abs_tol: float = 1e-12
+) -> bool:
+    return approx_eq(p[0], q[0], rel, abs_tol) and approx_eq(p[1], q[1], rel, abs_tol)
 
 
 def complex_to_list(z: complex) -> list[float]:

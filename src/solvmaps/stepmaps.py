@@ -164,9 +164,6 @@ class LinearChange:
         )
 
 
-IDENTITY_CHANGE = LinearChange(1, 0, 0, 1)
-
-
 class K1CoeffTable(NamedTuple):
     """Quadratic-form coefficients of a conjugated k = 1 system.
 

@@ -63,10 +63,6 @@ class YParams:
         object.__setattr__(self, "beta", complex(self.beta))
         object.__setattr__(self, "gamma", complex(self.gamma))
 
-    @property
-    def u(self) -> int:
-        return u_exponent(self.k, self.q, self.r)
-
 
 class YState(NamedTuple):
     """Coefficients (y1, y2) of the system, and of the monic quadratic z**2 + y1 z + y2."""
@@ -214,7 +210,7 @@ def _add_gamma_terms(
 
 def _gamma_term(p: YParams, powers: OrbitPowers, s: int) -> complex:
     """t_s = alpha**e_s * y1(0)**f_s, the gamma term of step s before beta's powers."""
-    k, q, u = p.k, p.q, p.u
+    k, q, u = p.k, p.q, u_exponent(p.k, p.q, p.r)
     gs = (1 + k) ** s
     e_s = _exact_div(u * (gs - 1) + q * s * k, k * k)
     f_s = _exact_div(u * gs + q, k)

@@ -13,9 +13,9 @@ import random
 import time
 from contextlib import contextmanager
 
-from solvmaps import run_verify
 from solvmaps.cli import main
 from solvmaps.errors import NumericOverflowError, ZeroToNegativePowerError
+from solvmaps.verify import run_verify
 from solvmaps.ysystem import YParams, YState, y_closed, y_closed_special, y_iterate
 
 RESULTS = []

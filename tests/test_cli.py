@@ -9,18 +9,12 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from solvmaps import (
-    MINUS,
-    PLUS,
-    CubicFamilyParams,
-    DistinctZeroPair,
-    YParams,
-    YState,
-    step_cubic_family,
-    y_closed,
-)
-from solvmaps.cli import _SYSTEMS, SEED_ENV_VAR, _state_columns, _Writer, main
+from solvmaps.cli import SEED_ENV_VAR, _SYSTEMS, _Writer, _state_columns, main
+from solvmaps.numeric import MINUS, PLUS
+from solvmaps.polybridge import DistinctZeroPair
+from solvmaps.stepmaps import CubicFamilyParams, step_cubic_family
 from solvmaps.verify import pair_residual, pair_residual_unordered
+from solvmaps.ysystem import YParams, YState, y_closed
 
 
 def run_cli(capsys, *argv):
@@ -328,6 +322,17 @@ def test_parameter_error_exits_2(capsys, name):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["iterate", "solve"])
+def test_unknown_params_exit_2_naming_them(capsys, command):
+    params = json.dumps({"a": 1, "b": 1, "k": 1, "q": 2, "bb": 0})
+    code, out, err = run_cli(
+        capsys, command, "--system", "quad-family", "--params", params, "--x0", "[1, 2]"
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: unknown parameters for 'quad-family': 'q', 'bb'\n"
+
+
 def test_family_k0_iterates_but_does_not_solve(capsys):
     """The step maps never divide by k; the closed-form exponents do."""
     argv = ["--system", "quad-family", "--params", json.dumps(FAMILY_K0), "--x0", "[1, 2]", "--steps", "2"]
@@ -609,6 +614,13 @@ class TestVerify:
         code, _, err = run_cli(capsys, "verify", "--suites", "bogus")
         assert code == 2
         assert "unknown verify suites" in err
+
+    @pytest.mark.parametrize("suites", ["", ",", "yz,yz"])
+    def test_empty_or_repeated_suites_exit_2(self, capsys, suites):
+        code, out, err = run_cli(capsys, "verify", "--suites", suites)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_seed_env_fallback(self, capsys, monkeypatch):
         monkeypatch.setenv(SEED_ENV_VAR, "7")

@@ -4,21 +4,18 @@ import random
 
 import pytest
 
-from solvmaps import (
+from solvmaps.numeric import MINUS, PLUS, SIGNS, pair_eq_unordered
+from solvmaps.polybridge import (
     DistinctZeroPair,
-    MINUS,
-    PLUS,
-    SIGNS,
-    YState,
     cubic_from_zeros,
     cubic_zeros_branch,
-    pair_eq_unordered,
+    cubic_zeros_printed,
     quad_from_zeros,
     quad_zeros,
     y3_from_y12,
 )
-from solvmaps.polybridge import cubic_zeros_printed
 from solvmaps.verify import draw_complex, draw_pair, residual
+from solvmaps.ysystem import YState
 
 
 class TestQuadBridge:

@@ -4,39 +4,31 @@ import random
 
 import pytest
 
-from solvmaps import (
-    CubicFamilyParams,
-    DistinctZeroPair,
-    GeneralizedParams,
-    LinearChange,
-    MINUS,
-    PLUS,
-    Powers,
-    QuadraticFamilyParams,
-    SIGNS,
-    YParams,
-    cubic_from_zeros,
-    pair_eq_unordered,
-    quad_from_zeros,
+from solvmaps import ysystem
+from solvmaps.errors import NumericOverflowError, ZeroToNegativePowerError
+from solvmaps.numeric import MINUS, PLUS, SIGNS, Powers, pair_eq_unordered
+from solvmaps.polybridge import DistinctZeroPair, cubic_from_zeros, quad_from_zeros
+from solvmaps.solver import (
     solve_conjugated,
     solve_cubic_family,
     solve_generalized,
     solve_quadratic_family,
     solve_sqrt_cubic,
     solve_sqrt_quadratic,
+)
+from solvmaps.stepmaps import (
+    CubicFamilyParams,
+    GeneralizedParams,
+    LinearChange,
+    QuadraticFamilyParams,
     step_cubic_family,
     step_generalized,
     step_quadratic_family,
     step_sqrt_cubic,
     step_sqrt_quadratic,
-    y_closed,
-    y_closed_special,
-    y_iterate,
-    YState,
 )
-from solvmaps import ysystem
-from solvmaps.errors import NumericOverflowError, ZeroToNegativePowerError
 from solvmaps.verify import draw_complex, draw_pair, pair_residual, pair_residual_unordered, residual
+from solvmaps.ysystem import YParams, YState, y_closed, y_closed_special, y_iterate
 
 NUMERIC_ERRORS = (ZeroToNegativePowerError, NumericOverflowError)
 
@@ -169,11 +161,9 @@ class TestWorkedInstances:
         assert branch_set_matches(sol.branch_set(1), [(-6 + 0j, 0j), (-2 + 0j, -16 + 0j)], tol=1e-12)
 
     def test_conjugated_identity_matches_cubic(self):
-        from solvmaps.stepmaps import IDENTITY_CHANGE
-
         p = CubicFamilyParams(0.5, 0.25, 1)
         x0 = (1 + 1j, -0.5)
-        conj = solve_conjugated(IDENTITY_CHANGE, p, x0, 3)
+        conj = solve_conjugated(LinearChange(1, 0, 0, 1), p, x0, 3)
         plain = solve_cubic_family(p, DistinctZeroPair(*x0), 3)
         for a, b in zip(conj.entries, plain.entries):
             assert pair_residual(a.plus, b.plus) <= 1e-12
@@ -196,7 +186,7 @@ class TestStructuralProperties:
             assert pair_residual(entry.plus, entry.minus) <= 1e-6
 
     def test_y_entries_chain(self):
-        from solvmaps import y_step
+        from solvmaps.ysystem import y_step
 
         p = CubicFamilyParams(0.7, 0.4, 1)
         sol = solve_cubic_family(p, DistinctZeroPair(0.5, 1.1), 4)

@@ -4,36 +4,30 @@ import random
 
 import pytest
 
-from solvmaps import (
+from solvmaps.errors import SingularChangeError, ZeroToNegativePowerError
+from solvmaps.numeric import MINUS, PLUS, SIGNS, pair_eq_unordered
+from solvmaps.polybridge import DistinctZeroPair
+from solvmaps.solver import solve_sqrt_cubic, solve_sqrt_quadratic
+from solvmaps.stepmaps import (
     CubicFamilyParams,
-    DistinctZeroPair,
     GeneralizedParams,
     K1CoeffTable,
     LinearChange,
-    MINUS,
-    PLUS,
     QuadraticFamilyParams,
-    SIGNS,
-    YParams,
-    YState,
     conda_residual,
     double_step_cubic,
     k1_coeff_table,
-    pair_eq_unordered,
     step_conjugated,
     step_cubic_family,
     step_generalized,
     step_quadratic_family,
     step_sqrt_cubic,
     step_sqrt_quadratic,
-    y_step,
     yz_forward,
     yz_invert,
 )
-from solvmaps.errors import SingularChangeError, ZeroToNegativePowerError
-from solvmaps.solver import solve_sqrt_cubic, solve_sqrt_quadratic
-from solvmaps.stepmaps import IDENTITY_CHANGE
 from solvmaps.verify import draw_complex, draw_pair, pair_residual, pair_residual_unordered, residual
+from solvmaps.ysystem import YParams, YState, y_step
 
 
 class TestQuadraticFamily:
@@ -283,7 +277,7 @@ class TestSqrtSystems:
 class TestConjugated:
     def test_identity_change_matches_cubic(self):
         p = CubicFamilyParams(1, 1, 1)
-        got = step_conjugated(IDENTITY_CHANGE, p, PLUS, (1, 0))
+        got = step_conjugated(LinearChange(1, 0, 0, 1), p, PLUS, (1, 0))
         want = step_cubic_family(p, PLUS, DistinctZeroPair(1, 0))
         assert pair_residual(got, tuple(want)) <= 1e-12
 
@@ -335,7 +329,7 @@ class TestConjugated:
 class TestK1Table:
     def test_requires_k_one(self):
         with pytest.raises(ValueError):
-            k1_coeff_table(IDENTITY_CHANGE, CubicFamilyParams(1, 1, 2), PLUS)
+            k1_coeff_table(LinearChange(1, 0, 0, 1), CubicFamilyParams(1, 1, 2), PLUS)
 
     def test_probe_points_match_map(self):
         rng = random.Random("stepmaps:k1")

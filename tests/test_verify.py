@@ -4,20 +4,23 @@ import json
 
 import pytest
 
-from solvmaps import (
+from solvmaps import verify
+from solvmaps.errors import ConfigError
+from solvmaps.polybridge import DistinctZeroPair
+from solvmaps.solver import solve_cubic_family
+from solvmaps.stepmaps import (
     CubicFamilyParams,
-    DistinctZeroPair,
     QuadraticFamilyParams,
-    SUITE_NAMES,
-    enumerate_sign_orbits,
-    run_verify,
     step_cubic_family,
     step_quadratic_family,
 )
-from solvmaps import verify
-from solvmaps.errors import ConfigError
-from solvmaps.solver import solve_cubic_family
-from solvmaps.verify import check_branch_collapse, pair_residual
+from solvmaps.verify import (
+    SUITE_NAMES,
+    check_branch_collapse,
+    enumerate_sign_orbits,
+    pair_residual,
+    run_verify,
+)
 
 
 class TestEnumeration:
@@ -98,6 +101,11 @@ class TestReport:
     def test_unknown_suite_rejected(self):
         with pytest.raises(ConfigError):
             run_verify(seed=42, suites=["no-such-suite"])
+
+    @pytest.mark.parametrize("suites", [[], ["yz", "conda", "yz"]])
+    def test_empty_or_repeated_selection_rejected(self, suites):
+        with pytest.raises(ConfigError):
+            run_verify(seed=42, suites=suites)
 
     def test_json_shape(self):
         data = json.loads(run_verify(seed=1, suites=["prefactor"]).to_json())

@@ -4,7 +4,10 @@ import random
 
 import pytest
 
-from solvmaps import (
+from solvmaps.errors import NumericError, NumericOverflowError, QRMismatchError, ZeroToNegativePowerError
+from solvmaps.numeric import is_finite
+from solvmaps.verify import draw_complex, residual
+from solvmaps.ysystem import (
     OrbitPowers,
     YParams,
     YState,
@@ -14,14 +17,6 @@ from solvmaps import (
     y_iterate,
     y_step,
 )
-from solvmaps.errors import (
-    NumericError,
-    NumericOverflowError,
-    QRMismatchError,
-    ZeroToNegativePowerError,
-)
-from solvmaps.numeric import is_finite
-from solvmaps.verify import draw_complex, residual
 
 NUMERIC_ERRORS = (ZeroToNegativePowerError, NumericOverflowError)
 
