@@ -3,9 +3,10 @@ run verification suites, and export data.
 
 Exit codes: 0 success, 1 a verify property failed, 2 configuration, usage or
 parameter error, 3 numeric error (the message names the failing step).
-Complex values are accepted as plain numbers, ``re+imi`` literals, or
-``[re, im]`` arrays, and always emitted in the canonical ``[re, im]`` form
-(CSV splits them into ``_re``/``_im`` columns).
+``--params`` and ``--x0`` are JSON.  Complex values are accepted as plain
+numbers, ``re+imi`` strings, or ``[re, im]`` arrays, and always emitted in the
+canonical ``[re, im]`` form (CSV splits them into ``_re``/``_im`` columns).
+A reader that closes the output early also exits 2.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from .numeric import (
     ComplexPair,
     Sign,
     complex_from_obj,
-    complex_to_list,
     ensure_all_finite,
     is_finite,
 )
@@ -53,8 +53,6 @@ from .stepmaps import (
 )
 from .verify import SUITE_NAMES, run_verify
 from .ysystem import YParams, YState, y_step
-
-SEED_ENV_VAR = "SOLVMAPS_SEED"
 
 _INT_PARAMS = {"k", "q", "r"}
 
@@ -117,14 +115,18 @@ _SYSTEMS: dict[str, SystemSpec] = {
 }
 
 
+def _load_json(option: str, raw: str | None) -> object:
+    if raw is None:
+        raise ConfigError(f"{option} is required")
+    try:
+        return json.loads(raw)
+    except ValueError as exc:  # also an integer past the interpreter's digit limit
+        raise ConfigError(f"{option} is not valid JSON: {exc}") from exc
+
+
 def _parse_params(system: str, raw: str | None) -> dict:
     names = _SYSTEMS[system].param_names
-    if raw is None:
-        raise ConfigError(f"--params is required for system {system!r}")
-    try:
-        obj = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"--params is not valid JSON: {exc}") from exc
+    obj = _load_json("--params", raw)
     if not isinstance(obj, dict):
         raise ConfigError("--params must be a JSON object")
     missing = [name for name in names if name not in obj]
@@ -146,12 +148,7 @@ def _parse_params(system: str, raw: str | None) -> dict:
 
 
 def _parse_state(raw: str | None) -> ComplexPair:
-    if raw is None:
-        raise ConfigError("--x0 is required")
-    try:
-        obj = json.loads(raw)
-    except json.JSONDecodeError:
-        obj = [part for part in raw.split(";")]
+    obj = _load_json("--x0", raw)
     if not isinstance(obj, list) or len(obj) != 2:
         raise ConfigError("--x0 must be a two-element list, e.g. '[[1,0],[0,0]]' or '[1, 2]'")
     return (_parse_complex(obj[0], "--x0"), _parse_complex(obj[1], "--x0"))
@@ -187,18 +184,6 @@ def _parse_signs(raw: str | None, steps: int) -> list[Sign]:
     if len(signs) != steps:
         raise ConfigError(f"--signs length {len(signs)} does not match --steps {steps}")
     return signs
-
-
-def _resolve_seed(value: int | None) -> int:
-    if value is not None:
-        return value
-    env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise ConfigError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from exc
-    return 42
 
 
 #: Column kinds of the row schemas; every other column holds a float.
@@ -247,7 +232,8 @@ def _state_columns(system: str, with_y: bool) -> list[str]:
 
 
 def _flatten(pair: ComplexPair) -> list[float]:
-    return complex_to_list(pair[0]) + complex_to_list(pair[1])
+    z1, z2 = pair
+    return [z1.real, z1.imag, z2.real, z2.imag]
 
 
 def _open_out(path: str | None) -> ContextManager[TextIO]:
@@ -318,7 +304,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     suites = None
     if args.suites is not None:
         suites = [name.strip() for name in args.suites.split(",") if name.strip()]
-    report = run_verify(seed=_resolve_seed(args.seed), suites=suites)
+    report = run_verify(seed=args.seed, suites=suites)
     with _open_out(args.out) as stream:
         stream.write(report.to_json() + "\n")
     print(report.summary(), file=sys.stderr)
@@ -330,7 +316,7 @@ def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
         "--system", required=True, choices=sorted(_SYSTEMS), help="system family to run"
     )
     parser.add_argument("--params", help="JSON object of named parameters")
-    parser.add_argument("--x0", help="initial state: two complex literals, e.g. '[[1,0],[0,0]]'")
+    parser.add_argument("--x0", help="initial state: a JSON list of two complex values, e.g. '[[1,0],[0,0]]'")
     parser.add_argument("--steps", type=int, default=1, help="number of discrete-time steps")
     parser.add_argument("--out", help="output path (default: stdout)")
     parser.add_argument("--format", choices=("csv", "jsonl"), default="csv")
@@ -356,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "--suites", help=f"comma-separated suite names (default all: {', '.join(SUITE_NAMES)})"
     )
-    p_verify.add_argument("--seed", type=int, help=f"PRNG seed (fallback: ${SEED_ENV_VAR}, then 42)")
+    p_verify.add_argument("--seed", type=int, default=42, help="PRNG seed (default: 42)")
     p_verify.add_argument("--out", help="write the JSON report to this path (default: stdout)")
     p_verify.set_defaults(func=cmd_verify)
 
@@ -367,12 +353,21 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        try:
+            return args.func(args)
+        finally:
+            # Rows still buffered for a reader that has gone fail here, not at exit.
+            sys.stdout.flush()
     except NumericError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except SolvmapsError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except BrokenPipeError:
+        # The interpreter flushes stdout once more at exit: let that write go nowhere.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: the output was closed before it was all written", file=sys.stderr)
         return 2
 
 

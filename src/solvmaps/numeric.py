@@ -176,24 +176,17 @@ def pair_eq_ordered(
     return approx_eq(p[0], q[0], rel, abs_tol) and approx_eq(p[1], q[1], rel, abs_tol)
 
 
-def complex_to_list(z: complex) -> list[float]:
-    """Canonical wire format for complex scalars: ``[re, im]``."""
-    return [z.real, z.imag]
-
-
 def complex_from_obj(obj: object) -> complex:
     """Parse a complex scalar from any accepted literal form.
 
-    Accepts a real number, a two-element ``[re, im]`` array, or a string
-    such as ``"1.5"``, ``"2i"``, ``"1+2i"`` (also with ``j``).
+    Accepts what JSON decodes to: a real number, a two-element ``[re, im]``
+    list, or a string such as ``"1.5"``, ``"2i"``, ``"1+2i"`` (also with ``j``).
     """
     if isinstance(obj, bool):
         raise ValueError(f"not a complex literal: {obj!r}")
     if isinstance(obj, (int, float)):
         return complex(obj)
-    if isinstance(obj, complex):
-        return obj
-    if isinstance(obj, (list, tuple)) and len(obj) == 2:
+    if isinstance(obj, list) and len(obj) == 2:
         re, im = obj
         if isinstance(re, bool) or isinstance(im, bool):
             raise ValueError(f"not a complex literal: {obj!r}")

@@ -21,14 +21,6 @@ from .numeric import ComplexPair, Sign, cpow, principal_sqrt, sqrt_branch
 from .ysystem import YState
 
 
-class MonicCubic(NamedTuple):
-    """Coefficients of z**3 + y1 z**2 + y2 z + y3 (double-root family)."""
-
-    y1: complex
-    y2: complex
-    y3: complex
-
-
 class DistinctZeroPair(NamedTuple):
     """Ordered pair: x1 is the double zero, x2 the simple zero."""
 
@@ -68,10 +60,10 @@ def quad_zeros_from_root(y1: complex, r: complex, y2: complex) -> ZeroPair:
     return (first, y2 / first) if first else (0j, 0j)
 
 
-def cubic_from_zeros(d: DistinctZeroPair) -> MonicCubic:
-    """Expand (z - x1)**2 (z - x2) into monic-cubic coefficients."""
+def cubic_from_zeros(d: DistinctZeroPair) -> YState:
+    """(y1, y2) of (z - x1)**2 (z - x2); the dependent y3 is :func:`y3_from_y12`'s."""
     x1, x2 = d
-    return MonicCubic(-(2 * x1 + x2), x1 * (x1 + 2 * x2), -(x1 * x1 * x2))
+    return YState(-(2 * x1 + x2), x1 * (x1 + 2 * x2))
 
 
 def cubic_zeros_branch(y1: complex, y2: complex, b: Sign) -> DistinctZeroPair:

@@ -134,12 +134,12 @@ def solve_quadratic_family(p: QuadraticFamilyParams, x0: ZeroPair, ellmax: int) 
 
 def solve_sqrt_cubic(p: YParams, x0: DistinctZeroPair, ellmax: int) -> BranchSolution:
     """Closed-form orbit of the square-root cubic system (free q, r)."""
-    return _solve_coefficients(p, YState(*cubic_from_zeros(x0)[:2]), ellmax, _cubic_invert)
+    return _solve_coefficients(p, cubic_from_zeros(x0), ellmax, _cubic_invert)
 
 
 def solve_cubic_family(p: CubicFamilyParams, x0: DistinctZeroPair, ellmax: int) -> BranchSolution:
     """Closed-form orbit of the cubic family."""
-    return _solve_family(p.y_params(), YState(*cubic_from_zeros(x0)[:2]), x0[0] - x0[1], ellmax, cubic_zeros_from_root)
+    return _solve_family(p.y_params(), cubic_from_zeros(x0), x0[0] - x0[1], ellmax, cubic_zeros_from_root)
 
 
 def solve_generalized(p: GeneralizedParams, z0: ComplexPair, ellmax: int) -> BranchSolution:
@@ -152,6 +152,6 @@ def solve_conjugated(A: LinearChange, p: CubicFamilyParams, z0: ComplexPair, ell
     """Closed-form orbit of the conjugated cubic family: A applied componentwise."""
     x0 = A.invert(z0)
     return _solve_family(
-        p.y_params(), YState(*cubic_from_zeros(x0)[:2]), x0[0] - x0[1], ellmax,
+        p.y_params(), cubic_from_zeros(x0), x0[0] - x0[1], ellmax,
         lambda y1, r, y2: A.apply(cubic_zeros_from_root(y1, r, y2)),
     )

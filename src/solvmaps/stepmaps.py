@@ -177,10 +177,6 @@ class K1CoeffTable(NamedTuple):
     a22: complex
     a23: complex
 
-    @property
-    def rows(self) -> tuple[tuple[complex, complex, complex], tuple[complex, complex, complex]]:
-        return ((self.a11, self.a12, self.a13), (self.a21, self.a22, self.a23))
-
 
 def step_quadratic_family(p: QuadraticFamilyParams, s: Sign, x: ZeroPair) -> ZeroPair:
     """One step of the quadratic family (flipping s swaps the components)."""
@@ -253,7 +249,7 @@ def step_sqrt_cubic(p: YParams, s: Sign, x: DistinctZeroPair) -> DistinctZeroPai
     solver's, with the corrected prefactor 1/3; the printed 1/2 variant is
     :func:`~solvmaps.polybridge.cubic_zeros_printed`.
     """
-    return cubic_zeros_branch(*y_step(p, YState(*cubic_from_zeros(x)[:2])), -s)
+    return cubic_zeros_branch(*y_step(p, cubic_from_zeros(x)), -s)
 
 
 def _theta(k: int, n1: int, n2: int, n: int, a: complex, b: complex, s: Sign) -> complex:

@@ -195,36 +195,31 @@ def check_branch_collapse(
     step: Callable[[int, ComplexPair], ComplexPair],
     solution: BranchSolution,
     x0: ComplexPair,
-    ellmax: int,
     unordered: bool = False,
-) -> tuple[float, int]:
+) -> float:
     """Max residual of (cardinality <= 2) + (set equality with solver branches).
 
-    Returns (residual, enumeration failures); a residual above the dedupe
-    tolerance means either a third distinct state appeared or the enumerated
-    and closed-form sets diverged.
+    Every sign orbit is enumerated as deep as ``solution`` reaches.  A
+    residual above the dedupe tolerance means either a third distinct state
+    appeared or the enumerated and closed-form sets diverged.
     """
-    levels, failures = enumerate_sign_orbits(step, x0, ellmax, unordered=unordered)
+    levels, _ = enumerate_sign_orbits(step, x0, len(solution.entries) - 1, unordered=unordered)
     dist = pair_residual_unordered if unordered else pair_residual
     worst = 0.0
-    for ell, states in enumerate(levels):
-        if ell >= len(solution.entries):
-            break
+    for entry, states in zip(solution.entries, levels):
         if len(states) > 2:
-            return float("inf"), failures
+            return float("inf")
         if not states:
             continue
-        branches = list(solution.branch_set(ell))
-        if unordered:
-            # Indistinguishable zeros: the branch set is one unordered pair.
-            branches = branches[:1]
-        if ell == 0:
+        # Indistinguishable zeros: the branch set is one unordered pair.
+        branches = [entry.plus] if unordered else [entry.plus, entry.minus]
+        if entry.ell == 0:
             # 2**0 sequences reach only the initial state; the contract there
             # is that one branch reproduces it, not set equality.
             worst = max(worst, min(dist(states[0], b) for b in branches))
         else:
             worst = max(worst, _set_equal_residual(states, branches, unordered))
-    return worst, failures
+    return worst
 
 
 # --- suites -----------------------------------------------------------------
@@ -301,8 +296,7 @@ def _draw_quad_family(rng: random.Random, record: Callable[..., None]) -> None:
             record(0, pair_residual(a, (b[1], b[0])))
     solution = solve_quadratic_family(p, x0, 5)
     step = lambda s, x: step_quadratic_family(p, s, x)
-    res, _ = check_branch_collapse(step, solution, x0, len(solution.entries) - 1, unordered=True)
-    record(1, res)
+    record(1, check_branch_collapse(step, solution, x0, unordered=True))
 
 
 def _draw_cubic_collapse(rng: random.Random, record: Callable[..., None]) -> None:
@@ -310,8 +304,7 @@ def _draw_cubic_collapse(rng: random.Random, record: Callable[..., None]) -> Non
     x0 = draw_pair(rng)
     solution = solve_cubic_family(p, x0, 5)
     step = lambda s, x: step_cubic_family(p, s, x)
-    res, _ = check_branch_collapse(step, solution, x0, len(solution.entries) - 1)
-    record(0, res)
+    record(0, check_branch_collapse(step, solution, x0))
 
 
 def _draw_double_step(rng: random.Random, record: Callable[..., None]) -> None:
@@ -352,7 +345,7 @@ def _draw_conda(rng: random.Random, record: Callable[..., None]) -> None:
     A = LinearChange(*(draw_complex(rng) for _ in range(4)))
     p = CubicFamilyParams(draw_complex(rng), draw_complex(rng), 1)
     table = k1_coeff_table(A, p, rng.choice(SIGNS))
-    scale = max(abs(c) for c in table.rows[0] + table.rows[1])
+    scale = max(abs(c) for c in table)
     bound = max(scale, 1e-6) ** 4
     record(0, abs(conda_residual(table)) / bound)
 

@@ -3,13 +3,17 @@
 import csv
 import io
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from solvmaps.cli import SEED_ENV_VAR, _SYSTEMS, _Writer, _state_columns, main
+from solvmaps.cli import _SYSTEMS, _Writer, _state_columns, main
 from solvmaps.numeric import MINUS, PLUS
 from solvmaps.polybridge import DistinctZeroPair
 from solvmaps.stepmaps import CubicFamilyParams, step_cubic_family
@@ -352,12 +356,21 @@ HOSTILE_INPUTS = {
     "params huge int": ["iterate", "--params", '{"a": 1%s, "b": 1, "k": 1}' % ("0" * 400), "--x0", "[1, 0]"],
     "x0 NaN": ["iterate", "--params", CUBIC_PARAMS, "--x0", "[1, NaN]"],
     "x0 -Infinity": ["solve", "--params", CUBIC_PARAMS, "--x0", "[[-Infinity, 0], 0]"],
-    "x0 nan literal": ["iterate", "--params", CUBIC_PARAMS, "--x0", "1;nan"],
+    "x0 nan literal": ["iterate", "--params", CUBIC_PARAMS, "--x0", '[1, "nan"]'],
     "params object part": ["iterate", "--params", '{"a": [{}, 0], "b": 1, "k": 1}', "--x0", "[1, 0]"],
     "x0 null part": ["iterate", "--params", CUBIC_PARAMS, "--x0", "[[null, 0], 0]"],
     "x0 nested list": ["solve", "--params", CUBIC_PARAMS, "--x0", "[[[1], 0], 0]"],
     "params true part": ["iterate", "--params", '{"a": [true, 0], "b": 1, "k": 1}', "--x0", "[1, 2]"],
     "x0 bool parts": ["iterate", "--params", CUBIC_PARAMS, "--x0", "[[false, true], 2]"],
+    "params missing": ["iterate", "--x0", "[1, 0]"],
+    "params not JSON": ["iterate", "--params", "{a: 1}", "--x0", "[1, 0]"],
+    "params not an object": ["iterate", "--params", "[1, 1, 1]", "--x0", "[1, 0]"],
+    "params float k": ["solve", "--params", '{"a": 1, "b": 1, "k": 1.0}', "--x0", "[1, 0]"],
+    "params 5000-digit int": ["iterate", "--params", '{"a": 1%s, "b": 1, "k": 1}' % ("0" * 5000), "--x0", "[1, 0]"],
+    "x0 missing": ["solve", "--params", CUBIC_PARAMS],
+    "x0 not JSON": ["iterate", "--params", CUBIC_PARAMS, "--x0", "1;2"],
+    "x0 three parts": ["iterate", "--params", CUBIC_PARAMS, "--x0", "[1, 2, 3]"],
+    "signs other character": ["iterate", "--params", CUBIC_PARAMS, "--x0", "[1, 0]", "--signs", "+x"],
 }
 
 
@@ -622,14 +635,33 @@ class TestVerify:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
-    def test_seed_env_fallback(self, capsys, monkeypatch):
-        monkeypatch.setenv(SEED_ENV_VAR, "7")
+    def test_seed_defaults_to_42(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--suites", "prefactor")
         assert code == 0
-        assert json.loads(out)["seed"] == 7
+        assert json.loads(out)["seed"] == 42
 
-    def test_bad_seed_env_exits_2(self, capsys, monkeypatch):
-        monkeypatch.setenv(SEED_ENV_VAR, "not-a-number")
-        code, _, err = run_cli(capsys, "verify", "--suites", "prefactor")
-        assert code == 2
-        assert SEED_ENV_VAR in err
+
+#: Runs that write far more than a pipe buffer (64 KiB) holds.
+LONG_RUNS = {
+    "iterate": ["iterate", "--system", "quad-family", "--params", '{"a": 0.5, "b": 0.25, "k": -1}',
+                "--x0", "[1, 0.5]", "--steps", "20000"],
+    "solve": ["solve", "--system", "cubic-family", "--params", '{"a": 0.5, "b": 0.25, "k": -1}',
+              "--x0", "[1, 0.5]", "--steps", "800", "--format", "jsonl"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(LONG_RUNS))
+def test_closed_stdout_exits_2_without_a_traceback(command):
+    """A reader that stops after one line, as ``| head -1`` does."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "solvmaps.cli", *LONG_RUNS[command]],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, text=True,
+    )
+    assert proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 2
+    assert err.startswith("error: ") and err.count("\n") == 1

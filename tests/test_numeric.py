@@ -11,7 +11,6 @@ from solvmaps.numeric import (
     Powers,
     approx_eq,
     complex_from_obj,
-    complex_to_list,
     cpow,
     pair_eq_unordered,
     principal_sqrt,
@@ -188,9 +187,6 @@ class TestComparisons:
 
 
 class TestLiterals:
-    def test_wire_format(self):
-        assert complex_to_list(1.5 - 2j) == [1.5, -2.0]
-
     @pytest.mark.parametrize(
         "obj, want",
         [

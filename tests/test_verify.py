@@ -65,17 +65,14 @@ class TestChecks:
         p = CubicFamilyParams(1, 1, 1)
         sol = solve_cubic_family(p, DistinctZeroPair(1, 0), 3)
         step = lambda s, x: step_cubic_family(p, s, DistinctZeroPair(*x))
-        res, failures = check_branch_collapse(step, sol, (1, 0), 3)
-        assert failures == 0
-        assert res <= 1e-9
+        assert check_branch_collapse(step, sol, (1, 0)) <= 1e-9
 
     def test_closed_vs_iterated_membership(self):
         p = CubicFamilyParams(0.6, 0.4, 1)
         x0 = (0.5, -0.8)
         sol = solve_cubic_family(p, DistinctZeroPair(*x0), 4)
         step = lambda s, x: step_cubic_family(p, s, DistinctZeroPair(*x))
-        res, _ = check_branch_collapse(step, sol, x0, 4)
-        assert res <= 1e-8
+        assert check_branch_collapse(step, sol, x0) <= 1e-8
 
 
 class TestReport:
