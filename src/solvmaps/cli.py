@@ -12,23 +12,16 @@ A reader that closes the output early also exits 2.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import os
 import sys
 from contextlib import nullcontext
 from dataclasses import dataclass, fields
-from typing import Callable, ContextManager, Sequence, TextIO
+from typing import Callable, ContextManager, Sequence, TextIO, get_type_hints
 
 from .errors import ConfigError, NumericError, SolvmapsError
-from .numeric import (
-    MINUS,
-    PLUS,
-    ComplexPair,
-    Sign,
-    complex_from_obj,
-    ensure_all_finite,
-    is_finite,
-)
+from .numeric import MINUS, PLUS, ComplexPair, Sign, complex_from_obj, ensure_all_finite
 from .solver import (
     BranchSolution,
     solve_conjugated,
@@ -54,8 +47,6 @@ from .stepmaps import (
 from .verify import SUITE_NAMES, run_verify
 from .ysystem import YParams, YState, y_step
 
-_INT_PARAMS = {"k", "q", "r"}
-
 
 @dataclass(frozen=True)
 class SystemSpec:
@@ -63,8 +54,10 @@ class SystemSpec:
 
     ``--params`` holds the ``init`` fields of each type, in order, and the
     system's parameters are one instance of each type (a tuple of them when
-    there are several).  An unsigned system's step ignores the sign, and its
-    rows have no ``branch`` column: its state is the coefficient pair itself.
+    there are several).  Each type judges its own values: the CLI passes a
+    field annotated ``int`` on as it is and parses every other as a complex.
+    An unsigned system's step ignores the sign, and its rows have no
+    ``branch`` column: its state is the coefficient pair itself.
     """
 
     types: tuple[type, ...]
@@ -125,7 +118,8 @@ def _load_json(option: str, raw: str | None) -> object:
 
 
 def _parse_params(system: str, raw: str | None) -> dict:
-    names = _SYSTEMS[system].param_names
+    spec = _SYSTEMS[system]
+    names = spec.param_names
     obj = _load_json("--params", raw)
     if not isinstance(obj, dict):
         raise ConfigError("--params must be a JSON object")
@@ -135,16 +129,11 @@ def _parse_params(system: str, raw: str | None) -> dict:
     unknown = [name for name in obj if name not in names]
     if unknown:
         raise ConfigError(f"unknown parameters for {system!r}: {', '.join(map(repr, unknown))}")
-    params: dict = {}
-    for name in names:
-        value = obj[name]
-        if name in _INT_PARAMS:
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ConfigError(f"parameter {name!r} must be an integer")
-            params[name] = value
-        else:
-            params[name] = _parse_complex(value, f"parameter {name!r}")
-    return params
+    ints = {name for cls in spec.types for name, hint in get_type_hints(cls).items() if hint is int}
+    return {
+        name: obj[name] if name in ints else _parse_complex(obj[name], f"parameter {name!r}")
+        for name in names
+    }
 
 
 def _parse_state(raw: str | None) -> ComplexPair:
@@ -160,7 +149,7 @@ def _parse_complex(value: object, what: str) -> complex:
         z = complex_from_obj(value)
     except (ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(f"{what}: {exc}") from exc
-    if not is_finite(z):
+    if not cmath.isfinite(z):
         raise ConfigError(f"{what}: {value!r} is not finite")
     return z
 
@@ -170,20 +159,15 @@ def _check_steps(steps: int) -> None:
         raise ConfigError(f"--steps must be >= 0, got {steps}")
 
 
-def _parse_signs(raw: str | None, steps: int) -> list[Sign]:
+def _parse_signs(raw: str | None, steps: int) -> str:
     if raw is None:
-        return [PLUS] * steps
-    signs: list[Sign] = []
+        return "+" * steps
     for ch in raw:
-        if ch == "+":
-            signs.append(PLUS)
-        elif ch == "-":
-            signs.append(MINUS)
-        else:
+        if ch not in "+-":
             raise ConfigError(f"--signs may contain only '+' and '-', got {ch!r}")
-    if len(signs) != steps:
-        raise ConfigError(f"--signs length {len(signs)} does not match --steps {steps}")
-    return signs
+    if len(raw) != steps:
+        raise ConfigError(f"--signs length {len(raw)} does not match --steps {steps}")
+    return raw
 
 
 #: Column kinds of the row schemas; every other column holds a float.
@@ -260,15 +244,16 @@ def cmd_iterate(args: argparse.Namespace) -> int:
         writer = _Writer(stream, args.format, _state_columns(args.system, with_y=False))
         flat = _flatten(state)
         writer.row([0, "", *flat] if signed else [0, *flat])
+        sign_of = {"+": PLUS, "-": MINUS}
         prefix = ""
-        for ell, s in enumerate(signs, 1):
+        for ell, ch in enumerate(signs, 1):
             try:
-                state = tuple(spec.step(params, s, state))
+                state = spec.step(params, sign_of[ch], state)
                 ensure_all_finite(*state)
             except NumericError as exc:
                 exc.step = ell
                 raise
-            prefix += "+" if s == PLUS else "-"
+            prefix += ch
             flat = _flatten(state)
             writer.row([ell, prefix, *flat] if signed else [ell, *flat])
     return 0

@@ -5,6 +5,11 @@ know which step of an orbit it serves.  The orbit loops
 (``solver._evolve``, ``ysystem.y_iterate`` and the CLI's ``iterate``) catch
 it and set its ``step`` to the ``ell`` of the first state the orbit did not
 deliver, which is also the number of states it did deliver.
+
+An invalid parameter is a :class:`ConfigError` (a ``ValueError``), raised by
+the type or closed form that rejects it: a non-integer ``k``, ``q`` or ``r``,
+a zero ``k`` or ``B2``, a singular change of variables, or a special closed
+form asked for outside q = 2k, r = 2(1+k).
 """
 
 from __future__ import annotations
@@ -40,14 +45,6 @@ class NumericOverflowError(NumericError):
 
 class NonIntegerExponentError(SolvmapsError):
     """Defensive: a closed-form exponent failed its exact divisibility check."""
-
-
-class QRMismatchError(SolvmapsError):
-    """Special closed form requested outside the q=2k, r=2(1+k) regime."""
-
-
-class SingularChangeError(SolvmapsError):
-    """Linear change of variables with zero determinant."""
 
 
 class ConfigError(SolvmapsError, ValueError):

@@ -10,7 +10,6 @@ one base across many exponents and returns exactly what :func:`cpow` would.
 from __future__ import annotations
 
 import cmath
-import math
 from functools import reduce
 from itertools import compress
 from operator import mul
@@ -26,13 +25,9 @@ Sign = int
 ComplexPair = tuple[complex, complex]
 
 
-def is_finite(z: complex) -> bool:
-    return math.isfinite(z.real) and math.isfinite(z.imag)
-
-
 def ensure_finite(z: complex) -> complex:
     """Return ``z`` unchanged, or raise instead of propagating Inf/NaN."""
-    if not is_finite(z):
+    if not cmath.isfinite(z):
         raise NumericOverflowError("result overflowed to a non-finite value")
     return z
 
@@ -73,9 +68,9 @@ def cpow(z: complex, n: int, step: int | None = None) -> complex:
         if result == 0:
             # |z|**|n| underflowed; its reciprocal is an overflow.
             raise NumericOverflowError("reciprocal of underflowed power", step=step)
-        if is_finite(result):
+        if cmath.isfinite(result):
             result = 1 / result
-    if not is_finite(result):
+    if not cmath.isfinite(result):
         raise NumericOverflowError("result overflowed to a non-finite value", step=step)
     return result
 

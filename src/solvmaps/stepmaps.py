@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .errors import ConfigError, SingularChangeError
+from .errors import ConfigError
 from .numeric import ComplexPair, Sign, cpow, sqrt_branch
 from .polybridge import (
     DistinctZeroPair,
@@ -146,7 +146,7 @@ class LinearChange:
         for name in ("A11", "A12", "A21", "A22"):
             object.__setattr__(self, name, complex(getattr(self, name)))
         if self.det == 0:
-            raise SingularChangeError("change of variables has zero determinant")
+            raise ConfigError("change of variables has zero determinant")
 
     @property
     def det(self) -> complex:

@@ -31,16 +31,17 @@ with and without a shared :class:`OrbitPowers`.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import ConfigError, NonIntegerExponentError, NumericError, QRMismatchError
-from .numeric import Powers, cpow, ensure_finite, is_finite
+from .errors import ConfigError, NonIntegerExponentError, NumericError
+from .numeric import Powers, cpow, ensure_finite
 
 
 def _require_int(name: str, value: int) -> None:
     if not isinstance(value, int) or isinstance(value, bool):
-        raise TypeError(f"{name} must be an integer, got {value!r}")
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -123,7 +124,7 @@ class OrbitPowers:
             except NumericError:
                 pass
             else:
-                if scale != 0 and is_finite(scale):
+                if scale != 0 and cmath.isfinite(scale):
                     return scale
         e_alpha = _exact_div(q * (growth - k * ell - 1), k * k)
         e_y10 = _exact_div(q * (growth - 1), k)
@@ -277,13 +278,12 @@ def y_closed_special(
 ) -> YState:
     """Closed form under q = 2k, r = 2(1+k): the sum becomes geometric.
 
-    The geometric sum stays accurate as (alpha/beta)**2 nears 1 and takes
-    its limit ell * beta**(2(ell-1)) there.  ``powers`` is as for
-    :func:`y_closed`.
+    The geometric sum stays accurate as (alpha/beta)**2 nears 1, where it
+    is built by doubling.  ``powers`` is as for :func:`y_closed`.
     """
     # A negative ell is reported first, by _closed.
     if ell >= 0 and (p.q != 2 * p.k or p.r != 2 * (1 + p.k)):
-        raise QRMismatchError(
+        raise ConfigError(
             f"special closed form requires q = 2k, r = 2(1+k); got q={p.q}, r={p.r}"
         )
     return _closed(p, y0, ell, powers, _add_geometric_sum)

@@ -314,6 +314,10 @@ PARAMETER_ERRORS = {
         "iterate", "--system", "generalized", "--params", json.dumps({**GENERALIZED, "B2": 0}),
     ],
     "iterate sqrt-quad k=0": ["iterate", "--system", "sqrt-quad", "--params", json.dumps(Y_K0)],
+    "iterate conjugated singular change": [
+        "iterate", "--system", "conjugated",
+        "--params", json.dumps({"a": 1, "b": 1, "k": 1, "A11": 1, "A12": 2, "A21": 2, "A22": 4}),
+    ],
 }
 
 
@@ -366,6 +370,7 @@ HOSTILE_INPUTS = {
     "params not JSON": ["iterate", "--params", "{a: 1}", "--x0", "[1, 0]"],
     "params not an object": ["iterate", "--params", "[1, 1, 1]", "--x0", "[1, 0]"],
     "params float k": ["solve", "--params", '{"a": 1, "b": 1, "k": 1.0}', "--x0", "[1, 0]"],
+    "params list k": ["iterate", "--params", '{"a": 1, "b": 1, "k": [1, 0]}', "--x0", "[1, 0]"],
     "params 5000-digit int": ["iterate", "--params", '{"a": 1%s, "b": 1, "k": 1}' % ("0" * 5000), "--x0", "[1, 0]"],
     "x0 missing": ["solve", "--params", CUBIC_PARAMS],
     "x0 not JSON": ["iterate", "--params", CUBIC_PARAMS, "--x0", "1;2"],
@@ -439,7 +444,9 @@ def test_overflow_exits_3_after_the_finite_rows(capsys, name):
     assert out.splitlines() == rows
     assert err.startswith("error: ") and err.count("\n") == 1
     # iterate and solve name the same step: the ell of the first state not written.
-    assert [int(n) for n in re.findall(r"step (\d+)", err)] == [_states_written(out)]
+    step = _states_written(out)
+    assert [int(n) for n in re.findall(r"step (\d+)", err)] == [step]
+    assert (f"(at step {step})" if argv[0] == "iterate" else f"failed at step {step}:") in err
 
 
 def _complex_literals(magnitudes):

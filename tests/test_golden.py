@@ -20,6 +20,10 @@ rule along the orbit:
 - the ``sqrt-cubic`` solve CSV changed only in signed zeros (``-0`` became
   ``0`` in ``y2_im`` at every fourth ``ell``); no value moved.
 
+The three verify reports were re-pinned last when each suite's ``notes``
+list went: the new bytes are the old ones without their ``"notes": [],``
+lines, since no note had ever fired.
+
 The ``cubic-family`` and ``quad-family`` CSVs and the JSONL pin did not
 change: their inputs are exact, and so is every product the scale is read
 off.  The ``solve`` instances follow the long-orbit benchmark workload (bases that are
@@ -137,12 +141,12 @@ def test_iterate(tmp_path, name, fmt):
     assert _sha256_of_run(tmp_path, argv) == ITERATE[name, fmt]
 
 
-VERIFY_SEED_42 = "517cac50975be25b3211431c839190d0dc674da192738cb0f613dbefdc754164"
+VERIFY_SEED_42 = "007bd9acd449eee69f55c3db882c13254364180887065372dcbb658ba757448b"
 
 #: Seed 17's worst draw is in cubic-collapse, seed 138's in quad-family.
 VERIFY_NEAR_DOUBLE_ZERO = {
-    17: "7c5d8f61a693f6154270c6c7f45f4e845eb2de19ba1f30edc4bfbe1b42e09fec",
-    138: "9b541acb651e38f88ec3f2720201db9027589d3b00a6c577473dc8d26e60ff5a",
+    17: "346b5acd574182b452d6c9b6c2d535687c95339ed8aadd3dec5cb7cb4bb3d927",
+    138: "b38f1a5652096a974bb95e2e715d74742206d28802b530d87ddad6735a7289fe",
 }
 
 SOLVE_CSV = {

@@ -271,12 +271,13 @@ class TestWidelySeparatedZeros:
                 assert abs(2 * x1 + x2 + want.y1) <= 1e-15 * abs(want.y1)
 
 
-def test_closed_form_y2_survives_an_underflowing_power():
+@pytest.mark.parametrize("closed", [y_closed, y_closed_special])
+def test_closed_form_y2_survives_an_underflowing_power(closed):
     # y2(5) = 20**242 * 0.1**484 * 1 ~ 7e-170, but 0.1**484 alone is 0 in doubles.
     # k divides q, so the scale is read off y1 and 0.1**484 is never formed.
     p, y0 = YParams(20, 20, 0, 2, 4, 6), YState(0.1, 1)
     want = y_iterate(p, y0, 5).y2
-    assert _relative(y_closed_special(p, y0, 5).y2, want) <= 1e-12
+    assert _relative(closed(p, y0, 5).y2, want) <= 1e-12
 
 
 @pytest.mark.xfail(strict=True, reason="k does not divide q: a power of y1(0) underflows to 0 though the product is representable")
@@ -285,6 +286,13 @@ def test_closed_form_y2_survives_an_underflowing_power_when_k_does_not_divide_q(
     p, y0 = YParams(20, 20, 0, 2, 3, 6), YState(0.1, 1)
     want = y_iterate(p, y0, 5).y2
     assert _relative(y_closed(p, y0, 5).y2, want) <= 1e-12
+
+
+@pytest.mark.xfail(strict=True, reason="D(0) = (x1 - x2)**2 overflows though y(0) is finite")
+def test_quad_family_delivers_the_initial_state_when_only_its_discriminant_overflows():
+    # x1 - x2 = 2e154, so D(0) = 4e308 is inf; y(0) = (0, -1e308) is finite, and iterate writes it.
+    sol = solve_quadratic_family(QuadraticFamilyParams(1, 0.5, 1), (1e154, -1e154), 1)
+    assert sol.entries
 
 
 class TestSharedSquarings:

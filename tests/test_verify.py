@@ -108,7 +108,7 @@ class TestReport:
         data = json.loads(run_verify(seed=1, suites=["prefactor"]).to_json())
         assert data["seed"] == 1
         suite = data["suites"][0]
-        assert {"name", "passed", "draws", "skipped", "notes", "properties"} <= set(suite)
+        assert {"name", "passed", "draws", "skipped", "properties"} <= set(suite)
         prop = suite["properties"][0]
         assert {"name", "passed", "max_residual", "tolerance", "detail"} <= set(prop)
 
