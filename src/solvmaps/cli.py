@@ -13,12 +13,13 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import itertools
 import json
 import os
 import sys
 from contextlib import nullcontext
 from dataclasses import dataclass, fields
-from typing import Callable, ContextManager, Sequence, TextIO, get_type_hints
+from typing import Callable, ContextManager, Iterable, Sequence, TextIO, get_type_hints
 
 from .errors import ConfigError, NumericError, SolvmapsError
 from .numeric import MINUS, PLUS, ComplexPair, Sign, complex_from_obj, ensure_all_finite
@@ -159,9 +160,9 @@ def _check_steps(steps: int) -> None:
         raise ConfigError(f"--steps must be >= 0, got {steps}")
 
 
-def _parse_signs(raw: str | None, steps: int) -> str:
+def _parse_signs(raw: str | None, steps: int) -> Iterable[str]:
     if raw is None:
-        return "+" * steps
+        return itertools.repeat("+", steps)
     for ch in raw:
         if ch not in "+-":
             raise ConfigError(f"--signs may contain only '+' and '-', got {ch!r}")
@@ -268,13 +269,13 @@ def cmd_solve(args: argparse.Namespace) -> int:
     with _open_out(args.out) as stream:
         solution = spec.solve(params, state, args.steps)
         writer = _Writer(stream, args.format, _state_columns(args.system, with_y=True))
-        for entry in solution.entries:
+        for ell, entry in enumerate(solution.entries):
             yflat = _flatten(entry.y)
             if spec.signed:
-                writer.row([entry.ell, "+", *_flatten(entry.plus), *yflat])
-                writer.row([entry.ell, "-", *_flatten(entry.minus), *yflat])
+                writer.row([ell, "+", *_flatten(entry.plus), *yflat])
+                writer.row([ell, "-", *_flatten(entry.minus), *yflat])
             else:
-                writer.row([entry.ell, *yflat])
+                writer.row([ell, *yflat])
         if solution.error is not None:
             print(
                 f"error: closed-form evaluation failed at step {solution.overflow_at}: "

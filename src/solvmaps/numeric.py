@@ -98,10 +98,6 @@ class Powers:
         self._ladder = [self.base]
         self._products: dict[int, complex] = {}
 
-    def __len__(self) -> int:
-        """Number of ladder entries built so far (squarings + 1)."""
-        return len(self._ladder)
-
     def pow(self, n: int) -> complex:
         """``base**n``, exactly as ``cpow(base, n)``."""
         if n == 0:
@@ -142,11 +138,6 @@ def principal_sqrt(z: complex) -> complex:
     if w.real < 0 or (w.real == 0 and w.imag < 0):
         w = -w
     return w
-
-
-def sqrt_branch(z: complex, s: Sign) -> complex:
-    """``s`` times the principal square root of ``z``."""
-    return s * principal_sqrt(z)
 
 
 def approx_eq(a: complex, b: complex, rel: float = 1e-9, abs_tol: float = 1e-12) -> bool:

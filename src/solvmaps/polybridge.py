@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .numeric import ComplexPair, Sign, cpow, principal_sqrt, sqrt_branch
+from .numeric import ComplexPair, Sign, cpow, principal_sqrt
 from .ysystem import YState
 
 
@@ -96,7 +96,7 @@ def cubic_zeros_printed(y1: complex, y2: complex, s: Sign) -> DistinctZeroPair:
     Kept only so the verification report can demonstrate that this variant
     fails the round-trip check while :func:`cubic_zeros_branch` passes.
     """
-    w = sqrt_branch(y1 * y1 - 3 * y2, s)
+    w = s * principal_sqrt(y1 * y1 - 3 * y2)
     x1 = (-y1 - w) / 2
     x2 = (-y1 + 2 * w) / 2
     return DistinctZeroPair(x1, x2)
@@ -108,5 +108,5 @@ def y3_from_y12(y1: complex, y2: complex, s: Sign) -> complex:
     y3 = (-2 y1**3 + 9 y1 y2 + 2 S (y1**2 - 3 y2)**(3/2)) / 27, with the
     half-integer power evaluated as the cubed branch square root.
     """
-    w = sqrt_branch(y1 * y1 - 3 * y2, s)
+    w = s * principal_sqrt(y1 * y1 - 3 * y2)
     return (-2 * cpow(y1, 3) + 9 * y1 * y2 + 2 * cpow(w, 3)) / 27

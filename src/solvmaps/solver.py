@@ -45,7 +45,6 @@ from .ysystem import OrbitPowers, YParams, YState, y_closed, y_closed_special
 class BranchEntry:
     """Both closed-form branches plus the underlying coefficients at one step."""
 
-    ell: int
     plus: ComplexPair
     minus: ComplexPair
     y: YState
@@ -53,7 +52,7 @@ class BranchEntry:
 
 @dataclass
 class BranchSolution:
-    """Per-step branch sets.
+    """Per-step branch sets: ``entries[ell]`` is step ``ell``.
 
     A truncated solution has ``error`` set to the numeric error (whatever it
     was) that ended it, and ``overflow_at`` names its step: the ``ell`` of
@@ -69,7 +68,6 @@ class BranchSolution:
 
     def branch_set(self, ell: int) -> tuple[ComplexPair, ComplexPair]:
         entry = self.entries[ell]
-        assert entry.ell == ell
         return (entry.plus, entry.minus)
 
 
@@ -84,7 +82,7 @@ def _evolve(ellmax: int, branches) -> BranchSolution:
             exc.step = ell
             solution.error = exc
             break
-        solution.entries.append(BranchEntry(ell, plus, minus, y))
+        solution.entries.append(BranchEntry(plus, minus, y))
     return solution
 
 

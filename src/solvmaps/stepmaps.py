@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .errors import ConfigError
-from .numeric import ComplexPair, Sign, cpow, sqrt_branch
+from .numeric import ComplexPair, Sign, cpow, principal_sqrt
 from .polybridge import (
     DistinctZeroPair,
     ZeroPair,
@@ -236,7 +236,7 @@ def step_sqrt_quadratic(p: YParams, s: Sign, x: ZeroPair) -> ZeroPair:
     first (see :func:`~solvmaps.polybridge.quad_zeros_from_root`).
     """
     y = y_step(p, quad_from_zeros(x))
-    return quad_zeros_from_root(y.y1, sqrt_branch(y.y1 * y.y1 - 4 * y.y2, -s), y.y2)
+    return quad_zeros_from_root(y.y1, -s * principal_sqrt(y.y1 * y.y1 - 4 * y.y2), y.y2)
 
 
 def step_sqrt_cubic(p: YParams, s: Sign, x: DistinctZeroPair) -> DistinctZeroPair:
@@ -350,4 +350,4 @@ def yz_from_root(p: GeneralizedParams, y1: complex, r: complex) -> ComplexPair:
 def yz_invert(p: GeneralizedParams, y: YState, b: Sign) -> ComplexPair:
     """One branch of the inversion of :func:`yz_forward`."""
     disc = (p.C3 * p.C3 - 4 * p.C1 * p.C2) * y.y1 * y.y1 + 4 * p.denom * y.y2
-    return yz_from_root(p, y.y1, sqrt_branch(disc, b))
+    return yz_from_root(p, y.y1, b * principal_sqrt(disc))

@@ -56,9 +56,6 @@ from .ysystem import YParams, YState, y_closed, y_closed_special, y_iterate, y_s
 #: Hard cap on exhaustive enumeration depth (2**ell sequences).
 ENUMERATION_CAP = 10
 
-#: Default sampling scale for random complex parameter components.
-SAMPLING_SCALE = 1.25
-
 #: Residual tolerance of most properties: absorbs double-precision error over
 #: <= 8 steps at unit-scale inputs.
 TOL = 1e-9
@@ -70,7 +67,6 @@ class PropertyResult:
     passed: bool
     max_residual: float
     tolerance: float
-    detail: str = ""
 
 
 @dataclass
@@ -111,10 +107,7 @@ class VerifyReport:
             lines.append(f"[{status}] suite {s.name} (draws={s.draws}, skipped={s.skipped})")
             for p in s.properties:
                 pstatus = "PASS" if p.passed else "FAIL"
-                line = f"  [{pstatus}] {p.name}: max residual {p.max_residual:.3e} (tol {p.tolerance:.1e})"
-                if p.detail:
-                    line += f" -- {p.detail}"
-                lines.append(line)
+                lines.append(f"  [{pstatus}] {p.name}: max residual {p.max_residual:.3e} (tol {p.tolerance:.1e})")
         lines.append("overall: " + ("PASS" if self.passed else "FAIL"))
         return "\n".join(lines)
 
@@ -135,7 +128,7 @@ def pair_residual_unordered(got: ComplexPair, want: ComplexPair) -> float:
     )
 
 
-def draw_complex(rng: random.Random, scale: float = SAMPLING_SCALE) -> complex:
+def draw_complex(rng: random.Random, scale: float = 1.25) -> complex:
     return complex(rng.uniform(-scale, scale), rng.uniform(-scale, scale))
 
 
@@ -203,14 +196,14 @@ def check_branch_collapse(
     levels, _ = enumerate_sign_orbits(step, x0, len(solution.entries) - 1, unordered=unordered)
     dist = pair_residual_unordered if unordered else pair_residual
     worst = 0.0
-    for entry, states in zip(solution.entries, levels):
+    for ell, (entry, states) in enumerate(zip(solution.entries, levels)):
         if len(states) > 2:
             return float("inf")
         if not states:
             continue
         # Indistinguishable zeros: the branch set is one unordered pair.
         branches = [entry.plus] if unordered else [entry.plus, entry.minus]
-        if entry.ell == 0:
+        if ell == 0:
             # 2**0 sequences reach only the initial state; the contract there
             # is that one branch reproduces it, not set equality.
             worst = max(worst, min(dist(states[0], b) for b in branches))
@@ -226,38 +219,31 @@ def check_branch_collapse(
 # for its i-th property; :func:`_run_draws` owns the loop around it.
 
 
-def _property(name: str, worst: float, tol: float, detail: str = "") -> PropertyResult:
+def _property(name: str, worst: float, tol: float) -> PropertyResult:
     """A property passes when its worst residual is within its tolerance."""
-    return PropertyResult(name, worst <= tol, worst, tol, detail)
+    return PropertyResult(name, worst <= tol, worst, tol)
 
 
-def _run_draws(
-    suite: SuiteResult,
-    rng: random.Random,
-    draws: int,
-    draw: Callable[[random.Random, Callable[..., None]], None],
-    properties: Sequence[tuple[str, float]],
-    skip: type[Exception] | tuple[type[Exception], ...] = NumericError,
-) -> None:
-    """Run ``draws`` draws and append one result per ``(name, tol)`` property.
+def _run_draws(suite: SuiteResult, rng: random.Random, row: _Suite) -> None:
+    """Run ``row``'s draws and append one result per ``(name, tol)`` property.
 
-    A draw that raises ``skip`` counts as skipped; the residuals it recorded
-    before raising still count.  A NaN residual fails its property.
+    A draw that raises ``row.skip`` counts as skipped; the residuals it
+    recorded before raising still count.  A NaN residual fails its property.
     """
-    worst = [0.0] * len(properties)
+    worst = [0.0] * len(row.properties)
 
     def record(i: int, *residuals: float) -> None:
         # max() keeps a number over a NaN that follows it, yet a NaN must fail the
         # property.  Residuals are non-negative: their sum is NaN iff one of them is.
         worst[i] = math.nan if math.isnan(sum(residuals)) else max(worst[i], *residuals)
 
-    suite.draws += draws
-    for _ in range(draws):
+    suite.draws += row.draws
+    for _ in range(row.draws):
         try:
-            draw(rng, record)
-        except skip:
+            row.draw(rng, record)
+        except row.skip:
             suite.skipped += 1
-    suite.properties += [_property(name, w, tol) for (name, tol), w in zip(properties, worst)]
+    suite.properties += [_property(name, w, tol) for (name, tol), w in zip(row.properties, worst)]
 
 
 def _draw_y_closed(rng: random.Random, record: Callable[..., None]) -> None:
@@ -417,12 +403,10 @@ def _prefactor_instances() -> list[PropertyResult]:
         corrected = max(corrected, residual(m.y1, y1), residual(m.y2, y2))
         mp = cubic_from_zeros(cubic_zeros_printed(y1, y2, s))
         printed = min(printed, max(residual(mp.y1, y1), residual(mp.y2, y2)))
-    detail = f"printed 1/2 variant residual {printed:.3e} (> 0.1 demonstrates the misprint)"
     return [
-        _property("corrected 1/3 inversion round-trips", corrected, 1e-12, detail),
+        _property("corrected 1/3 inversion round-trips", corrected, 1e-12),
         # Inverted rule: this property passes when the printed variant fails.
-        PropertyResult("printed 1/2 inversion fails round-trip", printed > 0.1, printed, 0.1,
-                       detail="pass means the discrepancy is confirmed"),
+        PropertyResult("printed 1/2 inversion fails round-trip", printed > 0.1, printed, 0.1),
     ]
 
 
@@ -493,7 +477,7 @@ def run_verify(seed: int, suites: Iterable[str] | None = None) -> VerifyReport:
         row = _SUITES[name]
         suite = SuiteResult(name)
         # Per-suite child seeds keep reports stable under suite selection.
-        _run_draws(suite, random.Random(f"{seed}:{name}"), row.draws, row.draw, row.properties, row.skip)
+        _run_draws(suite, random.Random(f"{seed}:{name}"), row)
         if row.fixed is not None:
             suite.properties += row.fixed()
         report.suites.append(suite)

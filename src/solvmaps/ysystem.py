@@ -225,20 +225,16 @@ def _add_geometric_sum(
 
     With a2 = alpha**2, b2 = beta**2 the sum is (a2**ell - b2**ell)/(a2 - b2).
     Where a2 is near b2 that quotient cancels, so the sum is built by
-    doubling instead (:func:`_doubled_geometric_sum`).  alpha**(2 ell) and
-    beta**(2 ell) are drawn even when gamma = 0, so an overflowing one still
-    fails the step.  At ell = 0 the sum is empty and gamma is not read, so a
-    non-finite gamma leaves the initial state intact.
+    doubling instead (:func:`_doubled_geometric_sum`).  At ell = 0 the sum
+    is empty and gamma is not read, so a non-finite gamma leaves the initial
+    state intact.
     """
-    if ell == 0:
-        return bracket
-    a2_ell, b2_ell = powers.alpha.pow(2 * ell), powers.beta.pow(2 * ell)
-    if p.gamma == 0:
+    if p.gamma == 0 or ell == 0:
         return bracket
     a2 = p.alpha * p.alpha
     b2 = p.beta * p.beta
     if 2 * abs(a2 - b2) > abs(b2):
-        gsum = (a2_ell - b2_ell) / (a2 - b2)
+        gsum = (powers.alpha.pow(2 * ell) - powers.beta.pow(2 * ell)) / (a2 - b2)
     else:
         gsum = _doubled_geometric_sum(powers, ell)
     return bracket + p.gamma * y0.y1 * y0.y1 * gsum

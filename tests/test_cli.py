@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -94,6 +95,23 @@ class TestIterate:
         )
         assert code == 3
         assert "step" in err
+
+    def test_default_signs_take_no_memory_per_step(self, capsys):
+        """Without --signs no sign string is built for the steps; this orbit overflows at step 2."""
+        argv = [
+            "iterate", "--system", "quad-family", "--params", '{"a": 1e200, "b": 0, "k": 1}',
+            "--x0", "[1e50, 0]", "--steps", "10000000",
+        ]
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(capsys, *argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 3
+        assert len(parse_csv(out)[1]) == 2
+        assert "(at step 2)" in err
+        assert peak < 1_000_000
 
     def test_round_trip_matches_in_memory_orbit(self, capsys):
         code, out, _ = run_cli(
@@ -314,6 +332,10 @@ PARAMETER_ERRORS = {
         "iterate", "--system", "generalized", "--params", json.dumps({**GENERALIZED, "B2": 0}),
     ],
     "iterate sqrt-quad k=0": ["iterate", "--system", "sqrt-quad", "--params", json.dumps(Y_K0)],
+    "iterate generalized zero denominator": [
+        "iterate", "--system", "generalized",
+        "--params", json.dumps({**GENERALIZED, "B1": 0, "B2": 1, "C1": 0, "C2": 1, "C3": 0}),
+    ],
     "iterate conjugated singular change": [
         "iterate", "--system", "conjugated",
         "--params", json.dumps({"a": 1, "b": 1, "k": 1, "A11": 1, "A12": 2, "A21": 2, "A22": 4}),

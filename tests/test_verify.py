@@ -110,7 +110,7 @@ class TestReport:
         suite = data["suites"][0]
         assert {"name", "passed", "draws", "skipped", "properties"} <= set(suite)
         prop = suite["properties"][0]
-        assert {"name", "passed", "max_residual", "tolerance", "detail"} <= set(prop)
+        assert set(prop) == {"name", "passed", "max_residual", "tolerance"}
 
     def test_prefactor_discrepancy_recorded(self):
         suite = run_verify(seed=42, suites=["prefactor"]).suites[0]
@@ -133,7 +133,8 @@ class TestReport:
     def test_nan_residual_fails_its_property(self, residuals):
         values = iter(residuals)
         suite = verify.SuiteResult("nan")
-        verify._run_draws(suite, None, 2, lambda rng, record: record(0, next(values)), [("residual", 1.0)])
+        row = verify._Suite(2, lambda rng, record: record(0, next(values)), [("residual", 1.0)])
+        verify._run_draws(suite, None, row)
         assert not suite.properties[0].passed
 
     def test_skip_accounting_within_bounds(self):

@@ -214,6 +214,12 @@ class TestSpecialClosedForm:
         for ell in range(5):
             assert state_residual(y_closed_special(p, y0, ell), y_iterate(p, y0, ell)) <= 1e-12
 
+    def test_gamma_zero_draws_no_geometric_sum(self):
+        # alpha**(2 ell) = 1e400 overflows at ell = 1, but with gamma = 0 the geometric sum is not needed.
+        p, y0 = YParams(1e200, 1, 0, 1, 2, 4), YState(1e-100, 1)
+        want = YState(1, 1e-200)
+        assert y_iterate(p, y0, 1) == y_closed(p, y0, 1) == y_closed_special(p, y0, 1) == want
+
     def test_beta_zero_supported(self):
         # beta = 0: the bracket is a polynomial in beta, so the state is well defined.
         p = YParams(2, 0, 1, 1, 2, 4)
