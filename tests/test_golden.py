@@ -31,6 +31,18 @@ change: their inputs are exact, and so is every product the scale is read
 off.  The ``solve`` instances follow the long-orbit benchmark workload (bases that are
 fourth roots of unity, so nothing overflows), cut to 200 steps.
 
+Every other ``solve`` pin has inputs that are Gaussian integers or fourth
+roots of unity, so its products are exact and cannot show a change in
+rounding order.  The three ``INEXACT_SOLVE_CASES`` pins have inputs that
+round: a ``quad-family`` k=2 orbit, whose 3**ell exponents take the
+ladder's product of many set bits; a general-form ``sqrt-quad`` with k not
+dividing q and gamma != 0, whose scale comes from its exponents and whose
+gamma terms are summed by Horner's rule; and a ``cubic-family`` orbit near
+alpha**2 = beta**2, whose geometric sum is built by doubling and whose y1
+overflows at step 10, so its exit code and message are pinned too.  They
+were taken before each closed-form step became one pass over its factors,
+and that change left them as they were.
+
 The ``iterate`` and JSONL pins were taken while rows still went through
 ``csv.writer`` and ``json.dumps``, so they also pin the byte conventions of
 the row formatter: number spellings, separators and line ends.  The
@@ -46,9 +58,9 @@ import pytest
 from solvmaps.cli import main
 
 
-def _sha256_of_run(tmp_path, argv) -> str:
+def _sha256_of_run(tmp_path, argv, exit_code=0) -> str:
     path = tmp_path / "out"
-    assert main([*argv, "--out", str(path)]) == 0
+    assert main([*argv, "--out", str(path)]) == exit_code
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
@@ -90,6 +102,43 @@ SOLVE_CASES = {
 def test_solve_csv(tmp_path, name):
     digest = _sha256_of_run(tmp_path, ["solve", *SOLVE_CASES[name], "--steps", "200"])
     assert digest == SOLVE_CSV[name]
+
+
+#: Inexact inputs, so every product rounds and a change in the order of
+#: floating-point operations shows: (arguments, exit code, last stderr line).
+INEXACT_SOLVE_CASES = {
+    # |2a| and |y1(0)| are 1 only to rounding; the 3**ell exponents take the
+    # ladder's product of many set bits.
+    "quad-family k=2 x20": ([
+        "--system", "quad-family",
+        "--params", json.dumps({"a": [0.4776682445466, 0.1477601033306], "b": [0.2267961, 0.4456104], "k": 2}),
+        "--x0", "[[0.3, 0.5], [-0.9, -1.3]]", "--steps", "20",
+    ], 0, ""),
+    # k does not divide q, so the scale comes from its exponents; gamma != 0,
+    # so the gamma terms are summed by Horner's rule along the orbit.
+    "sqrt-quad k=-2 q=1 r=3 x200": ([
+        "--system", "sqrt-quad",
+        "--params", json.dumps(
+            {"alpha": [0.9, 0.3], "beta": [0.4, -0.2], "gamma": [0.5, 0.5], "k": -2, "q": 1, "r": 3}
+        ),
+        "--x0", "[[0.6, -0.2], [-0.3, 0.7]]", "--steps", "200",
+    ], 0, ""),
+    # 2 |alpha**2 - beta**2| <= |beta**2|: the geometric sum is built by doubling.
+    # y1 overflows at step 10.
+    "cubic-family near alpha**2 = beta**2": ([
+        "--system", "cubic-family",
+        "--params", json.dumps({"a": [0.35, 0.1], "b": [0.36, 0.09], "k": 1}),
+        "--x0", "[[0.7, 0.2], [-0.4, 0.9]]", "--steps", "40",
+    ], 3, "error: closed-form evaluation failed at step 10: "
+          "result overflowed to a non-finite value; output truncated"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INEXACT_SOLVE_CASES))
+def test_solve_csv_inexact(tmp_path, capsys, name):
+    argv, exit_code, message = INEXACT_SOLVE_CASES[name]
+    assert _sha256_of_run(tmp_path, ["solve", *argv], exit_code) == SOLVE_CSV_INEXACT[name]
+    assert capsys.readouterr().err.strip() == message
 
 
 def test_solve_jsonl(tmp_path):
@@ -155,6 +204,12 @@ SOLVE_CSV = {
     "cubic-family k=1": "ddb0a2b3f7b8d281ff5bea09b98684ff31fd38c18e4446c8530a370fd301464b",
     "quad-family k=2": "c51a89484a0c62ebb272bff0e6c43d3d8e1192b9dc364587e98b16b29d7ca093",
     "sqrt-cubic q=1 r=3": "ec06dd79082dd75499881b683c69d6dace87b04d883508ed050e1b3f286cf728",
+}
+
+SOLVE_CSV_INEXACT = {
+    "quad-family k=2 x20": "3f6ec70594808a73cef20009808a3031c45edb69641b972747fbd7c95c2981ca",
+    "sqrt-quad k=-2 q=1 r=3 x200": "1edddd7819cfe51959f45dc83d5dbe1dab9256a0bcb21d1dabef8934faaf3ccd",
+    "cubic-family near alpha**2 = beta**2": "c030141026caf6c1999b56ea252f012ea3569845f8c97bf7359e8068915e3cdb",
 }
 
 SOLVE_JSONL_CUBIC = "a14d3622fd114828d819598cea04bbcb9f3103ae7be274df4f2218676f359201"
