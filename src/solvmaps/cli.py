@@ -19,7 +19,7 @@ import os
 import sys
 from contextlib import nullcontext
 from dataclasses import dataclass, fields
-from typing import Callable, ContextManager, Iterable, Sequence, TextIO, get_type_hints
+from typing import Callable, ContextManager, Iterable, NoReturn, Sequence, TextIO, get_type_hints
 
 from .errors import ConfigError, NumericError, SolvmapsError
 from .numeric import MINUS, PLUS, ComplexPair, Sign, complex_from_obj, ensure_all_finite
@@ -183,28 +183,42 @@ _JSON_CELLS = {int: "%s", str: '"%s"', float: "%r"}
 class _Writer:
     """Row sink for csv or jsonl output.
 
-    Each row is formatted by one template, built from the column list, and
-    written to the stream on its own.  The bytes are those of ``csv.writer``
-    with floats as ``.17g`` and of ``json.dumps`` on the row dict: the column
-    names and the ``branch`` labels hold only characters (letters, digits,
-    ``_``, ``+``, ``-``) that neither module quotes or escapes, and every
-    schema has several columns, so an empty label is not quoted either.
-    Every float is finite: the commands check their values before a row is
-    written.
+    Each row is formatted by one template, built from the column list.  The
+    bytes are those of ``csv.writer`` with floats as ``.17g`` and of
+    ``json.dumps`` on the row dict: the column names and the ``branch``
+    labels hold only characters (letters, digits, ``_``, ``+``, ``-``) that
+    neither module quotes or escapes, and every schema has several columns,
+    so an empty label is not quoted either.  Every float is finite: the
+    commands check their values before a row is written.
+
+    :meth:`row_pair` writes two rows whose last ``shared`` cells are the
+    same at once, and formats those cells once.
     """
 
-    def __init__(self, stream: TextIO, fmt: str, columns: Sequence[str]):
+    def __init__(self, stream: TextIO, fmt: str, columns: Sequence[str], shared: int = 0):
         self.stream = stream
         kinds = [_COLUMN_KINDS.get(name, float) for name in columns]
         if fmt == "jsonl":
-            cells = (f'"{name}": {_JSON_CELLS[kind]}' for name, kind in zip(columns, kinds))
-            self._template = "{" + ", ".join(cells) + "}\n"
+            cells = [f'"{name}": {_JSON_CELLS[kind]}' for name, kind in zip(columns, kinds)]
+            start, sep, end = "{", ", ", "}\n"
         else:
             stream.write(",".join(columns) + "\r\n")
-            self._template = ",".join(_CSV_CELLS[kind] for kind in kinds) + "\r\n"
+            cells = [_CSV_CELLS[kind] for kind in kinds]
+            start, sep, end = "", ",", "\r\n"
+        self._template = start + sep.join(cells) + end
+        if shared:
+            own = len(cells) - shared
+            self._shared = sep.join(cells[own:])
+            row = start + sep.join([*cells[:own], "%s"]) + end
+            self._pair = row + row
 
     def row(self, values: Sequence[object]) -> None:
         self.stream.write(self._template % tuple(values))
+
+    def row_pair(self, first: Sequence[object], second: Sequence[object], shared: Sequence[object]) -> None:
+        """Write the rows ``[*first, *shared]`` and ``[*second, *shared]``."""
+        tail = self._shared % tuple(shared)
+        self.stream.write(self._pair % (*first, tail, *second, tail))
 
 
 def _state_columns(system: str, with_y: bool) -> list[str]:
@@ -268,12 +282,12 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
     with _open_out(args.out) as stream:
         solution = spec.solve(params, state, args.steps)
-        writer = _Writer(stream, args.format, _state_columns(args.system, with_y=True))
+        # A step's two rows share their last four cells, y1_re .. y2_im.
+        writer = _Writer(stream, args.format, _state_columns(args.system, with_y=True), shared=4)
         for ell, entry in enumerate(solution.entries):
             yflat = _flatten(entry.y)
             if spec.signed:
-                writer.row([ell, "+", *_flatten(entry.plus), *yflat])
-                writer.row([ell, "-", *_flatten(entry.minus), *yflat])
+                writer.row_pair([ell, "+", *_flatten(entry.plus)], [ell, "-", *_flatten(entry.minus)], yflat)
             else:
                 writer.row([ell, *yflat])
         if solution.error is not None:
@@ -308,8 +322,15 @@ def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("csv", "jsonl"), default="csv")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error in one line, as the CLI reports every other exit-2 error."""
+
+    def error(self, message: str) -> NoReturn:
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="solvmaps",
         description="Iterate, solve in closed form, and verify solvable discrete-time systems.",
     )

@@ -11,10 +11,13 @@ zero, where that difference cancels.  So the four special-form families
 (x1 - x2)**2 in the quadratic and cubic families, (g2 z1 + g3 z2)**2 in the
 generalized system.  D obeys the y-system with gamma = 0,
 D' = beta**2 y1**(2k) D, so its closed form is a product of powers with
-nothing to cancel, and each zero is linear in (y1, +/-sqrt(D)).  Where that
-linear form cancels instead, because one zero is far smaller than the other,
-the quadratic and cubic maps take the small zero from y2 (Vieta).  The
-square-root systems' D carries a gamma term, so they invert (y1, y2) alone.
+nothing to cancel, and each zero is linear in (y1, +/-sqrt(D)).  Those
+powers are factors of y2's closed form too, so each step's one closed-form
+call forms D in the same pass (an ``OrbitPowers`` built with D(0)).  Where
+that linear form cancels instead, because one zero is far smaller than the
+other, the quadratic and cubic maps take the small zero from y2 (Vieta).
+The square-root systems' D carries a gamma term, so they invert (y1, y2)
+alone.
 
 A numeric error (overflow, zero base to a negative power) or a non-finite
 value before ``ellmax`` truncates the solution at the failing step and is
@@ -23,7 +26,8 @@ recorded with its ``step`` set to that ``ell``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import NumericError
 from .numeric import MINUS, PLUS, ComplexPair, ensure_all_finite, principal_sqrt
@@ -41,8 +45,7 @@ from .stepmaps import CubicFamilyParams, GeneralizedParams, LinearChange, Quadra
 from .ysystem import OrbitPowers, YParams, YState, y_closed, y_closed_special
 
 
-@dataclass(frozen=True)
-class BranchEntry:
+class BranchEntry(NamedTuple):
     """Both closed-form branches plus the underlying coefficients at one step."""
 
     plus: ComplexPair
@@ -72,52 +75,55 @@ class BranchSolution:
 
 
 def _evolve(ellmax: int, branches) -> BranchSolution:
-    """Collect ``branches(ell) = (plus, minus, y)`` for ``ell = 0 .. ellmax``."""
+    """Collect ``branches(ell)``, a :class:`BranchEntry`, for ``ell = 0 .. ellmax``.
+
+    Its ``y`` comes from a closed form, which has checked it; its branches
+    are checked here.
+    """
     solution = BranchSolution()
     for ell in range(ellmax + 1):
         try:
-            plus, minus, y = branches(ell)
-            ensure_all_finite(*plus, *minus, *y)
+            entry = branches(ell)
+            ensure_all_finite(*entry.plus, *entry.minus)
         except NumericError as exc:
             exc.step = ell
             solution.error = exc
             break
-        solution.entries.append(BranchEntry(plus, minus, y))
+        solution.entries.append(entry)
     return solution
 
 
 def _solve_coefficients(yp: YParams, y0: YState, ellmax: int, invert) -> BranchSolution:
-    """Evolve (y1, y2) with the general closed form; ``invert`` maps it to ``(plus, minus, y)``."""
+    """Evolve (y1, y2) with the general closed form; ``invert`` maps it to its entry."""
     powers = OrbitPowers(yp, y0)
     return _evolve(ellmax, lambda ell: invert(y_closed(yp, y0, ell, powers=powers)))
 
 
-def _quad_invert(y: YState) -> tuple[ZeroPair, ZeroPair, YState]:
+def _quad_invert(y: YState) -> BranchEntry:
     pair = quad_zeros(y)
     # Indistinguishable zeros: both branches coincide as unordered pairs.
-    return pair, (pair[1], pair[0]), y
+    return BranchEntry(pair, (pair[1], pair[0]), y)
 
 
-def _cubic_invert(y: YState) -> tuple[DistinctZeroPair, DistinctZeroPair, YState]:
-    return cubic_zeros_branch(y.y1, y.y2, PLUS), cubic_zeros_branch(y.y1, y.y2, MINUS), y
+def _cubic_invert(y: YState) -> BranchEntry:
+    return BranchEntry(cubic_zeros_branch(y.y1, y.y2, PLUS), cubic_zeros_branch(y.y1, y.y2, MINUS), y)
 
 
 def _solve_family(yp: YParams, y0: YState, r: complex, ellmax: int, zeros) -> BranchSolution:
-    """Evolve (y1, y2) and (y1, D = r**2); the branches are ``zeros(y1, +/-sqrt(D), y2)``."""
-    dp, d0 = replace(yp, gamma=0), YState(y0.y1, r * r)
-    powers = OrbitPowers(yp, y0)  # D's orbit has the same alpha, beta and y1(0)
+    """Evolve (y1, y2) and D from D(0) = r**2; the branches are ``zeros(y1, +/-sqrt(D), y2)``."""
+    powers = OrbitPowers(yp, y0, d0=r * r)
 
-    def branches(ell: int) -> tuple[ComplexPair, ComplexPair, YState]:
+    def branches(ell: int) -> BranchEntry:
         y = y_closed_special(yp, y0, ell, powers=powers)
-        root = principal_sqrt(y_closed(dp, d0, ell, powers=powers).y2)
-        return zeros(y.y1, root, y.y2), zeros(y.y1, -root, y.y2), y
+        root = principal_sqrt(powers.d)  # D(ell), from the same pass
+        return BranchEntry(zeros(y.y1, root, y.y2), zeros(y.y1, -root, y.y2), y)
 
     return _evolve(ellmax, branches)
 
 
 def solve_y(p: YParams, y0: ComplexPair, ellmax: int) -> BranchSolution:
     """Closed-form orbit of the y-system itself; both branches are (y1, y2)."""
-    return _solve_coefficients(p, YState(*y0), ellmax, lambda y: (y, y, y))
+    return _solve_coefficients(p, YState(*y0), ellmax, lambda y: BranchEntry(y, y, y))
 
 
 def solve_sqrt_quadratic(p: YParams, x0: ZeroPair, ellmax: int) -> BranchSolution:

@@ -17,21 +17,23 @@ approximated.  Where k divides q, the scale factor alpha**e_alpha *
 y1(0)**e_y10 is read off y1 instead, as y1**(q/k) alpha**(-q ell/k)
 y1(0)**(-q/k): the same closed form, with exponents of O(log ell) bits.
 
-Every power of alpha, beta and y1(0) is drawn from an :class:`OrbitPowers`,
-one squaring ladder per base.  A caller that evaluates many steps of one
-orbit builds it once and passes it to each call, so the squarings are shared
-across the orbit.  It also keeps the last step's factors, so orbits with the
-same alpha, beta and y1(0) (the family solvers' coefficients and
-discriminant) compute each step's factors once, and the general form's last
-gamma sum, which it evaluates by Horner's rule in beta**2: the next step of
-the orbit adds one term to it, not ell.  Sums and scale are the same
-whichever steps were evaluated before, so a closed form is bit-identical
-with and without a shared :class:`OrbitPowers`.
+Every closed-form step is one pass of an :class:`OrbitPowers`, which holds
+one squaring ladder per base and what all steps of the orbit share.  A
+caller that evaluates many steps of one orbit builds it once and passes it
+to each call, so the squarings are shared across the orbit; a call without
+one builds a fresh orbit and asks it for one step.  Each step draws its
+factors once and forms from them y(ell) and, for the family solvers, their
+discriminant D(ell).  The general form's gamma sum, evaluated by Horner's
+rule in beta**2, is kept along the orbit: the next step adds one term to
+it, not ell.  Sums and scale are the same whichever steps were evaluated
+before, so a closed form is bit-identical with and without a shared
+:class:`OrbitPowers`.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -73,71 +75,145 @@ class YState(NamedTuple):
 
 
 class OrbitPowers:
-    """Squaring ladders of alpha, beta and y1(0), and the last step's results.
+    """One closed-form orbit: what its steps share, and one pass per step.
 
-    Pass the same instance to every closed-form call whose alpha, beta and
-    y1(0) it was built from: the steps of one orbit, and orbits that share
-    those bases, such as one with another y2(0) or gamma.  Drop it when they
-    are done.  What it keeps only saves work: a call returns the same bits
-    whatever was asked of the instance before.
+    Built from the parameters and y(0), it computes once what every step
+    reads: the squaring ladders of alpha, beta and y1(0), beta**2, the
+    special form's choice of geometric sum and its factor gamma * y1(0)**2,
+    and q/k with y1(0)**(-q/k).  Each step (:meth:`at`) draws y1,
+    beta**(2 ell) and the scale once and forms y(ell) from them.  Built with
+    ``d0``, the orbit also forms D(ell) = scale * beta**(2 ell) * D(0) in the
+    same pass and keeps it as ``d``: the gamma = 0 orbit from (y1(0), D(0)),
+    which the family solvers evolve for their discriminant.  The general
+    form's gamma sum is kept as the orbit goes, so the next step adds one
+    term to it.  A step gives the same bits whichever steps were asked
+    before, so a single-point closed form is a fresh orbit asked for one
+    step.
     """
 
-    __slots__ = ("alpha", "beta", "y10", "_last", "_gamma_sum")
+    __slots__ = (
+        "p", "y0", "d0", "d", "alpha", "beta", "y10",
+        "_b2", "_a2_minus_b2", "_doubled", "_gamma_y10_2", "_m", "_y10_m", "_growth", "_sum_ell", "_sum",
+    )
 
-    def __init__(self, p: YParams, y0: YState):
+    def __init__(self, p: YParams, y0: YState, d0: complex | None = None):
+        self.p, self.y0, self.d0 = p, y0, d0
+        #: D at the step last formed, on an orbit built with ``d0``.
+        self.d: complex | None = None
         self.alpha = Powers(p.alpha)
         self.beta = Powers(p.beta)
         self.y10 = Powers(y0.y1)
-        self._last: tuple | None = None
-        #: ``((k, q, r), ell, sum)`` of the general form's last gamma sum.
-        self._gamma_sum: tuple | None = None
+        a2 = p.alpha * p.alpha
+        self._b2 = p.beta * p.beta
+        self._a2_minus_b2 = a2 - self._b2
+        # Near a2 = b2 the geometric sum's quotient cancels, so it is built by doubling.
+        self._doubled = not 2 * _modulus(self._a2_minus_b2) > _modulus(self._b2)
+        self._gamma_y10_2 = p.gamma * y0.y1 * y0.y1
+        m, rem = divmod(p.q, p.k)
+        self._m = m
+        #: y1(0)**(-q/k) where k divides q and it is finite, else None.
+        self._y10_m = None
+        if not rem:
+            try:
+                self._y10_m = self.y10.pow(-m)
+            except NumericError:
+                pass
+        #: ``(ell, (1+k)**ell)`` at the step last asked for.
+        self._growth = (0, 1)
+        #: The general form's gamma sum up to ``_sum_ell`` (see :meth:`_gamma_sum`).
+        self._sum_ell, self._sum = 0, 0j
 
-    def factors(self, k: int, q: int, ell: int) -> tuple[complex, complex, complex]:
-        """``(y1, beta**(2 ell), alpha**e_alpha * y1(0)**e_y10)`` at time ``ell``.
+    def at(self, ell: int, special: bool) -> YState:
+        """y(ell) by the special or the general closed form; D(ell) as ``d``.
 
-        The last result is kept, so orbits sharing these bases and k, q
-        compute each step's factors once.
+        Every power is finite, but their products may still overflow: those
+        raise, y's before D's.
         """
-        last = self._last
-        if last is not None and last[0] == (k, q, ell):
-            return last[1]
-        growth = (1 + k) ** ell
-        y1 = self.alpha.pow(_exact_div(growth - 1, k)) * self.y10.pow(growth)
-        result = (y1, self.beta.pow(2 * ell), self._scale(k, q, ell, growth, y1))
-        self._last = ((k, q, ell), result)
-        return result
+        p = self.p
+        # Along an orbit, (1+k)**ell is one multiplication from the last step's.
+        last, growth = self._growth
+        growth = growth * (1 + p.k) if ell == last + 1 else (1 + p.k) ** ell
+        self._growth = ell, growth
+        y1 = self.alpha.pow(_exact_div(growth - 1, p.k)) * self.y10.pow(growth)
+        beta_2ell = self.beta.pow(2 * ell)
+        scale, alpha_mell = self._scale(ell, growth, y1)
+        # beta**(2 ell)-scaled accumulator: polynomial in beta, so beta = 0 is fine.
+        bracket = beta_2ell * self.y0.y2
+        # At ell = 0 the gamma sum is empty and gamma is not read, so a
+        # non-finite gamma leaves the initial state intact.
+        if p.gamma != 0 and ell:
+            if special:
+                gsum = self._geometric_sum(ell, alpha_mell, beta_2ell)
+                bracket = bracket + self._gamma_y10_2 * gsum
+            else:
+                bracket = bracket + p.gamma * self._gamma_sum(ell)
+        y = YState(ensure_finite(y1), ensure_finite(scale * bracket))
+        if self.d0 is not None:
+            self.d = ensure_finite(scale * (beta_2ell * self.d0))
+        return y
 
-    def _scale(self, k: int, q: int, ell: int, growth: int, y1: complex) -> complex:
+    def _scale(self, ell: int, growth: int, y1: complex) -> tuple[complex, complex | None]:
         """``alpha**e_alpha * y1(0)**e_y10``, read off ``y1`` where k divides q.
 
         With m = q/k, e_alpha = m (growth - 1)/k - m ell and e_y10 =
         m (growth - 1), so the scale is y1**m alpha**(-m ell) y1(0)**(-m).
-        Where that product raises, overflows or underflows to 0, the scale
-        is taken from the exponents themselves, which have O(ell) bits.  So
-        it is at ell = 0, where both exponents are 0 and the scale is
-        exactly 1.
+        Where that product cannot be formed, overflows or underflows to 0,
+        the scale is taken from the exponents themselves, which have O(ell)
+        bits.  So it is at ell = 0, where both exponents are 0 and the scale
+        is exactly 1.  For m > 0, alpha**(-m ell) is the reciprocal of
+        alpha**(m ell), as ``Powers.pow`` forms it; that power, which the
+        special form's geometric sum reads too, is returned with the scale
+        (None where it was not drawn).
         """
-        m, rem = divmod(q, k)
-        if ell and not rem:
+        m, y10_m = self._m, self._y10_m
+        alpha_mell = None
+        if ell and y10_m is not None:
+            n = m * ell
             try:
-                scale = cpow(y1, m) * self.alpha.pow(-m * ell) * self.y10.pow(-m)
-            except NumericError:
+                if n > 0:
+                    alpha_mell = self.alpha.pow(n)
+                    # A zero alpha**n is a zero or underflowed base: no reciprocal.
+                    alpha_neg = 1 / alpha_mell
+                else:
+                    alpha_neg = self.alpha.pow(-n)
+                scale = cpow(y1, m) * alpha_neg * y10_m
+            except (NumericError, ZeroDivisionError):
                 pass
             else:
                 if scale != 0 and cmath.isfinite(scale):
-                    return scale
+                    return scale, alpha_mell
+        k, q = self.p.k, self.p.q
         e_alpha = _exact_div(q * (growth - k * ell - 1), k * k)
         e_y10 = _exact_div(q * (growth - 1), k)
-        return self.alpha.pow(e_alpha) * self.y10.pow(e_y10)
+        return self.alpha.pow(e_alpha) * self.y10.pow(e_y10), alpha_mell
 
+    def _geometric_sum(self, ell: int, alpha_2ell: complex | None, beta_2ell: complex) -> complex:
+        """The special form's sum_{s<ell} beta**(2(ell-1-s)) alpha**(2s), ell >= 1.
 
-def _orbit_powers(p: YParams, y0: YState, powers: OrbitPowers | None) -> OrbitPowers:
-    if powers is None:
-        return OrbitPowers(p, y0)
-    # Tuple equality tries identity first, so the very base a ladder was built from matches even if NaN.
-    if (powers.alpha.base, powers.beta.base, powers.y10.base) != (p.alpha, p.beta, y0.y1):
-        raise ValueError("powers were built for other bases")
-    return powers
+        With a2 = alpha**2, b2 = beta**2 the sum is (a2**ell - b2**ell)/(a2 - b2),
+        from alpha**(2 ell) as the scale drew it (drawn here if it was not).
+        Where a2 is near b2 that quotient cancels, so the sum is built by
+        doubling instead (:func:`_doubled_geometric_sum`).
+        """
+        if self._doubled:
+            return _doubled_geometric_sum(self, ell)
+        if alpha_2ell is None:
+            alpha_2ell = self.alpha.pow(2 * ell)
+        return (alpha_2ell - beta_2ell) / self._a2_minus_b2
+
+    def _gamma_sum(self, ell: int) -> complex:
+        """The general form's sum_{s<ell} beta**(2(ell-1-s)) t_s, ell >= 1.
+
+        Evaluated by Horner's rule in beta**2, from the orbit's last sum if
+        that was for an ell no larger, else from s = 0: along an orbit each
+        step adds one term, and any step gives the same bits.
+        """
+        start, total = (self._sum_ell, self._sum) if self._sum_ell <= ell else (0, 0j)
+        p, b2 = self.p, self._b2
+        for s in range(start, ell):
+            total = b2 * total + _gamma_term(p, self, s)
+        self._sum_ell, self._sum = ell, total
+        return total
 
 
 def u_exponent(k: int, q: int, r: int) -> int:
@@ -168,45 +244,12 @@ def y_step(p: YParams, s: YState) -> YState:
     return YState(ensure_finite(y1n), ensure_finite(y2n))
 
 
-def _closed(
-    p: YParams, y0: YState, ell: int, powers: OrbitPowers | None, add_gamma
-) -> YState:
-    """The closed form at time ``ell``, with the gamma terms added by ``add_gamma``.
-
-    Every power is finite, but their products may still overflow: those raise.
-    """
-    if ell < 0:
-        raise ValueError("ell must be non-negative")
-    powers = _orbit_powers(p, y0, powers)
-    y1, beta_2ell, scale = powers.factors(p.k, p.q, ell)
-    # beta**(2 ell)-scaled accumulator: polynomial in beta, so beta = 0 is fine.
-    bracket = add_gamma(p, powers, y0, ell, beta_2ell * y0.y2)
-    return YState(ensure_finite(y1), ensure_finite(scale * bracket))
-
-
-def _add_gamma_terms(
-    p: YParams, powers: OrbitPowers, y0: YState, ell: int, bracket: complex
-) -> complex:
-    """The general form's gamma terms, gamma * sum_{s<ell} beta**(2(ell-1-s)) t_s.
-
-    The sum is evaluated by Horner's rule in beta**2, from s = 0 or from the
-    last sum kept in ``powers`` if that was for these exponents and an ell no
-    larger: along an orbit each step adds one term.  At ell = 0 the sum is
-    empty and gamma is not read.
-    """
-    if p.gamma == 0 or ell == 0:
-        return bracket
-    key = (p.k, p.q, p.r)
-    last = powers._gamma_sum
-    if last is not None and last[0] == key and last[1] <= ell:
-        _, start, total = last
-    else:
-        start, total = 0, 0j
-    b2 = p.beta * p.beta
-    for s in range(start, ell):
-        total = b2 * total + _gamma_term(p, powers, s)
-    powers._gamma_sum = (key, ell, total)
-    return bracket + p.gamma * total
+def _modulus(z: complex) -> float:
+    """``abs(z)``, or inf where that is past the float range and ``abs`` raises."""
+    try:
+        return abs(z)
+    except OverflowError:
+        return math.inf
 
 
 def _gamma_term(p: YParams, powers: OrbitPowers, s: int) -> complex:
@@ -216,28 +259,6 @@ def _gamma_term(p: YParams, powers: OrbitPowers, s: int) -> complex:
     e_s = _exact_div(u * (gs - 1) + q * s * k, k * k)
     f_s = _exact_div(u * gs + q, k)
     return powers.alpha.pow(e_s) * powers.y10.pow(f_s)
-
-
-def _add_geometric_sum(
-    p: YParams, powers: OrbitPowers, y0: YState, ell: int, bracket: complex
-) -> complex:
-    """The special form's gamma term: sum_{s<ell} beta**(2(ell-1-s)) alpha**(2s).
-
-    With a2 = alpha**2, b2 = beta**2 the sum is (a2**ell - b2**ell)/(a2 - b2).
-    Where a2 is near b2 that quotient cancels, so the sum is built by
-    doubling instead (:func:`_doubled_geometric_sum`).  At ell = 0 the sum
-    is empty and gamma is not read, so a non-finite gamma leaves the initial
-    state intact.
-    """
-    if p.gamma == 0 or ell == 0:
-        return bracket
-    a2 = p.alpha * p.alpha
-    b2 = p.beta * p.beta
-    if 2 * abs(a2 - b2) > abs(b2):
-        gsum = (powers.alpha.pow(2 * ell) - powers.beta.pow(2 * ell)) / (a2 - b2)
-    else:
-        gsum = _doubled_geometric_sum(powers, ell)
-    return bracket + p.gamma * y0.y1 * y0.y1 * gsum
 
 
 def _doubled_geometric_sum(powers: OrbitPowers, ell: int) -> complex:
@@ -258,15 +279,27 @@ def _doubled_geometric_sum(powers: OrbitPowers, ell: int) -> complex:
     return total
 
 
+def _closed(p: YParams, y0: YState, ell: int, powers: OrbitPowers | None, special: bool) -> YState:
+    if ell < 0:
+        raise ValueError("ell must be non-negative")
+    if powers is None:
+        powers = OrbitPowers(p, y0)
+    # Tuple equality tries identity first, so the very objects an orbit was built from match even if NaN.
+    elif (powers.p, powers.y0) != (p, y0):
+        raise ValueError("powers were built for another orbit")
+    return powers.at(ell, special)
+
+
 def y_closed(
     p: YParams, y0: YState, ell: int, *, powers: OrbitPowers | None = None
 ) -> YState:
     """General closed-form solution at time ``ell`` (arbitrary integer q, r).
 
-    ``powers`` shares squarings, factors and the gamma sum between the
-    steps of one orbit; without it the call builds its own.
+    ``powers``, the :class:`OrbitPowers` of ``(p, y0)``, shares squarings
+    and the gamma sum between the steps of one orbit; without it the call
+    builds its own.
     """
-    return _closed(p, y0, ell, powers, _add_gamma_terms)
+    return _closed(p, y0, ell, powers, False)
 
 
 def y_closed_special(
@@ -282,7 +315,7 @@ def y_closed_special(
         raise ConfigError(
             f"special closed form requires q = 2k, r = 2(1+k); got q={p.q}, r={p.r}"
         )
-    return _closed(p, y0, ell, powers, _add_geometric_sum)
+    return _closed(p, y0, ell, powers, True)
 
 
 def y_iterate(p: YParams, y0: YState, ell: int) -> YState:

@@ -352,6 +352,29 @@ def test_parameter_error_exits_2(capsys, name):
     assert "Traceback" not in err
 
 
+#: Usage errors, and the start of their message (how argparse lists the
+#: choices varies with the Python version).
+USAGE_ERRORS = {
+    "steps": (["solve", "--system", "y", "--params", "{}", "--steps", "abc"],
+              "solvmaps solve: error: argument --steps: invalid int value: 'abc'"),
+    "system": (["iterate", "--system", "nope"],
+               "solvmaps iterate: error: argument --system: invalid choice: "),
+    "command": ([], "solvmaps: error: the following arguments are required: command"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(USAGE_ERRORS))
+def test_usage_error_is_one_line(capsys, name):
+    argv, message = USAGE_ERRORS[name]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(message)
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+
+
 @pytest.mark.parametrize("command", ["iterate", "solve"])
 def test_unknown_params_exit_2_naming_them(capsys, command):
     params = json.dumps({"a": 1, "b": 1, "k": 1, "q": 2, "bb": 0})
@@ -421,6 +444,16 @@ OVERFLOWING_RUNS = {
          "0,+,1.0000000000000001e+50,0,0,0,-2.0000000000000002e+50,-0,1.0000000000000002e+100,0",
          "0,-,3.3333333333333338e+49,0,1.3333333333333333e+50,0,"
          "-2.0000000000000002e+50,-0,1.0000000000000002e+100,0"],
+    ),
+    # |alpha**2 - beta**2| = 1.8e308 has finite parts, but abs() of it
+    # overflows: choosing the geometric sum must not raise OverflowError.
+    "solve cubic-family alpha**2 past the modulus range": (
+        ["solve", "--system", "cubic-family",
+         "--params", '{"a": [4.175642087076099e+153, 1.7296075840828165e+153], "b": 0, "k": 1}',
+         "--x0", "[1e-200, 0]", "--steps", "2"],
+        ["ell,branch,x1_re,x1_im,x2_re,x2_im,y1_re,y1_im,y2_re,y2_im",
+         "0,+,6.666666666666667e-201,0,6.6666666666666656e-201,0,-2e-200,-0,0,0",
+         "0,-,6.666666666666667e-201,0,6.6666666666666656e-201,0,-2e-200,-0,0,0"],
     ),
     "iterate quad-family": (
         ["iterate", "--system", "quad-family", "--params", '{"a": 1e200, "b": 0, "k": 1}',

@@ -2,10 +2,22 @@
 
 import cmath
 import random
+from dataclasses import replace
 
 import pytest
 
+from solvmaps import solver
 from solvmaps.errors import ConfigError, NumericError, NumericOverflowError, ZeroToNegativePowerError
+from solvmaps.solver import (
+    solve_conjugated,
+    solve_cubic_family,
+    solve_generalized,
+    solve_quadratic_family,
+    solve_sqrt_cubic,
+    solve_sqrt_quadratic,
+    solve_y,
+)
+from solvmaps.stepmaps import CubicFamilyParams, GeneralizedParams, LinearChange, QuadraticFamilyParams
 from solvmaps.verify import draw_complex, residual
 from solvmaps.ysystem import (
     OrbitPowers,
@@ -242,13 +254,92 @@ class TestExponentIntegrality:
                 assert (growth - k * ell - 1) % (k * k) == 0
 
 
+#: k from -3..3 without 0.
+KS = [-3, -2, -1, 1, 2, 3]
+
+
+def _bits(z: complex) -> tuple[str, str]:
+    return (z.real.hex(), z.imag.hex())
+
+
 def _closed_bits(closed, p, y0, ell, powers):
     """Exact bits of a closed-form evaluation, or the error it raised."""
     try:
         form = closed(p, y0, ell, powers=powers)
     except NumericError as exc:
         return type(exc), str(exc)
-    return tuple((z.real.hex(), z.imag.hex()) for z in (form.y1, form.y2))
+    return tuple(_bits(z) for z in form)
+
+
+def _pass_bits(p, y0, d0, ell, powers):
+    """Bits of y(ell) by the special form and of D(ell) from D(0) = ``d0``, or the first error.
+
+    Without ``powers`` each is a single-point call: D is ``y_closed``'s y2 at
+    gamma = 0.  With them, both come from one pass of the orbit.
+    """
+    try:
+        if powers is None:
+            y = y_closed_special(p, y0, ell)
+            d = y_closed(replace(p, gamma=0), YState(y0.y1, d0), ell).y2
+        else:
+            y = y_closed_special(p, y0, ell, powers=powers)
+            d = powers.d
+    except NumericError as exc:
+        return type(exc), str(exc)
+    return tuple(_bits(z) for z in (*y, d))
+
+
+def _base(rng: random.Random) -> complex:
+    """A drawn base, half the time of modulus 1 so that long orbits stay finite."""
+    return draw_complex(rng) if rng.random() < 0.5 else cmath.rect(1, rng.uniform(-cmath.pi, cmath.pi))
+
+
+def _draw_solve(rng: random.Random, system: str):
+    """``(solve, params, x0)`` for one draw of ``system``.
+
+    b is +/-a, or nearly, 40 % of the time: a family's gamma is then 0, or
+    its alpha**2 is near beta**2, where the geometric sum is built by doubling.
+    """
+    k = rng.choice(KS)
+    a, b = _base(rng), _base(rng)
+    if rng.random() < 0.4:
+        b = a * rng.choice([1, -1, 1 + 1e-9j, -1 - 1e-12])
+    x0 = (_base(rng), _base(rng))
+    if system == "quad-family":
+        return solve_quadratic_family, QuadraticFamilyParams(a, b, k), x0
+    if system == "cubic-family":
+        return solve_cubic_family, CubicFamilyParams(a, b, k), x0
+    if system == "generalized":
+        return solve_generalized, GeneralizedParams(a, b, *(_base(rng) for _ in range(5)), k), x0
+    if system == "conjugated":
+        A = LinearChange(1 + 0.3 * _base(rng), 0.3 * _base(rng), 0.3 * _base(rng), 1 + 0.3 * _base(rng))
+        return (lambda p, x, n: solve_conjugated(A, p, x, n)), CubicFamilyParams(a, b, k), x0
+    solve = {"y": solve_y, "sqrt-quad": solve_sqrt_quadratic, "sqrt-cubic": solve_sqrt_cubic}[system]
+    gamma = rng.choice([0, _base(rng)])
+    return solve, YParams(a, b, gamma, k, rng.randint(-3, 5), rng.randint(-3, 5)), x0
+
+
+def _single_point(closed):
+    """``closed`` as a solver step calls it, answered without the orbit.
+
+    y is a single-point call, a fresh orbit asked for one step; on a family
+    orbit D is then ``y_closed``'s y2 at gamma = 0, from y2(0) = D(0).
+    """
+
+    def at(p, y0, ell, *, powers):
+        y = closed(p, y0, ell)
+        if powers.d0 is not None:
+            powers.d = y_closed(replace(p, gamma=0), YState(y0.y1, powers.d0), ell).y2
+        return y
+
+    return at
+
+
+def _solution_bits(solution) -> tuple:
+    """Bits of every delivered entry, and the type, reason and step of the error that ended it."""
+    entries = [tuple(_bits(z) for z in (*e.plus, *e.minus, *e.y)) for e in solution.entries]
+    error = solution.error
+    return entries, error and (type(error), error.reason), solution.overflow_at
 
 
 class TestOrbitPowers:
@@ -257,23 +348,56 @@ class TestOrbitPowers:
         rng = random.Random(f"ysystem:orbit-powers:{special}")
         closed = y_closed_special if special else y_closed
         for _ in range(30):
-            k = rng.choice([-2, -1, 1, 2])
+            k = rng.choice(KS)
             q, r = (2 * k, 2 * (1 + k)) if special else (rng.randint(-3, 4), rng.randint(-3, 5))
             p = YParams(draw_complex(rng), draw_complex(rng), draw_complex(rng), k, q, r)
             y0 = YState(draw_complex(rng), rng.choice([0j, draw_complex(rng)]))
             powers = OrbitPowers(p, y0)
-            for ell in range(12):
+            # Along the orbit, then back to earlier steps, where the kept sums do not apply.
+            for ell in [*range(12), 5, 0, 11, 3]:
                 shared = _closed_bits(closed, p, y0, ell, powers)
                 assert shared == _closed_bits(closed, p, y0, ell, None)
 
     def test_orbits_with_the_same_bases_share_powers(self):
-        # As the family solvers do: another y2(0) and gamma, the same alpha, beta and y1(0).
-        p, y0 = YParams(1.5j, 0.5 - 1j, 2, 1, 2, 4), YState(0.9 + 0.1j, 3)
-        powers = OrbitPowers(p, y0)
-        q, d0 = YParams(1.5j, 0.5 - 1j, 0, 1, 2, 4), YState(0.9 + 0.1j, -1j)
-        for ell in range(12):
-            assert _closed_bits(y_closed_special, p, y0, ell, powers) == _closed_bits(y_closed_special, p, y0, ell, None)
-            assert _closed_bits(y_closed, q, d0, ell, powers) == _closed_bits(y_closed, q, d0, ell, None)
+        """D's orbit (the family solvers' discriminant) is formed in y's pass, bit for bit."""
+        rng = random.Random("ysystem:orbit-powers:discriminant")
+        for _ in range(40):
+            k = rng.choice(KS)
+            alpha = _base(rng)
+            beta = alpha * (1 + 1e-9j) if rng.random() < 0.3 else _base(rng)
+            p = YParams(alpha, beta, rng.choice([0j, _base(rng)]), k, 2 * k, 2 * (1 + k))
+            y0, d0 = YState(_base(rng), _base(rng)), _base(rng)
+            powers = OrbitPowers(p, y0, d0=d0)
+            for ell in range(16):
+                assert _pass_bits(p, y0, d0, ell, powers) == _pass_bits(p, y0, d0, ell, None)
+
+    @pytest.mark.parametrize("system", ["y", "sqrt-quad", "sqrt-cubic", "quad-family", "cubic-family", "generalized", "conjugated"])
+    def test_every_entry_equals_the_single_point_closed_forms(self, monkeypatch, system):
+        """Each solver's entries, and where it truncates its error, are those of single-point calls."""
+        rng = random.Random(f"ysystem:single-point:{system}")
+        seen = set()
+        for _ in range(40):
+            solve, params, x0 = _draw_solve(rng, system)
+            along = _solution_bits(solve(params, x0, 24))
+            with monkeypatch.context() as patch:
+                patch.setattr(solver, "y_closed", _single_point(y_closed))
+                patch.setattr(solver, "y_closed_special", _single_point(y_closed_special))
+                single = _solution_bits(solve(params, x0, 24))
+            assert along == single
+            yp = params if isinstance(params, YParams) else params.y_params()
+            a2, b2 = yp.alpha * yp.alpha, yp.beta * yp.beta
+            seen |= {
+                name for name, hit in [
+                    ("k does not divide q", yp.q % yp.k != 0),
+                    ("gamma = 0", yp.gamma == 0),
+                    ("alpha**2 near beta**2", 0 < abs(a2 - b2) <= 1e-6 * abs(b2)),
+                    ("truncated", along[2] is not None),
+                    ("24 steps", along[2] is None),
+                ] if hit
+            }
+        special = system not in ("y", "sqrt-quad", "sqrt-cubic")
+        want = {"gamma = 0", "alpha**2 near beta**2", "truncated", "24 steps"}
+        assert seen >= want | (set() if special else {"k does not divide q"})
 
     def test_powers_of_another_orbit_are_rejected(self):
         p = YParams(1, 1, 1, 1, 2, 4)
@@ -283,3 +407,8 @@ class TestOrbitPowers:
             y_closed(p, YState(2, 0), 3, powers=powers)
         with pytest.raises(ValueError):
             y_closed_special(YParams(2, 1, 1, 1, 2, 4), y0, 3, powers=powers)
+        # The orbit holds gamma * y1(0)**2 and y2(0) too.
+        with pytest.raises(ValueError):
+            y_closed_special(YParams(1, 1, 2, 1, 2, 4), y0, 3, powers=powers)
+        with pytest.raises(ValueError):
+            y_closed(p, YState(1, 1), 3, powers=powers)
