@@ -10,24 +10,22 @@ the more explicit special closed form available under the assignment
 q = 2k, r = 2(1+k), where the accumulator sum collapses to a geometric
 series.
 
-All closed-form exponents are computed in exact integer arithmetic first
-(they grow like (1+k)**ell) and only then applied to complex bases, so the
-divisibility identities underlying the formulas are checked rather than
-approximated.  Where k divides q, the scale factor alpha**e_alpha *
-y1(0)**e_y10 is read off y1 instead, as y1**(q/k) alpha**(-q ell/k)
-y1(0)**(-q/k): the same closed form, with exponents of O(log ell) bits.
+All closed-form exponents are computed in exact integer arithmetic (they
+grow like (1+k)**ell), so the divisibility identities underlying the
+formulas are checked rather than approximated.  Where k divides q, the
+scale factor alpha**e_alpha * y1(0)**e_y10 is read off y1 instead, as
+y1**(q/k) alpha**(-q ell/k) y1(0)**(-q/k): the same closed form, with
+exponents of O(log ell) bits.
 
 Every closed-form step is one pass of an :class:`OrbitPowers`, which holds
-one squaring ladder per base and what all steps of the orbit share.  A
-caller that evaluates many steps of one orbit builds it once and passes it
-to each call, so the squarings are shared across the orbit; a call without
-one builds a fresh orbit and asks it for one step.  Each step draws its
-factors once and forms from them y(ell) and, for the family solvers, their
-discriminant D(ell).  The general form's gamma sum, evaluated by Horner's
-rule in beta**2, is kept along the orbit: the next step adds one term to
-it, not ell.  Sums and scale are the same whichever steps were evaluated
-before, so a closed form is bit-identical with and without a shared
-:class:`OrbitPowers`.
+what all steps of one orbit share; a call without one builds a fresh orbit
+and asks it for one step.  Each step draws its factors once and forms from
+them y(ell) and, for the family solvers, their discriminant D(ell).  For
+k >= 1, y1 = alpha**S(ell) y1(0)**((1+k)**ell) comes off a radix-(1+k)
+ladder, alpha and y1(0) kept apart, that gains O(log(1+k)) multiplications
+per step; the general form's gamma sum, by Horner's rule in beta**2, gains
+one term.  Neither depends on the steps evaluated before, so a closed form
+is bit-identical with and without a shared :class:`OrbitPowers`.
 """
 
 from __future__ import annotations
@@ -80,7 +78,8 @@ class OrbitPowers:
     Built from the parameters and y(0), it computes once what every step
     reads: the squaring ladders of alpha, beta and y1(0), beta**2, the
     special form's choice of geometric sum and its factor gamma * y1(0)**2,
-    and q/k with y1(0)**(-q/k).  Each step (:meth:`at`) draws y1,
+    and q/k with y1(0)**(-q/k).  Each step (:meth:`at`) draws y1, for k >= 1
+    off a radix-(1+k) ladder that the orbit advances (:meth:`_y1`),
     beta**(2 ell) and the scale once and forms y(ell) from them.  Built with
     ``d0``, the orbit also forms D(ell) = scale * beta**(2 ell) * D(0) in the
     same pass and keeps it as ``d``: the gamma = 0 orbit from (y1(0), D(0)),
@@ -93,7 +92,7 @@ class OrbitPowers:
 
     __slots__ = (
         "p", "y0", "d0", "d", "alpha", "beta", "y10",
-        "_b2", "_a2_minus_b2", "_doubled", "_gamma_y10_2", "_m", "_y10_m", "_growth", "_sum_ell", "_sum",
+        "_b2", "_a2_minus_b2", "_doubled", "_gamma_y10_2", "_m", "_y10_m", "_start", "_rung", "_sum_ell", "_sum",
     )
 
     def __init__(self, p: YParams, y0: YState, d0: complex | None = None):
@@ -118,8 +117,9 @@ class OrbitPowers:
                 self._y10_m = self.y10.pow(-m)
             except NumericError:
                 pass
-        #: ``(ell, (1+k)**ell)`` at the step last asked for.
-        self._growth = (0, 1)
+        #: For k >= 1, ``(n, g(n), alpha**S(n), alpha**g(n-1), y1(0)**g(n))`` at
+        #: step 0 and at the step last asked for (:meth:`_y1`); a zero base is +0.
+        self._start = self._rung = (0, 1, 1 + 0j, self.alpha.base or 0j, self.y10.base or 0j)
         #: The general form's gamma sum up to ``_sum_ell`` (see :meth:`_gamma_sum`).
         self._sum_ell, self._sum = 0, 0j
 
@@ -130,11 +130,7 @@ class OrbitPowers:
         raise, y's before D's.
         """
         p = self.p
-        # Along an orbit, (1+k)**ell is one multiplication from the last step's.
-        last, growth = self._growth
-        growth = growth * (1 + p.k) if ell == last + 1 else (1 + p.k) ** ell
-        self._growth = ell, growth
-        y1 = self.alpha.pow(_exact_div(growth - 1, p.k)) * self.y10.pow(growth)
+        y1, growth = self._y1(ell)
         beta_2ell = self.beta.pow(2 * ell)
         scale, alpha_mell = self._scale(ell, growth, y1)
         # beta**(2 ell)-scaled accumulator: polynomial in beta, so beta = 0 is fine.
@@ -151,6 +147,26 @@ class OrbitPowers:
         if self.d0 is not None:
             self.d = ensure_finite(scale * (beta_2ell * self.d0))
         return y
+
+    def _y1(self, ell: int) -> tuple[complex, int]:
+        """``y1(ell) = alpha**S * y1(0)**g``, g = (1+k)**ell and S = (g - 1)/k; and g.
+
+        For k >= 1, step n + 1 of the ladder takes alpha**g(n) =
+        (alpha**g(n-1))**(1+k), alpha**S(n) alpha**g(n) and (y1(0)**g(n))**(1+k):
+        where 1+k is a power of two, the products of ``Powers.pow``.  A step
+        below the ladder's restarts it from 0.
+        """
+        radix = 1 + self.p.k
+        if radix <= 0:  # k < 0: ``Powers`` reuses its products, O(1) per step for k >= -3.
+            growth = radix**ell
+            return self.alpha.pow(_exact_div(growth - 1, self.p.k)) * self.y10.pow(growth), growth
+        n, growth, alpha_s, alpha_g, y10_g = self._rung if self._rung[0] <= ell else self._start
+        for n in range(n, ell):
+            alpha_g = _radix_pow(alpha_g, radix) if n else alpha_g  # alpha**g(n)
+            alpha_s, y10_g, growth = alpha_s * alpha_g, _radix_pow(y10_g, radix), growth * radix
+        self._rung = (ell, growth, alpha_s, alpha_g, y10_g)
+        # y1(0)**g onto 1, as ``Powers.pow`` forms it, so the signs of zero agree.
+        return ensure_finite(alpha_s) * ensure_finite((1 + 0j) * y10_g), growth
 
     def _scale(self, ell: int, growth: int, y1: complex) -> tuple[complex, complex | None]:
         """``alpha**e_alpha * y1(0)**e_y10``, read off ``y1`` where k divides q.
@@ -250,6 +266,14 @@ def _modulus(z: complex) -> float:
         return abs(z)
     except OverflowError:
         return math.inf
+
+
+def _radix_pow(z: complex, n: int) -> complex:
+    """``z**n`` for n >= 1 over the bits of n from the top: squarings alone for a power of two."""
+    result = z
+    for bit in bin(n)[3:]:
+        result = result * result * z if bit == "1" else result * result
+    return result
 
 
 def _gamma_term(p: YParams, powers: OrbitPowers, s: int) -> complex:

@@ -12,6 +12,7 @@ from y2 instead of the cancelling sum (Vieta).
 import cmath
 import math
 import random
+import sys
 from types import SimpleNamespace
 
 import pytest
@@ -34,7 +35,7 @@ from solvmaps.solver import (
     solve_y,
 )
 from solvmaps.stepmaps import CubicFamilyParams, QuadraticFamilyParams, yz_from_root
-from solvmaps.ysystem import YParams, YState, y_closed_special
+from solvmaps.ysystem import OrbitPowers, YParams, YState, y_closed, y_closed_special
 from solvmaps.verify import draw_complex, draw_pair, pair_residual
 
 FAMILIES = {
@@ -179,6 +180,24 @@ def test_geometric_sum_near_equal_ratio(d):
     p, y0, ell = YParams(1, 1 + d, 0.5, -1, -2, 0), YState(0.9 + 0.1j, 0.3), 1000
     want = complex(y_chain(p.alpha, p.beta, p.gamma, p.k, p.q, p.r, *y0, ell)[-1][1])
     assert _relative(y_closed_special(p, y0, ell).y2, want) <= 1e-13
+
+
+def test_k2_y1_error_grows_like_three_to_the_ell():
+    """y1 off the radix-3 ladder, on 200 inexact unit-modulus k = 2 orbits:
+    its relative error stays below 3**ell eps.  An early rounding error is
+    raised to the 3**(ell - n) like the bases, so that is the rate for any
+    way of forming the powers; the largest seen is about 0.34 * 3**ell eps
+    (0.38 on the binary ladder, medians 0.12 on both)."""
+    rng = random.Random("accuracy:radix-ladder")
+    ells, worst = (5, 10, 15, 20), 0.0
+    for _ in range(200):
+        alpha, y10 = (cmath.rect(1, rng.uniform(-math.pi, math.pi)) for _ in range(2))
+        p, y0 = YParams(alpha, 0, 0, 2, 4, 6), YState(y10, 0j)
+        chain, powers = y_chain(alpha, 0, 0, 2, 4, 6, y10, 0, ells[-1]), OrbitPowers(p, y0)
+        for ell in ells:
+            got = y_closed(p, y0, ell, powers=powers).y1
+            worst = max(worst, _relative(got, complex(chain[ell][0])) / 3**ell)
+    assert worst <= sys.float_info.epsilon
 
 
 # --- the algebra, symbolically ----------------------------------------------

@@ -296,34 +296,35 @@ def test_quad_family_delivers_the_initial_state_when_only_its_discriminant_overf
 
 
 class TestSharedSquarings:
-    def test_each_base_squared_at_most_once_per_bit(self, monkeypatch):
-        """A 1000-step k=1 orbit builds one ladder per base, no longer than its largest exponent."""
-        ladders = []
-        largest = {}
-        init, pow_ = Powers.__init__, Powers.pow
+    def test_y1_costs_a_fixed_number_of_multiplications_per_step(self, monkeypatch):
+        """A 400-step k=2 orbit takes y1 off the radix-3 ladder: two cubes per
+        step (two multiplications each, and three more to form alpha**S, onto
+        1, and y1), so its multiplications grow linearly in the steps.  No
+        power of 3**ell is asked of a squaring ladder: the ladders of alpha and
+        y1(0) stay as long as the scale's alpha**(2 ell) and y1(0)**-2 need."""
+        ladders, cubed = [], []
+        init, radix_pow = Powers.__init__, ysystem._radix_pow
 
         def recording_init(self, z):
             init(self, z)
             ladders.append(self)
 
-        def recording_pow(self, n):
-            largest[id(self)] = max(largest.get(id(self), 0), abs(n))
-            return pow_(self, n)
+        def counting_radix_pow(z, n):
+            cubed.append(n)
+            return radix_pow(z, n)
 
         monkeypatch.setattr(Powers, "__init__", recording_init)
-        monkeypatch.setattr(Powers, "pow", recording_pow)
-        # alpha = 1, beta = i, y1(0) = 1: exact unit bases, so nothing overflows.
-        sol = solve_cubic_family(
-            CubicFamilyParams(1 / 3, 1j / 3, 1), DistinctZeroPair(1j, -1 - 2j), 1000
-        )
+        monkeypatch.setattr(ysystem, "_radix_pow", counting_radix_pow)
+        steps = 400
+        # alpha = i, beta = 1, y1(0) = 1: exact unit bases, so nothing overflows.
+        sol = solve_quadratic_family(QuadraticFamilyParams(0.5j, 0.5, 2), (1j, -1 - 1j), steps)
         assert sol.overflow_at is None
-        assert len(sol.entries) == 1001
-        assert len(ladders) == 3  # alpha, beta, y1(0)
-        for ladder in ladders:
-            assert len(ladder._ladder) == largest[id(ladder)].bit_length()
-        # 2**1000 - 1 for alpha, 2 * 1000 for beta, 2**1000 for y1(0).  k divides q,
-        # so the scale is read off y1 and e_alpha = 2(2**1000 - 1001) is never asked for.
-        assert [len(ladder._ladder) for ladder in ladders] == [1000, 11, 1001]
+        assert len(sol.entries) == steps + 1
+        # y1(0)**g(n) at every step, alpha**g(n) from the second step on.
+        assert cubed == [3] * (2 * steps - 1)
+        alpha, _, y10 = ladders
+        for ladder in (alpha, y10):
+            assert len(ladder._ladder) <= (2 * steps).bit_length() + 1
 
     def test_general_form_adds_one_gamma_term_per_step(self, monkeypatch):
         """A 150-step sqrt-cubic orbit evaluates 150 gamma terms, not one per (step, earlier step)."""
@@ -354,6 +355,46 @@ class TestOverflowTruncation:
         assert len(sol.entries) == 1
         assert isinstance(sol.error, ZeroToNegativePowerError)
         assert sol.error.step == 1
+
+    #: (family, k, a, b, x0) -> (overflow_at, error type), taken on the binary
+    #: ladder for y1, before k >= 1 orbits took y1 off the radix-(1+k) ladder.
+    PINNED = {
+        ("quad", 1, 0.9 + 0.3j, 0.2 - 0.1j, (0.5 + 0.1j, -0.3 + 0.4j)): (11, NumericOverflowError),
+        ("quad", 1, 0.01 + 0.003j, 0.2 - 0.1j, (0.5 + 0.1j, -0.3 + 0.4j)): (None, None),
+        ("quad", 1, 0.5 + 0.05j, 0.45 - 0.1j, (3 + 1j, 2 - 0.5j)): (8, NumericOverflowError),
+        ("quad", 1, 0.5 + 0.05j, 0.45 - 0.1j, (0.03 + 0.01j, 0.02 - 0.05j)): (17, NumericOverflowError),
+        ("quad", 1, 0, 0.3 - 0.1j, (0.6 + 0.2j, -0.1 + 0.4j)): (None, None),
+        ("quad", 1, 0.5 + 0.05j, 0.45 - 0.1j, (0.6 + 0.2j, -0.6 - 0.2j)): (17, NumericOverflowError),
+        ("quad", 1, 5 + 1j, 0.2 - 0.1j, (0.004 + 0.001j, 0.003 - 0.002j)): (8, NumericOverflowError),
+        ("cubic", 1, 0.6 + 0.3j, 0.2 - 0.1j, (0.5 + 0.1j, -0.3 + 0.4j)): (10, NumericOverflowError),
+        ("cubic", 1, 0.33 + 0.05j, 0.3 - 0.1j, (0.01 + 0.02j, 0.03 - 0.01j)): (19, NumericOverflowError),
+        ("cubic", 1, 0.33 + 0.05j, 0.3 - 0.1j, (0.2 + 0.1j, -0.4 - 0.2j)): (19, NumericOverflowError),
+        ("cubic", 1, 5 + 1j, 0.2 - 0.1j, (0.004 + 0.001j, 0.003 - 0.002j)): (8, NumericOverflowError),
+        ("quad", 2, 0.9 + 0.3j, 0.2 - 0.1j, (0.5 + 0.1j, -0.3 + 0.4j)): (7, NumericOverflowError),
+        ("quad", 2, 0.01 + 0.003j, 0.2 - 0.1j, (0.5 + 0.1j, -0.3 + 0.4j)): (None, None),
+        ("quad", 2, 0.5 + 0.05j, 0.45 - 0.1j, (3 + 1j, 2 - 0.5j)): (5, NumericOverflowError),
+        ("quad", 2, 0.5 + 0.05j, 0.45 - 0.1j, (0.03 + 0.01j, 0.02 - 0.05j)): (11, NumericOverflowError),
+        ("quad", 2, 0, 0.3 - 0.1j, (0.6 + 0.2j, -0.1 + 0.4j)): (None, None),
+        ("quad", 2, 0.5 + 0.05j, 0.45 - 0.1j, (0.6 + 0.2j, -0.6 - 0.2j)): (11, NumericOverflowError),
+        ("quad", 2, 5 + 1j, 0.2 - 0.1j, (0.004 + 0.001j, 0.003 - 0.002j)): (6, NumericOverflowError),
+        ("cubic", 2, 0.6 + 0.3j, 0.2 - 0.1j, (0.5 + 0.1j, -0.3 + 0.4j)): (7, NumericOverflowError),
+        ("cubic", 2, 0.33 + 0.05j, 0.3 - 0.1j, (0.01 + 0.02j, 0.03 - 0.01j)): (13, NumericOverflowError),
+        ("cubic", 2, 0.33 + 0.05j, 0.3 - 0.1j, (0.2 + 0.1j, -0.4 - 0.2j)): (13, NumericOverflowError),
+        ("cubic", 2, 5 + 1j, 0.2 - 0.1j, (0.004 + 0.001j, 0.003 - 0.002j)): (6, NumericOverflowError),
+    }
+
+    @pytest.mark.parametrize("case", list(PINNED), ids=str)
+    def test_truncation_step_and_error_are_pinned(self, case):
+        """|alpha| or |y1(0)| away from 1, alpha = 0 and y1(0) = 0: the step a
+        family orbit truncates at, and the type of error, do not depend on
+        how the powers of alpha and y1(0) are formed."""
+        family, k, a, b, x0 = case
+        params, solve = (
+            (QuadraticFamilyParams, solve_quadratic_family) if family == "quad"
+            else (CubicFamilyParams, solve_cubic_family)
+        )
+        sol = solve(params(a, b, k), x0, 60)
+        assert (sol.overflow_at, sol.error and type(sol.error)) == self.PINNED[case]
 
     def test_no_marker_on_clean_run(self):
         sol = solve_cubic_family(CubicFamilyParams(1, 1, 1), DistinctZeroPair(1, 0), 3)

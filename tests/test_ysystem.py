@@ -5,9 +5,12 @@ import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from solvmaps import solver
 from solvmaps.errors import ConfigError, NumericError, NumericOverflowError, ZeroToNegativePowerError
+from solvmaps.numeric import Powers, ensure_finite
 from solvmaps.solver import (
     solve_conjugated,
     solve_cubic_family,
@@ -412,3 +415,48 @@ class TestOrbitPowers:
             y_closed_special(YParams(1, 1, 2, 1, 2, 4), y0, 3, powers=powers)
         with pytest.raises(ValueError):
             y_closed(p, YState(1, 1), 3, powers=powers)
+
+
+#: Bases whose powers round: of modulus 1 only to rounding, or near 1, and a
+#: few exact ones with signed zeros, where a product's sign of zero shows.
+ladder_bases = st.one_of(
+    st.builds(cmath.rect, st.just(1.0) | st.floats(0.9, 1.1), st.floats(-cmath.pi, cmath.pi)),
+    st.sampled_from([0j, complex(-0.0, -0.0), complex(-0.0, 1.0), complex(1.0, -0.0)]),
+)
+
+
+def _repr_or_error(form):
+    """``repr`` of ``form()``, so the sign of zero counts, or the type of error it raised."""
+    try:
+        return repr(form())
+    except NumericError as exc:
+        return type(exc)
+
+
+class TestRadixLadder:
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(alpha=ladder_bases, y10=ladder_bases, k=st.sampled_from([1, 3]), ellmax=st.integers(0, 64))
+    def test_power_of_two_radix_forms_the_binary_ladders_products(self, alpha, y10, k, ellmax):
+        """For 1+k = 2 or 4, y1 off the radix ladder is alpha**S * y1(0)**g from ``Powers``, bit for bit."""
+        # beta = gamma = q = 0: y = (y1, 0), so a raised error is y1's.
+        p, y0 = YParams(alpha, 0, 0, k, 0, 0), YState(y10, 0j)
+        powers, alpha_powers, y10_powers = OrbitPowers(p, y0), Powers(alpha), Powers(y10)
+        for ell in range(ellmax + 1):
+            g = (1 + k) ** ell
+            want = _repr_or_error(lambda: ensure_finite(alpha_powers.pow((g - 1) // k) * y10_powers.pow(g)))
+            assert _repr_or_error(lambda: y_closed(p, y0, ell, powers=powers).y1) == want
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(
+        alpha=ladder_bases, beta=ladder_bases, y10=ladder_bases, special=st.booleans(),
+        q=st.integers(-3, 4), r=st.integers(-3, 5), shuffled=st.permutations(range(24)),
+    )
+    def test_k2_steps_in_any_order_equal_fresh_orbits(self, alpha, beta, y10, special, q, r, shuffled):
+        """Ascending, descending, shuffled and repeated steps of one orbit are single-point closed forms."""
+        closed, (q, r) = (y_closed_special, (4, 6)) if special else (y_closed, (q, r))
+        p, y0 = YParams(alpha, beta, 0.3 + 0.4j, 2, q, r), YState(y10, 0.2 - 0.7j)
+        fresh = [_closed_bits(closed, p, y0, ell, None) for ell in range(24)]
+        for order in (range(24), range(23, -1, -1), shuffled, [5, 5, 9, 9, 9, 0, 0, 23, 23, 1]):
+            powers = OrbitPowers(p, y0)
+            for ell in order:
+                assert _closed_bits(closed, p, y0, ell, powers) == fresh[ell]
