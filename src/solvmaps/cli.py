@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import itertools
 import json
 import os
@@ -191,8 +192,8 @@ class _Writer:
     so an empty label is not quoted either.  Every float is finite: the
     commands check their values before a row is written.
 
-    :meth:`row_pair` writes two rows whose last ``shared`` cells are the
-    same at once, and formats those cells once.
+    :meth:`row_pair` writes a ``solve`` step's two rows at once, straight from
+    its complex values, and formats the ``shared`` cells they end with once.
     """
 
     def __init__(self, stream: TextIO, fmt: str, columns: Sequence[str], shared: int = 0):
@@ -215,10 +216,12 @@ class _Writer:
     def row(self, values: Sequence[object]) -> None:
         self.stream.write(self._template % tuple(values))
 
-    def row_pair(self, first: Sequence[object], second: Sequence[object], shared: Sequence[object]) -> None:
-        """Write the rows ``[*first, *shared]`` and ``[*second, *shared]``."""
-        tail = self._shared % tuple(shared)
-        self.stream.write(self._pair % (*first, tail, *second, tail))
+    def row_pair(self, ell: int, plus: ComplexPair, minus: ComplexPair, y: ComplexPair) -> None:
+        """Write the rows ``[ell, "+", *plus, *y]`` and ``[ell, "-", *minus, *y]``, each complex as two cells."""
+        (x1, x2), (w1, w2), (y1, y2) = plus, minus, y
+        tail = self._shared % (y1.real, y1.imag, y2.real, y2.imag)
+        self.stream.write(self._pair % (ell, "+", x1.real, x1.imag, x2.real, x2.imag, tail,
+                                        ell, "-", w1.real, w1.imag, w2.real, w2.imag, tail))
 
 
 def _state_columns(system: str, with_y: bool) -> list[str]:
@@ -284,12 +287,11 @@ def cmd_solve(args: argparse.Namespace) -> int:
         solution = spec.solve(params, state, args.steps)
         # A step's two rows share their last four cells, y1_re .. y2_im.
         writer = _Writer(stream, args.format, _state_columns(args.system, with_y=True), shared=4)
-        for ell, entry in enumerate(solution.entries):
-            yflat = _flatten(entry.y)
+        for ell, (plus, minus, y) in enumerate(solution.entries):
             if spec.signed:
-                writer.row_pair([ell, "+", *_flatten(entry.plus)], [ell, "-", *_flatten(entry.minus)], yflat)
+                writer.row_pair(ell, plus, minus, y)
             else:
-                writer.row([ell, *yflat])
+                writer.row([ell, *_flatten(y)])
         if solution.error is not None:
             print(
                 f"error: closed-form evaluation failed at step {solution.overflow_at}: "
@@ -329,6 +331,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache  # built on the first call, by the first main(), and shared by every later one
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="solvmaps",
@@ -357,8 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         try:
             return args.func(args)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .numeric import ComplexPair, Sign, cpow, principal_sqrt
+from .numeric import ComplexPair, Sign, principal_sqrt
 from .ysystem import YState
 
 
@@ -60,8 +60,19 @@ def quad_zeros_from_root(y1: complex, r: complex, y2: complex) -> ZeroPair:
     return (first, y2 / first) if first else (0j, 0j)
 
 
+def quad_zeros_pair_from_root(y1: complex, r: complex, y2: complex) -> tuple[ZeroPair, ZeroPair]:
+    """Both branches, :func:`quad_zeros_from_root` at ``r`` and ``-r``: one the other reversed, unless |sums| tie."""
+    first, second = (-y1 + r) / 2, (-y1 - r) / 2
+    a, b = abs(first), abs(second)
+    if a > b or b > a:  # not !=: a NaN modulus ties, as in quad_zeros_from_root
+        big = first if a > b else second
+        pair = (big, y2 / big)
+        return (pair, pair[::-1]) if a > b else (pair[::-1], pair)
+    return (first, y2 / first) if first else (0j, 0j), (second, y2 / second) if second else (0j, 0j)
+
+
 def cubic_from_zeros(d: DistinctZeroPair) -> YState:
-    """(y1, y2) of (z - x1)**2 (z - x2); the dependent y3 is :func:`y3_from_y12`'s."""
+    """(y1, y2) of (z - x1)**2 (z - x2); the dependent y3 is -x1**2 x2."""
     x1, x2 = d
     return YState(-(2 * x1 + x2), x1 * (x1 + 2 * x2))
 
@@ -90,6 +101,15 @@ def cubic_zeros_from_root(y1: complex, r: complex, y2: complex) -> DistinctZeroP
     return DistinctZeroPair(x1, -y1 - 2 * x1)
 
 
+def cubic_zeros_pair_from_root(y1: complex, r: complex, y2: complex) -> tuple[ComplexPair, ComplexPair]:
+    """Both branches, :func:`cubic_zeros_from_root` at ``r`` and ``-r``: each one's -y1 - r is the other's -y1 + r."""
+    neg_y1, bound = -y1, abs(y1)
+    head, tail = neg_y1 + r, neg_y1 - r
+    x1 = y2 / tail if abs(head) < bound else head / 3
+    w1 = y2 / head if abs(tail) < bound else tail / 3
+    return (x1, neg_y1 - 2 * x1), (w1, neg_y1 - 2 * w1)
+
+
 def cubic_zeros_printed(y1: complex, y2: complex, s: Sign) -> DistinctZeroPair:
     """The double-root inversion with the (incorrect) printed 1/2 prefactor.
 
@@ -100,13 +120,3 @@ def cubic_zeros_printed(y1: complex, y2: complex, s: Sign) -> DistinctZeroPair:
     x1 = (-y1 - w) / 2
     x2 = (-y1 + 2 * w) / 2
     return DistinctZeroPair(x1, x2)
-
-
-def y3_from_y12(y1: complex, y2: complex, s: Sign) -> complex:
-    """The dependent cubic coefficient y3 in terms of y1 and y2.
-
-    y3 = (-2 y1**3 + 9 y1 y2 + 2 S (y1**2 - 3 y2)**(3/2)) / 27, with the
-    half-integer power evaluated as the cubed branch square root.
-    """
-    w = s * principal_sqrt(y1 * y1 - 3 * y2)
-    return (-2 * cpow(y1, 3) + 9 * y1 * y2 + 2 * cpow(w, 3)) / 27

@@ -26,6 +26,7 @@ recorded with its ``step`` set to that ``ell``.
 
 from __future__ import annotations
 
+from cmath import isfinite
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -35,11 +36,11 @@ from .polybridge import (
     DistinctZeroPair,
     ZeroPair,
     cubic_from_zeros,
-    cubic_zeros_branch,
     cubic_zeros_from_root,
+    cubic_zeros_pair_from_root,
     quad_from_zeros,
     quad_zeros,
-    quad_zeros_from_root,
+    quad_zeros_pair_from_root,
 )
 from .stepmaps import CubicFamilyParams, GeneralizedParams, LinearChange, QuadraticFamilyParams, yz_forward, yz_from_root
 from .ysystem import OrbitPowers, YParams, YState, y_closed, y_closed_special
@@ -83,8 +84,9 @@ def _evolve(ellmax: int, branches) -> BranchSolution:
     solution = BranchSolution()
     for ell in range(ellmax + 1):
         try:
-            entry = branches(ell)
-            ensure_all_finite(*entry.plus, *entry.minus)
+            (x1, x2), (w1, w2), _ = entry = branches(ell)
+            if not isfinite(x1 + x2 + w1 + w2):  # a finite sum has four finite terms
+                ensure_all_finite(x1, x2, w1, w2)
         except NumericError as exc:
             exc.step = ell
             solution.error = exc
@@ -106,17 +108,18 @@ def _quad_invert(y: YState) -> BranchEntry:
 
 
 def _cubic_invert(y: YState) -> BranchEntry:
-    return BranchEntry(cubic_zeros_branch(y.y1, y.y2, PLUS), cubic_zeros_branch(y.y1, y.y2, MINUS), y)
+    w = principal_sqrt(y.y1 * y.y1 - 3 * y.y2)  # one square root for both branches of cubic_zeros_branch
+    return BranchEntry(cubic_zeros_from_root(y.y1, PLUS * w, y.y2), cubic_zeros_from_root(y.y1, MINUS * w, y.y2), y)
 
 
 def _solve_family(yp: YParams, y0: YState, r: complex, ellmax: int, zeros) -> BranchSolution:
-    """Evolve (y1, y2) and D from D(0) = r**2; the branches are ``zeros(y1, +/-sqrt(D), y2)``."""
+    """Evolve (y1, y2) and D from D(0) = r**2; ``zeros(y1, sqrt(D), y2)`` gives both branches."""
     powers = OrbitPowers(yp, y0, d0=r * r)
 
     def branches(ell: int) -> BranchEntry:
         y = y_closed_special(yp, y0, ell, powers=powers)
-        root = principal_sqrt(powers.d)  # D(ell), from the same pass
-        return BranchEntry(zeros(y.y1, root, y.y2), zeros(y.y1, -root, y.y2), y)
+        plus, minus = zeros(y.y1, principal_sqrt(powers.d), y.y2)  # D(ell), from the same pass
+        return BranchEntry(plus, minus, y)
 
     return _evolve(ellmax, branches)
 
@@ -133,7 +136,7 @@ def solve_sqrt_quadratic(p: YParams, x0: ZeroPair, ellmax: int) -> BranchSolutio
 
 def solve_quadratic_family(p: QuadraticFamilyParams, x0: ZeroPair, ellmax: int) -> BranchSolution:
     """Closed-form orbit of the quadratic family."""
-    return _solve_family(p.y_params(), quad_from_zeros(x0), x0[0] - x0[1], ellmax, quad_zeros_from_root)
+    return _solve_family(p.y_params(), quad_from_zeros(x0), x0[0] - x0[1], ellmax, quad_zeros_pair_from_root)
 
 
 def solve_sqrt_cubic(p: YParams, x0: DistinctZeroPair, ellmax: int) -> BranchSolution:
@@ -143,13 +146,14 @@ def solve_sqrt_cubic(p: YParams, x0: DistinctZeroPair, ellmax: int) -> BranchSol
 
 def solve_cubic_family(p: CubicFamilyParams, x0: DistinctZeroPair, ellmax: int) -> BranchSolution:
     """Closed-form orbit of the cubic family."""
-    return _solve_family(p.y_params(), cubic_from_zeros(x0), x0[0] - x0[1], ellmax, cubic_zeros_from_root)
+    return _solve_family(p.y_params(), cubic_from_zeros(x0), x0[0] - x0[1], ellmax, cubic_zeros_pair_from_root)
 
 
 def solve_generalized(p: GeneralizedParams, z0: ComplexPair, ellmax: int) -> BranchSolution:
     """Closed-form orbit of the generalized B/C system."""
     r0 = p.g2 * z0[0] + p.g3 * z0[1]
-    return _solve_family(p.y_params(), yz_forward(p, z0), r0, ellmax, lambda y1, r, y2: yz_from_root(p, y1, r))
+    return _solve_family(p.y_params(), yz_forward(p, z0), r0, ellmax,
+                         lambda y1, r, y2: (yz_from_root(p, y1, r), yz_from_root(p, y1, -r)))
 
 
 def solve_conjugated(A: LinearChange, p: CubicFamilyParams, z0: ComplexPair, ellmax: int) -> BranchSolution:
@@ -157,5 +161,5 @@ def solve_conjugated(A: LinearChange, p: CubicFamilyParams, z0: ComplexPair, ell
     x0 = A.invert(z0)
     return _solve_family(
         p.y_params(), cubic_from_zeros(x0), x0[0] - x0[1], ellmax,
-        lambda y1, r, y2: A.apply(cubic_zeros_from_root(y1, r, y2)),
+        lambda y1, r, y2: tuple(map(A.apply, cubic_zeros_pair_from_root(y1, r, y2))),
     )

@@ -139,8 +139,7 @@ class OrbitPowers:
         # non-finite gamma leaves the initial state intact.
         if p.gamma != 0 and ell:
             if special:
-                gsum = self._geometric_sum(ell, alpha_mell, beta_2ell)
-                bracket = bracket + self._gamma_y10_2 * gsum
+                bracket = bracket + self._gamma_y10_2 * self._geometric_sum(ell, alpha_mell, beta_2ell)
             else:
                 bracket = bracket + p.gamma * self._gamma_sum(ell)
         y = YState(ensure_finite(y1), ensure_finite(scale * bracket))

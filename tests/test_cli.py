@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from solvmaps.cli import _SYSTEMS, _Writer, _state_columns, main
+from solvmaps.cli import _SYSTEMS, _Writer, _state_columns, build_parser, main
 from solvmaps.numeric import MINUS, PLUS
 from solvmaps.polybridge import DistinctZeroPair
 from solvmaps.stepmaps import CubicFamilyParams, step_cubic_family
@@ -645,6 +645,37 @@ def test_writer_matches_csv_and_json_modules(fmt, table):
     assert _written(_formatted, fmt, *table) == _written(_reference, fmt, *table)
 
 
+def _solve_rows(buf, fmt, columns, steps):
+    """``solve``'s two rows per step, from the complex values: (ell, plus, minus, y) each."""
+    writer = _Writer(buf, fmt, columns, shared=4)
+    for step in steps:
+        writer.row_pair(*step)
+
+
+def _cells(*values: complex) -> list[float]:
+    return [part for z in values for part in (z.real, z.imag)]
+
+
+complex_pairs = st.tuples(*[st.builds(complex, reals, reals)] * 2)
+#: One ``solve`` step each: (ell, plus, minus, y).
+solve_steps = st.lists(st.tuples(st.integers(-(2**70), 2**70), complex_pairs, complex_pairs, complex_pairs), max_size=4)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+@given(steps=solve_steps)
+@example(steps=[(2**70, (complex(-0.0, 5e-324), complex(1e308, -1e308)),
+                 (complex(-2.2250738585072014e-308, -0.0), 0j), (complex(0.1, -1e308), complex(-0.0, 1e16)))])
+@example(steps=[(0, (0j, 0j), (complex(-0.0, -0.0), 0j), (complex(5e-324, -5e-324), complex(-1e308, 0.0)))])
+def test_row_pair_matches_csv_and_json_modules(fmt, steps):
+    columns = _state_columns("cubic-family", with_y=True)
+    rows = [
+        row
+        for ell, plus, minus, y in steps
+        for row in ([ell, "+", *_cells(*plus, *y)], [ell, "-", *_cells(*minus, *y)])
+    ]
+    assert _written(_solve_rows, fmt, columns, steps) == _written(_reference, fmt, columns, rows)
+
+
 def test_solve_keeps_the_small_zero(capsys):
     # Zeros 1e8 and 1e-8 with gamma = 0: each row's zeros multiply to its y2.
     code, out, _ = run_cli(
@@ -712,14 +743,18 @@ LONG_RUNS = {
 }
 
 
+def _package_env() -> dict[str, str]:
+    """The environment of a child interpreter that imports this checkout's package."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 @pytest.mark.parametrize("command", sorted(LONG_RUNS))
 def test_closed_stdout_exits_2_without_a_traceback(command):
     """A reader that stops after one line, as ``| head -1`` does."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.Popen(
         [sys.executable, "-m", "solvmaps.cli", *LONG_RUNS[command]],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, text=True,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_package_env(), text=True,
     )
     assert proc.stdout.readline()
     proc.stdout.close()
@@ -727,3 +762,61 @@ def test_closed_stdout_exits_2_without_a_traceback(command):
     proc.stderr.close()
     assert proc.wait(timeout=60) == 2
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# --- one parser per process ----------------------------------------------------
+
+ITERATE_ARGS = ["--system", "cubic-family", "--params", CUBIC_PARAMS, "--x0", "[1, 0]", "--steps", "3"]
+
+#: One run of each kind, in an order where a parser that kept anything from
+#: a run would change a later one: ``iterate`` without ``--signs`` comes
+#: after an ``iterate`` with them, and every run follows a usage error.
+PARSER_RUNS = [
+    ["solve", "--system", "nope"],
+    ["iterate", *ITERATE_ARGS, "--signs=-+-"],
+    ["solve", *ITERATE_ARGS],
+    ["verify", "--suites", "quad-family"],
+    ["iterate", *ITERATE_ARGS],
+]
+
+
+def _run_any_exit(capsys, argv):
+    """(exit code, stdout, stderr) of ``main(argv)``; a usage error exits by ``SystemExit``."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_one_parser_serves_every_run_as_a_fresh_one_would(capsys):
+    fresh = []
+    for argv in PARSER_RUNS:
+        build_parser.cache_clear()
+        fresh.append(_run_any_exit(capsys, argv))
+    build_parser.cache_clear()
+    reused = [_run_any_exit(capsys, argv) for argv in PARSER_RUNS]
+    assert build_parser.cache_info().misses == 1  # built once, by the first run
+    assert [code for code, _, _ in reused] == [2, 0, 0, 0, 0]
+    assert reused == fresh
+    assert reused[1][1] != reused[4][1]  # the --signs=-+- orbit is not the all-'+' one
+
+
+def test_import_builds_no_parser():
+    """``import solvmaps.cli`` constructs no ``ArgumentParser``: the first ``main()`` does."""
+    script = (
+        "import argparse\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "argparse.ArgumentParser.__init__ = lambda self, *a, **k: built.append(1) or init(self, *a, **k)\n"
+        "import solvmaps.cli\n"
+        "print(len(built))\n"
+        "solvmaps.cli.build_parser()\n"
+        "print(len(built) > 0)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=_package_env(), capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "True"]

@@ -55,7 +55,7 @@ fourth roots of unity, so nothing overflows), cut to 200 steps.
 
 Every other ``solve`` pin has inputs that are Gaussian integers or fourth
 roots of unity, so its products are exact and cannot show a change in
-rounding order.  The three ``INEXACT_SOLVE_CASES`` pins have inputs that
+rounding order.  The first three ``INEXACT_SOLVE_CASES`` pins have inputs that
 round: a ``quad-family`` k=2 orbit, whose 3**ell exponents come off the
 radix-3 ladder; a general-form ``sqrt-quad`` with k not
 dividing q and gamma != 0, whose scale comes from its exponents and whose
@@ -63,7 +63,13 @@ gamma terms are summed by Horner's rule; and a ``cubic-family`` orbit near
 alpha**2 = beta**2, whose geometric sum is built by doubling and whose y1
 overflows at step 10, so its exit code and message are pinned too.  They
 were taken before each closed-form step became one pass over its factors,
-and that change left them as they were.
+and that change left them as they were.  Four more cover the systems no
+inexact pin reached: a ``generalized`` and a ``conjugated`` orbit, a
+``sqrt-cubic`` orbit whose two branches come from (y1, y2) alone, and a
+general-form ``y`` orbit that overflows at step 10; with them, an inexact
+``quad-family`` orbit pins the JSONL output.  They were taken before the
+solvers started inverting both branches in one call and writing each step's
+rows straight from the complex values, and that change left them as they were.
 
 The ``iterate`` and JSONL pins were taken while rows still went through
 ``csv.writer`` and ``json.dumps``, so they also pin the byte conventions of
@@ -126,6 +132,8 @@ def test_solve_csv(tmp_path, name):
     assert digest == SOLVE_CSV[name]
 
 
+X0 = "[[0.6, -0.2], [-0.3, 0.7]]"
+
 #: Inexact inputs, so every product rounds and a change in the order of
 #: floating-point operations shows: (arguments, exit code, last stderr line).
 INEXACT_SOLVE_CASES = {
@@ -153,6 +161,40 @@ INEXACT_SOLVE_CASES = {
         "--x0", "[[0.7, 0.2], [-0.4, 0.9]]", "--steps", "40",
     ], 3, "error: closed-form evaluation failed at step 10: "
           "result overflowed to a non-finite value; output truncated"),
+    # A generalized B/C orbit that settles near a double zero (D -> 0).
+    "generalized k=-1 x200": ([
+        "--system", "generalized",
+        "--params", json.dumps({
+            "alpha": [0.9, 0.3], "beta": [0.2, -0.25], "B1": [1.1, 0.1], "B2": [0.7, -0.3],
+            "C1": [0.4, 0.2], "C2": [-0.3, 0.6], "C3": [0.25, 0.1], "k": -1,
+        }),
+        "--x0", X0, "--steps", "200",
+    ], 0, ""),
+    "conjugated k=-1 x200": ([
+        "--system", "conjugated",
+        "--params", json.dumps({
+            "a": [0.9, 0.3], "b": [0.2, -0.25], "k": -1,
+            "A11": [1.1, 0.1], "A12": [0.2, 0], "A21": [0, -0.15], "A22": [0.95, 0.05],
+        }),
+        "--x0", X0, "--steps", "200",
+    ], 0, ""),
+    # Both branches of the square-root cubic inversion, from (y1, y2) alone.
+    "sqrt-cubic k=-1 q=-3 r=1 x200": ([
+        "--system", "sqrt-cubic",
+        "--params", json.dumps(
+            {"alpha": [0.9, 0.3], "beta": [0.4, -0.2], "gamma": [0.5, 0.5], "k": -1, "q": -3, "r": 1}
+        ),
+        "--x0", X0, "--steps", "200",
+    ], 0, ""),
+    # A general-form y orbit with k dividing q; y2 overflows at step 10.
+    "y k=1 q=2 r=1 x40": ([
+        "--system", "y",
+        "--params", json.dumps(
+            {"alpha": [0.9, 0.3], "beta": [0.4, -0.2], "gamma": [0.5, 0.5], "k": 1, "q": 2, "r": 1}
+        ),
+        "--x0", X0, "--steps", "40",
+    ], 3, "error: closed-form evaluation failed at step 10: "
+          "result overflowed to a non-finite value; output truncated"),
 }
 
 
@@ -168,10 +210,17 @@ def test_solve_jsonl(tmp_path):
     assert _sha256_of_run(tmp_path, argv) == SOLVE_JSONL_CUBIC
 
 
+def test_solve_jsonl_inexact(tmp_path):
+    argv = [
+        "solve", "--system", "quad-family",
+        "--params", json.dumps({"a": [0.9, 0.3], "b": [0.2, -0.25], "k": -1}),
+        "--x0", X0, "--steps", "200", "--format", "jsonl",
+    ]
+    assert _sha256_of_run(tmp_path, argv) == SOLVE_JSONL_QUAD_INEXACT
+
+
 #: A mixed sign string that starts with '-' (Thue-Morse, from index 1).
 SIGNS_500 = "".join("+-"[bin(i).count("1") % 2] for i in range(1, 501))
-
-X0 = "[[0.6, -0.2], [-0.3, 0.7]]"
 
 #: The y-system parameters of the ``y``, ``sqrt-quad`` and ``sqrt-cubic`` cases:
 #: with k = -1, y1 is alpha after one step, and |beta / alpha| < 1 contracts y2.
@@ -232,9 +281,15 @@ SOLVE_CSV_INEXACT = {
     "quad-family k=2 x20": "cff776e46d056753f0fd531689389da0e3dfbbff2b874898264b41ba2e9cada8",
     "sqrt-quad k=-2 q=1 r=3 x200": "1edddd7819cfe51959f45dc83d5dbe1dab9256a0bcb21d1dabef8934faaf3ccd",
     "cubic-family near alpha**2 = beta**2": "c030141026caf6c1999b56ea252f012ea3569845f8c97bf7359e8068915e3cdb",
+    "generalized k=-1 x200": "15e6f63872a6873842813773d673ba56cd3d4f900c3706a997e239a6047086aa",
+    "conjugated k=-1 x200": "811b6dd0b82d3897ee13566dc0ada9e66ed3164b39d39d677dd0b02ea92de3ee",
+    "sqrt-cubic k=-1 q=-3 r=1 x200": "dd37fd8b20a078c2235a15158e0a6af05ab67a69d9f3094ccf841ced0107ec87",
+    "y k=1 q=2 r=1 x40": "6d06b6c78b0a26eb4a05ed752d72b6f11bd8b0535b54d7bf1f11d14d583d434c",
 }
 
 SOLVE_JSONL_CUBIC = "a14d3622fd114828d819598cea04bbcb9f3103ae7be274df4f2218676f359201"
+
+SOLVE_JSONL_QUAD_INEXACT = "bf71bacc7008f2e2484a322d7463885b9d4ae5670ca7d25d1bb992f9fa551ecc"
 
 ITERATE = {
     ("quad-family k=-1", "csv"): "bc829171bf0151f792c5216f06a0745963ab8727a99e00bebec975985752ca6d",

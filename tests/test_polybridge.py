@@ -3,19 +3,36 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from solvmaps.numeric import MINUS, PLUS, SIGNS, pair_eq_unordered
+from solvmaps.numeric import MINUS, PLUS, SIGNS, cpow, pair_eq_unordered, principal_sqrt
 from solvmaps.polybridge import (
     DistinctZeroPair,
     cubic_from_zeros,
     cubic_zeros_branch,
+    cubic_zeros_from_root,
+    cubic_zeros_pair_from_root,
     cubic_zeros_printed,
     quad_from_zeros,
     quad_zeros,
-    y3_from_y12,
+    quad_zeros_from_root,
+    quad_zeros_pair_from_root,
 )
+from solvmaps.solver import _cubic_invert
 from solvmaps.verify import draw_complex, draw_pair, residual
 from solvmaps.ysystem import YState
+
+
+def y3_from_y12(y1: complex, y2: complex, s: int) -> complex:
+    """The paper's dependent cubic coefficient y3 in terms of y1 and y2.
+
+    y3 = (-2 y1**3 + 9 y1 y2 + 2 S (y1**2 - 3 y2)**(3/2)) / 27, with the
+    half-integer power evaluated as the cubed branch square root.  The
+    package never needs y3, so the formula lives here, beside its checks.
+    """
+    w = s * principal_sqrt(y1 * y1 - 3 * y2)
+    return (-2 * cpow(y1, 3) + 9 * y1 * y2 + 2 * cpow(w, 3)) / 27
 
 
 class TestQuadBridge:
@@ -164,3 +181,36 @@ class TestPrintedVariant:
             m = cubic_from_zeros(cubic_zeros_printed(-2, 1, s))
             worst = min(worst, max(residual(m.y1, -2 + 0j), residual(m.y2, 1 + 0j)))
         assert worst > 0.1
+
+
+# --- both branches in one call -------------------------------------------------
+
+#: Components that reach the edge cases: signed zeros, small integers (so
+#: moduli tie), a subnormal, and magnitudes far apart.
+EDGE_FLOATS = [0.0, -0.0, 1.0, -1.0, 2.0, -2.0, 3.0, -3.0, 0.5, 5e-324, 1e-160, 1e150]
+components = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(-1e150, 1e150))
+complexes = st.builds(complex, components, components)
+
+
+def _spelled(*pairs) -> str:
+    """The pairs' exact bits, signed zeros included, whatever tuple type holds them."""
+    return repr([tuple(pair) for pair in pairs])
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(y1=complexes, r=complexes, y2=complexes)
+@example(y1=0j, r=1 + 1j, y2=2 + 0j)  # y1 = 0: the two quadratic sums tie in modulus
+@example(y1=2 + 0j, r=2j, y2=3 - 1j)  # a tie with y1 != 0
+@example(y1=1 + 0j, r=0j, y2=1 + 0j)  # r = 0: both cubic heads have |head| = |y1|
+@example(y1=1 + 0j, r=2 + 0j, y2=-1 + 0j)  # |head| = |y1| on the + branch only
+@example(y1=complex(-0.0, -0.0), r=complex(0.0, -0.0), y2=complex(-0.0, 0.0))  # signed zeros
+@example(y1=complex(3.0, -0.0), r=complex(-0.0, 0.0), y2=3 + 0j)  # a triple root, signed zeros
+def test_both_branches_in_one_call_equal_two_single_branch_calls(y1, r, y2):
+    assert _spelled(*quad_zeros_pair_from_root(y1, r, y2)) == _spelled(
+        quad_zeros_from_root(y1, r, y2), quad_zeros_from_root(y1, -r, y2))
+    assert _spelled(*cubic_zeros_pair_from_root(y1, r, y2)) == _spelled(
+        cubic_zeros_from_root(y1, r, y2), cubic_zeros_from_root(y1, -r, y2))
+    # The square-root cubic solver takes its one root for both branches.
+    entry = _cubic_invert(YState(y1, y2))
+    assert _spelled(entry.plus, entry.minus) == _spelled(
+        cubic_zeros_branch(y1, y2, PLUS), cubic_zeros_branch(y1, y2, MINUS))
