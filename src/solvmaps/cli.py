@@ -192,8 +192,9 @@ class _Writer:
     so an empty label is not quoted either.  Every float is finite: the
     commands check their values before a row is written.
 
-    :meth:`row_pair` writes a ``solve`` step's two rows at once, straight from
-    its complex values, and formats the ``shared`` cells they end with once.
+    Rows are written straight from their complex values.  :meth:`row_pair`
+    writes a ``solve`` step's two rows at once and formats the ``shared``
+    cells they end with once.
     """
 
     def __init__(self, stream: TextIO, fmt: str, columns: Sequence[str], shared: int = 0):
@@ -213,8 +214,10 @@ class _Writer:
             row = start + sep.join([*cells[:own], "%s"]) + end
             self._pair = row + row
 
-    def row(self, values: Sequence[object]) -> None:
-        self.stream.write(self._template % tuple(values))
+    def row(self, head: tuple, pair: ComplexPair) -> None:
+        """Write the row ``[*head, *pair]``, each complex of ``pair`` as two cells."""
+        z1, z2 = pair
+        self.stream.write(self._template % (*head, z1.real, z1.imag, z2.real, z2.imag))
 
     def row_pair(self, ell: int, plus: ComplexPair, minus: ComplexPair, y: ComplexPair) -> None:
         """Write the rows ``[ell, "+", *plus, *y]`` and ``[ell, "-", *minus, *y]``, each complex as two cells."""
@@ -231,11 +234,6 @@ def _state_columns(system: str, with_y: bool) -> list[str]:
     if with_y:
         cols += ["y1_re", "y1_im", "y2_re", "y2_im"]
     return cols
-
-
-def _flatten(pair: ComplexPair) -> list[float]:
-    z1, z2 = pair
-    return [z1.real, z1.imag, z2.real, z2.imag]
 
 
 def _open_out(path: str | None) -> ContextManager[TextIO]:
@@ -260,8 +258,7 @@ def cmd_iterate(args: argparse.Namespace) -> int:
 
     with _open_out(args.out) as stream:
         writer = _Writer(stream, args.format, _state_columns(args.system, with_y=False))
-        flat = _flatten(state)
-        writer.row([0, "", *flat] if signed else [0, *flat])
+        writer.row((0, "") if signed else (0,), state)
         sign_of = {"+": PLUS, "-": MINUS}
         prefix = ""
         for ell, ch in enumerate(signs, 1):
@@ -272,8 +269,7 @@ def cmd_iterate(args: argparse.Namespace) -> int:
                 exc.step = ell
                 raise
             prefix += ch
-            flat = _flatten(state)
-            writer.row([ell, prefix, *flat] if signed else [ell, *flat])
+            writer.row((ell, prefix) if signed else (ell,), state)
     return 0
 
 
@@ -291,7 +287,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
             if spec.signed:
                 writer.row_pair(ell, plus, minus, y)
             else:
-                writer.row([ell, *_flatten(y)])
+                writer.row((ell,), y)
         if solution.error is not None:
             print(
                 f"error: closed-form evaluation failed at step {solution.overflow_at}: "

@@ -15,18 +15,12 @@ test); the printed variant is kept available for the discrepancy report.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 from .numeric import ComplexPair, Sign, principal_sqrt
 from .ysystem import YState
 
 
-class DistinctZeroPair(NamedTuple):
-    """Ordered pair: x1 is the double zero, x2 the simple zero."""
-
-    x1: complex
-    x2: complex
-
+#: Ordered pair (x1, x2): x1 is the double zero, x2 the simple zero.
+DistinctZeroPair = ComplexPair
 
 #: Unordered pair of indistinguishable zeros; equality is pair_eq_unordered.
 ZeroPair = ComplexPair
@@ -60,17 +54,6 @@ def quad_zeros_from_root(y1: complex, r: complex, y2: complex) -> ZeroPair:
     return (first, y2 / first) if first else (0j, 0j)
 
 
-def quad_zeros_pair_from_root(y1: complex, r: complex, y2: complex) -> tuple[ZeroPair, ZeroPair]:
-    """Both branches, :func:`quad_zeros_from_root` at ``r`` and ``-r``: one the other reversed, unless |sums| tie."""
-    first, second = (-y1 + r) / 2, (-y1 - r) / 2
-    a, b = abs(first), abs(second)
-    if a > b or b > a:  # not !=: a NaN modulus ties, as in quad_zeros_from_root
-        big = first if a > b else second
-        pair = (big, y2 / big)
-        return (pair, pair[::-1]) if a > b else (pair[::-1], pair)
-    return (first, y2 / first) if first else (0j, 0j), (second, y2 / second) if second else (0j, 0j)
-
-
 def cubic_from_zeros(d: DistinctZeroPair) -> YState:
     """(y1, y2) of (z - x1)**2 (z - x2); the dependent y3 is -x1**2 x2."""
     x1, x2 = d
@@ -97,17 +80,12 @@ def cubic_zeros_from_root(y1: complex, r: complex, y2: complex) -> DistinctZeroP
     only the absolute accuracy of y1, as (y1, y2) determine it no better.
     """
     head = -y1 + r
-    x1 = y2 / (-y1 - r) if abs(head) < abs(y1) else head / 3
-    return DistinctZeroPair(x1, -y1 - 2 * x1)
-
-
-def cubic_zeros_pair_from_root(y1: complex, r: complex, y2: complex) -> tuple[ComplexPair, ComplexPair]:
-    """Both branches, :func:`cubic_zeros_from_root` at ``r`` and ``-r``: each one's -y1 - r is the other's -y1 + r."""
-    neg_y1, bound = -y1, abs(y1)
-    head, tail = neg_y1 + r, neg_y1 - r
-    x1 = y2 / tail if abs(head) < bound else head / 3
-    w1 = y2 / head if abs(tail) < bound else tail / 3
-    return (x1, neg_y1 - 2 * x1), (w1, neg_y1 - 2 * w1)
+    try:
+        cancelled = abs(head) < abs(y1)
+    except OverflowError:  # a finite modulus past the float range; halving is exact
+        cancelled = abs(head / 2) < abs(y1 / 2)
+    x1 = y2 / (-y1 - r) if cancelled else head / 3
+    return (x1, -y1 - 2 * x1)
 
 
 def cubic_zeros_printed(y1: complex, y2: complex, s: Sign) -> DistinctZeroPair:
@@ -119,4 +97,4 @@ def cubic_zeros_printed(y1: complex, y2: complex, s: Sign) -> DistinctZeroPair:
     w = s * principal_sqrt(y1 * y1 - 3 * y2)
     x1 = (-y1 - w) / 2
     x2 = (-y1 + 2 * w) / 2
-    return DistinctZeroPair(x1, x2)
+    return (x1, x2)

@@ -13,9 +13,11 @@ generalized system.  D obeys the y-system with gamma = 0,
 D' = beta**2 y1**(2k) D, so its closed form is a product of powers with
 nothing to cancel, and each zero is linear in (y1, +/-sqrt(D)).  Those
 powers are factors of y2's closed form too, so each step's one closed-form
-call forms D in the same pass (an ``OrbitPowers`` built with D(0)).  Where
-that linear form cancels instead, because one zero is far smaller than the
-other, the quadratic and cubic maps take the small zero from y2 (Vieta).
+call forms D in the same pass (an ``OrbitPowers`` built with D(0)).  Each
+branch is then its bridge's one root inversion (``quad_zeros_from_root``,
+``cubic_zeros_from_root`` or ``yz_from_root``) at +sqrt(D) or -sqrt(D).
+Where that linear form cancels instead, because one zero is far smaller than
+the other, the quadratic and cubic maps take the small zero from y2 (Vieta).
 The square-root systems' D carries a gamma term, so they invert (y1, y2)
 alone.
 
@@ -37,10 +39,9 @@ from .polybridge import (
     ZeroPair,
     cubic_from_zeros,
     cubic_zeros_from_root,
-    cubic_zeros_pair_from_root,
     quad_from_zeros,
     quad_zeros,
-    quad_zeros_pair_from_root,
+    quad_zeros_from_root,
 )
 from .stepmaps import CubicFamilyParams, GeneralizedParams, LinearChange, QuadraticFamilyParams, yz_forward, yz_from_root
 from .ysystem import OrbitPowers, YParams, YState, y_closed, y_closed_special
@@ -113,13 +114,13 @@ def _cubic_invert(y: YState) -> BranchEntry:
 
 
 def _solve_family(yp: YParams, y0: YState, r: complex, ellmax: int, zeros) -> BranchSolution:
-    """Evolve (y1, y2) and D from D(0) = r**2; ``zeros(y1, sqrt(D), y2)`` gives both branches."""
+    """Evolve (y1, y2) and D from D(0) = r**2; ``zeros(y1, +/-sqrt(D), y2)`` gives each branch."""
     powers = OrbitPowers(yp, y0, d0=r * r)
 
     def branches(ell: int) -> BranchEntry:
-        y = y_closed_special(yp, y0, ell, powers=powers)
-        plus, minus = zeros(y.y1, principal_sqrt(powers.d), y.y2)  # D(ell), from the same pass
-        return BranchEntry(plus, minus, y)
+        y1, y2 = y = y_closed_special(yp, y0, ell, powers=powers)
+        root = principal_sqrt(powers.d)  # D(ell), from the same pass
+        return BranchEntry(zeros(y1, root, y2), zeros(y1, -root, y2), y)
 
     return _evolve(ellmax, branches)
 
@@ -136,7 +137,7 @@ def solve_sqrt_quadratic(p: YParams, x0: ZeroPair, ellmax: int) -> BranchSolutio
 
 def solve_quadratic_family(p: QuadraticFamilyParams, x0: ZeroPair, ellmax: int) -> BranchSolution:
     """Closed-form orbit of the quadratic family."""
-    return _solve_family(p.y_params(), quad_from_zeros(x0), x0[0] - x0[1], ellmax, quad_zeros_pair_from_root)
+    return _solve_family(p.y_params(), quad_from_zeros(x0), x0[0] - x0[1], ellmax, quad_zeros_from_root)
 
 
 def solve_sqrt_cubic(p: YParams, x0: DistinctZeroPair, ellmax: int) -> BranchSolution:
@@ -146,20 +147,17 @@ def solve_sqrt_cubic(p: YParams, x0: DistinctZeroPair, ellmax: int) -> BranchSol
 
 def solve_cubic_family(p: CubicFamilyParams, x0: DistinctZeroPair, ellmax: int) -> BranchSolution:
     """Closed-form orbit of the cubic family."""
-    return _solve_family(p.y_params(), cubic_from_zeros(x0), x0[0] - x0[1], ellmax, cubic_zeros_pair_from_root)
+    return _solve_family(p.y_params(), cubic_from_zeros(x0), x0[0] - x0[1], ellmax, cubic_zeros_from_root)
 
 
 def solve_generalized(p: GeneralizedParams, z0: ComplexPair, ellmax: int) -> BranchSolution:
     """Closed-form orbit of the generalized B/C system."""
     r0 = p.g2 * z0[0] + p.g3 * z0[1]
-    return _solve_family(p.y_params(), yz_forward(p, z0), r0, ellmax,
-                         lambda y1, r, y2: (yz_from_root(p, y1, r), yz_from_root(p, y1, -r)))
+    return _solve_family(p.y_params(), yz_forward(p, z0), r0, ellmax, lambda y1, r, y2: yz_from_root(p, y1, r))
 
 
 def solve_conjugated(A: LinearChange, p: CubicFamilyParams, z0: ComplexPair, ellmax: int) -> BranchSolution:
     """Closed-form orbit of the conjugated cubic family: A applied componentwise."""
     x0 = A.invert(z0)
-    return _solve_family(
-        p.y_params(), cubic_from_zeros(x0), x0[0] - x0[1], ellmax,
-        lambda y1, r, y2: tuple(map(A.apply, cubic_zeros_pair_from_root(y1, r, y2))),
-    )
+    return _solve_family(p.y_params(), cubic_from_zeros(x0), x0[0] - x0[1], ellmax,
+                         lambda y1, r, y2: A.apply(cubic_zeros_from_root(y1, r, y2)))

@@ -194,10 +194,7 @@ def step_cubic_family(p: CubicFamilyParams, s: Sign, x: DistinctZeroPair) -> Dis
     base = cpow(w, p.k)
     sign_k = -1 if p.k % 2 else 1
     diff = s * p.b * (x1 - x2)
-    return DistinctZeroPair(
-        base * (sign_k * p.a * w - diff),
-        base * (sign_k * p.a * w + 2 * diff),
-    )
+    return (base * (sign_k * p.a * w - diff), base * (sign_k * p.a * w + 2 * diff))
 
 
 def double_step_cubic(p: CubicFamilyParams, s01: Sign, x: DistinctZeroPair) -> DistinctZeroPair:
@@ -214,7 +211,7 @@ def double_step_cubic(p: CubicFamilyParams, s01: Sign, x: DistinctZeroPair) -> D
     )
     aw = p.a * p.a * w
     bv = s01 * p.b * p.b * v
-    return DistinctZeroPair(prefactor * (aw + bv), prefactor * (aw - 2 * bv))
+    return (prefactor * (aw + bv), prefactor * (aw - 2 * bv))
 
 
 def step_generalized(p: GeneralizedParams, s: Sign, z: ComplexPair) -> ComplexPair:

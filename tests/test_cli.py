@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 
 from solvmaps.cli import _SYSTEMS, _Writer, _state_columns, build_parser, main
 from solvmaps.numeric import MINUS, PLUS
-from solvmaps.polybridge import DistinctZeroPair
 from solvmaps.stepmaps import CubicFamilyParams, step_cubic_family
 from solvmaps.verify import pair_residual, pair_residual_unordered
 from solvmaps.ysystem import YParams, YState, y_closed
@@ -123,8 +122,8 @@ class TestIterate:
         assert code == 0
         _, rows = parse_csv(out)
         p = CubicFamilyParams(1, 1, 1)
-        state = DistinctZeroPair(0.5 + 0.25j, -0.75 + 1j)
-        assert row_state(rows[0]) == tuple(state)
+        state = (0.5 + 0.25j, -0.75 + 1j)
+        assert row_state(rows[0]) == state
         for row, s in zip(rows[1:], (PLUS, MINUS, PLUS)):
             state = step_cubic_family(p, s, state)
             # %.17g round-trips doubles exactly.
@@ -435,6 +434,12 @@ def test_bad_complex_input_exits_2_before_any_row(capsys, name):
 
 NONFINITE = re.compile("nan|inf", re.IGNORECASE)
 
+SQRT_CUBIC_HUGE_Y1 = [
+    "--system", "sqrt-cubic",
+    "--params", '{"alpha": [1.3e308, 1.3e308], "beta": 0.5, "gamma": 0, "k": -1, "q": -2, "r": 0}',
+    "--x0", "[1, 0.5]", "--steps", "2",
+]
+
 #: Runs whose values overflow to a nan or inf: argv and the finite rows written.
 OVERFLOWING_RUNS = {
     "solve cubic-family gamma overflows": (
@@ -454,6 +459,18 @@ OVERFLOWING_RUNS = {
         ["ell,branch,x1_re,x1_im,x2_re,x2_im,y1_re,y1_im,y2_re,y2_im",
          "0,+,6.666666666666667e-201,0,6.6666666666666656e-201,0,-2e-200,-0,0,0",
          "0,-,6.666666666666667e-201,0,6.6666666666666656e-201,0,-2e-200,-0,0,0"],
+    ),
+    # y1 = alpha after one step: its parts are finite, but abs(y1) overflows,
+    # and the cubic inversion compares it with its head.
+    "solve sqrt-cubic |y1| past the modulus range": (
+        ["solve", *SQRT_CUBIC_HUGE_Y1],
+        ["ell,branch,x1_re,x1_im,x2_re,x2_im,y1_re,y1_im,y2_re,y2_im",
+         "0,+,1,0,0.5,0,-2.5,-0,2,0",
+         "0,-,0.66666666666666663,0,1.1666666666666667,0,-2.5,-0,2,0"],
+    ),
+    "iterate sqrt-cubic |y1| past the modulus range": (
+        ["iterate", *SQRT_CUBIC_HUGE_Y1],
+        ["ell,branch,x1_re,x1_im,x2_re,x2_im", "0,,1,0,0.5,0"],
     ),
     "iterate quad-family": (
         ["iterate", "--system", "quad-family", "--params", '{"a": 1e200, "b": 0, "k": 1}',
@@ -544,6 +561,8 @@ def cli_runs(draw):
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(argv=cli_runs())
 @example(argv=OVERFLOWING_RUNS["solve cubic-family gamma overflows"][0])
+@example(argv=OVERFLOWING_RUNS["solve sqrt-cubic |y1| past the modulus range"][0])
+@example(argv=OVERFLOWING_RUNS["iterate sqrt-cubic |y1| past the modulus range"][0])
 def test_fuzz_systems_exit_cleanly_with_finite_rows(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code in (0, 2, 3)
@@ -614,7 +633,8 @@ def _reference(buf, fmt, columns, rows):
 def _formatted(buf, fmt, columns, rows):
     writer = _Writer(buf, fmt, columns)
     for values in rows:
-        writer.row(values)
+        # The last four cells are the real and imaginary parts of the row's pair.
+        writer.row(tuple(values[:-4]), (complex(*values[-4:-2]), complex(*values[-2:])))
 
 
 @st.composite

@@ -75,7 +75,10 @@ The ``iterate`` and JSONL pins were taken while rows still went through
 ``csv.writer`` and ``json.dumps``, so they also pin the byte conventions of
 the row formatter: number spellings, separators and line ends.  The
 ``sqrt-quad`` and ``sqrt-cubic`` iterate pins were taken later, on the step
-maps that go through ``y_step``.
+maps that go through ``y_step``.  The ``cubic-family`` and ``generalized``
+iterate pins were taken last, before the cubic zero pairs became plain
+tuples and the ``iterate`` rows started being written straight from the
+complex values; that change left every pin as it was.
 """
 
 import hashlib
@@ -241,6 +244,19 @@ ITERATE_CASES = {
         }),
         "--x0", X0, f"--signs={SIGNS_500}",
     ],
+    "cubic-family k=-1": [
+        "--system", "cubic-family",
+        "--params", json.dumps({"a": [0.9, 0.3], "b": [0.2, -0.25], "k": -1}),
+        "--x0", X0, f"--signs={SIGNS_500}",
+    ],
+    "generalized k=-1": [
+        "--system", "generalized",
+        "--params", json.dumps({
+            "alpha": [0.9, 0.3], "beta": [0.2, -0.25], "B1": [1.1, 0.1], "B2": [0.7, -0.3],
+            "C1": [0.4, 0.2], "C2": [-0.3, 0.6], "C3": [0.25, 0.1], "k": -1,
+        }),
+        "--x0", X0, f"--signs={SIGNS_500}",
+    ],
     "y k=-1": [
         "--system", "y",
         "--params", json.dumps(Y_PARAMS), "--x0", X0,
@@ -296,6 +312,10 @@ ITERATE = {
     ("quad-family k=-1", "jsonl"): "80d9fb605ad6a9be269b103728664030180b8c7fe9796621bf58eef170513209",
     ("conjugated k=-1", "csv"): "c418598fe3f954da8f6aca43082ae144a5908998dd4159c655dc5802f0dbc27e",
     ("conjugated k=-1", "jsonl"): "a4e7469e7a1afe5e28c778ffd5fbc2a846848515b6d9b8e0fbaded33ae5ec9f2",
+    ("cubic-family k=-1", "csv"): "c76b22444999908acfcb3252839d183aeeb589608f40115dd9a5c673cac7ead0",
+    ("cubic-family k=-1", "jsonl"): "8acec188568d8cda829cecc2fb09259d9dc593949f5961f774a3ad6a34d3c911",
+    ("generalized k=-1", "csv"): "ef6866439ce1b34c253aaed79fa1148b6f7f5e7ceb2f2fc15c249961b6a584a7",
+    ("generalized k=-1", "jsonl"): "e32f569f06f0db23635dcf13a873a2220c3431f6077e2facda06fa3b6398d3a4",
     ("y k=-1", "csv"): "a3ea146e763da83c11b6189d2f8a250feaa74b0fdef4fb8a67c2045b2cde9df3",
     ("y k=-1", "jsonl"): "72e5eac01ff8b27abfba8887793d2018dc84d66afa9309cf6835a4eadbc0a11e",
     ("sqrt-quad k=-1", "csv"): "220a4a090f56e8025295436f5c7f70c66baaaec112e0bb0bce49b5679fcc49c5",

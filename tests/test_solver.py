@@ -7,7 +7,7 @@ import pytest
 from solvmaps import ysystem
 from solvmaps.errors import NumericOverflowError, ZeroToNegativePowerError
 from solvmaps.numeric import MINUS, PLUS, SIGNS, Powers, pair_eq_unordered
-from solvmaps.polybridge import DistinctZeroPair, cubic_from_zeros, quad_from_zeros
+from solvmaps.polybridge import cubic_from_zeros, quad_from_zeros
 from solvmaps.solver import (
     solve_conjugated,
     solve_cubic_family,
@@ -47,7 +47,7 @@ class TestInitialCondition:
         assert pair_residual_unordered(sol.entries[0].plus, x0) <= 1e-9
 
     def test_cubic_family_one_branch(self):
-        x0 = DistinctZeroPair(0.5, -1.5)
+        x0 = (0.5, -1.5)
         sol = solve_cubic_family(CubicFamilyParams(1, 0.5, 1), x0, 0)
         assert min(pair_residual(b, tuple(x0)) for b in sol.branch_set(0)) <= 1e-9
 
@@ -62,7 +62,7 @@ class TestInitialCondition:
         x0 = (0.5, 1.5)
         sol = solve_sqrt_quadratic(sp, x0, 0)
         assert pair_residual_unordered(sol.entries[0].plus, x0) <= 1e-9
-        sol = solve_sqrt_cubic(sp, DistinctZeroPair(*x0), 0)
+        sol = solve_sqrt_cubic(sp, x0, 0)
         assert min(pair_residual(b, x0) for b in sol.branch_set(0)) <= 1e-9
 
 
@@ -80,7 +80,7 @@ class TestOneStepConsistency:
         rng = random.Random("solver:cubic1")
         for _ in range(25):
             p = CubicFamilyParams(draw_complex(rng), draw_complex(rng), rng.choice([1, 2]))
-            x0 = DistinctZeroPair(draw_complex(rng), draw_complex(rng))
+            x0 = (draw_complex(rng), draw_complex(rng))
             sol = solve_cubic_family(p, x0, 1)
             want = [tuple(step_cubic_family(p, s, x0)) for s in SIGNS]
             assert branch_set_matches(sol.branch_set(1), want)
@@ -104,7 +104,7 @@ class TestOneStepConsistency:
                 draw_complex(rng), draw_complex(rng), draw_complex(rng),
                 rng.choice([1, 2]), rng.randint(0, 3), rng.randint(0, 3),
             )
-            x0 = DistinctZeroPair(draw_complex(rng), draw_complex(rng))
+            x0 = (draw_complex(rng), draw_complex(rng))
             sol = solve_sqrt_cubic(sp, x0, 1)
             want = [tuple(step_sqrt_cubic(sp, s, x0)) for s in SIGNS]
             assert branch_set_matches(sol.branch_set(1), want, tol=1e-8)
@@ -132,7 +132,7 @@ class TestOneStepConsistency:
 
 class TestWorkedInstances:
     def test_cubic_family_step_one(self):
-        sol = solve_cubic_family(CubicFamilyParams(1, 1, 1), DistinctZeroPair(1, 0), 1)
+        sol = solve_cubic_family(CubicFamilyParams(1, 1, 1), (1, 0), 1)
         assert residual(sol.entries[1].y.y1, 12 + 0j) <= 1e-12
         assert residual(sol.entries[1].y.y2, 36 + 0j) <= 1e-12
         assert branch_set_matches(sol.branch_set(1), [(-6 + 0j, 0j), (-2 + 0j, -8 + 0j)], tol=1e-12)
@@ -164,7 +164,7 @@ class TestWorkedInstances:
         p = CubicFamilyParams(0.5, 0.25, 1)
         x0 = (1 + 1j, -0.5)
         conj = solve_conjugated(LinearChange(1, 0, 0, 1), p, x0, 3)
-        plain = solve_cubic_family(p, DistinctZeroPair(*x0), 3)
+        plain = solve_cubic_family(p, x0, 3)
         for a, b in zip(conj.entries, plain.entries):
             assert pair_residual(a.plus, b.plus) <= 1e-12
             assert pair_residual(a.minus, b.minus) <= 1e-12
@@ -181,7 +181,7 @@ class TestStructuralProperties:
         # With b = 0 every step maps onto the triple-root locus, where the
         # branch discriminant cancels to roundoff; the branches coincide to
         # sqrt(eps).  At ell = 0 the two double-root branches still differ.
-        sol = solve_cubic_family(CubicFamilyParams(0.9, 0, 1), DistinctZeroPair(0.8, -0.3), 4)
+        sol = solve_cubic_family(CubicFamilyParams(0.9, 0, 1), (0.8, -0.3), 4)
         for entry in sol.entries[1:]:
             assert pair_residual(entry.plus, entry.minus) <= 1e-6
 
@@ -189,7 +189,7 @@ class TestStructuralProperties:
         from solvmaps.ysystem import y_step
 
         p = CubicFamilyParams(0.7, 0.4, 1)
-        sol = solve_cubic_family(p, DistinctZeroPair(0.5, 1.1), 4)
+        sol = solve_cubic_family(p, (0.5, 1.1), 4)
         yp = p.y_params()
         for prev, cur in zip(sol.entries, sol.entries[1:]):
             stepped = y_step(yp, prev.y)
@@ -201,7 +201,7 @@ class TestStructuralProperties:
         rng = random.Random("solver:shadow")
         for _ in range(20):
             p = CubicFamilyParams(draw_complex(rng), draw_complex(rng), 1)
-            x0 = DistinctZeroPair(draw_complex(rng), draw_complex(rng))
+            x0 = (draw_complex(rng), draw_complex(rng))
             sol = solve_cubic_family(p, x0, 4)
             state = x0
             for ell in range(1, len(sol.entries)):
@@ -248,9 +248,9 @@ class TestWidelySeparatedZeros:
                 assert _relative(x1 + x2, -want.y1) <= 1e-14
 
     def test_cubic_family_small_double_zero(self):
-        p, x0 = CubicFamilyParams(1, 1, 1), DistinctZeroPair(1e-8, 1e8)
+        p, x0 = CubicFamilyParams(1, 1, 1), (1e-8, 1e8)
         sol = solve_cubic_family(p, x0, 3)
-        assert sol.entries[0].minus == x0 and sol.entries[0].y.y2 == x0.x1 * (x0.x1 + 2 * x0.x2)
+        assert sol.entries[0].minus == x0 and sol.entries[0].y.y2 == x0[0] * (x0[0] + 2 * x0[1])
         for ell, entry in enumerate(sol.entries):
             want = self._iterated(p, x0, ell, cubic_from_zeros)
             assert _relative(entry.y.y2, want.y2) <= 1e-14
@@ -262,7 +262,7 @@ class TestWidelySeparatedZeros:
     def test_cubic_family_small_simple_zero(self):
         # (y1, y2) fix a simple zero far below the double one only to the
         # absolute accuracy of y1; y2 itself keeps its digits.
-        p, x0 = CubicFamilyParams(1, 1, 1), DistinctZeroPair(1e8, 1e-8)
+        p, x0 = CubicFamilyParams(1, 1, 1), (1e8, 1e-8)
         sol = solve_cubic_family(p, x0, 3)
         for ell, entry in enumerate(sol.entries):
             want = self._iterated(p, x0, ell, cubic_from_zeros)
@@ -337,20 +337,20 @@ class TestSharedSquarings:
 
         monkeypatch.setattr(ysystem, "_gamma_term", counting_term)
         p = YParams(1j, -1, -1j, 1, 1, 3)
-        sol = solve_sqrt_cubic(p, DistinctZeroPair(1, -2 - 1j), 150)
+        sol = solve_sqrt_cubic(p, (1, -2 - 1j), 150)
         assert sol.overflow_at is None
         assert terms == list(range(150))
 
 
 class TestOverflowTruncation:
     def test_marker_and_prefix(self):
-        sol = solve_cubic_family(CubicFamilyParams(1, 1, 2), DistinctZeroPair(1e80, 0), 6)
+        sol = solve_cubic_family(CubicFamilyParams(1, 1, 2), (1e80, 0), 6)
         assert sol.overflow_at is not None
         assert len(sol.entries) == sol.overflow_at
 
     def test_zero_base_truncates_with_error(self):
         # y1(0) = 0 and k = -1: y1(0)**-2 is needed from step 1 on.
-        sol = solve_cubic_family(CubicFamilyParams(1, 1, -1), DistinctZeroPair(1, -2), 4)
+        sol = solve_cubic_family(CubicFamilyParams(1, 1, -1), (1, -2), 4)
         assert sol.overflow_at == 1
         assert len(sol.entries) == 1
         assert isinstance(sol.error, ZeroToNegativePowerError)
@@ -397,7 +397,7 @@ class TestOverflowTruncation:
         assert (sol.overflow_at, sol.error and type(sol.error)) == self.PINNED[case]
 
     def test_no_marker_on_clean_run(self):
-        sol = solve_cubic_family(CubicFamilyParams(1, 1, 1), DistinctZeroPair(1, 0), 3)
+        sol = solve_cubic_family(CubicFamilyParams(1, 1, 1), (1, 0), 3)
         assert sol.overflow_at is None
         assert sol.error is None
         assert len(sol.entries) == 4

@@ -6,7 +6,6 @@ import pytest
 
 from solvmaps.errors import ConfigError, ZeroToNegativePowerError
 from solvmaps.numeric import MINUS, PLUS, SIGNS, pair_eq_unordered
-from solvmaps.polybridge import DistinctZeroPair
 from solvmaps.solver import solve_sqrt_cubic, solve_sqrt_quadratic
 from solvmaps.stepmaps import (
     CubicFamilyParams,
@@ -68,18 +67,18 @@ class TestQuadraticFamily:
 class TestCubicFamily:
     def test_worked_example_plus(self):
         p = CubicFamilyParams(1, 1, 1)
-        got = step_cubic_family(p, PLUS, DistinctZeroPair(1, 0))
-        assert (got.x1, got.x2) == (-6, 0)
+        got = step_cubic_family(p, PLUS, (1, 0))
+        assert got == (-6, 0)
 
     def test_worked_example_minus(self):
         p = CubicFamilyParams(1, 1, 1)
-        got = step_cubic_family(p, MINUS, DistinctZeroPair(1, 0))
-        assert (got.x1, got.x2) == (-2, -8)
+        got = step_cubic_family(p, MINUS, (1, 0))
+        assert got == (-2, -8)
 
     def test_b_zero_components_equal(self):
         p = CubicFamilyParams(1 + 0.5j, 0, 2)
-        got = step_cubic_family(p, PLUS, DistinctZeroPair(1 + 1j, -0.5))
-        assert got.x1 == got.x2
+        got = step_cubic_family(p, PLUS, (1 + 1j, -0.5))
+        assert got[0] == got[1]
 
     def test_y_params_assignment(self):
         yp = CubicFamilyParams(2, 1, 1).y_params()
@@ -91,11 +90,11 @@ class TestCubicFamily:
         rng = random.Random("stepmaps:shadow")
         for _ in range(30):
             p = CubicFamilyParams(draw_complex(rng), draw_complex(rng), rng.choice([1, 2]))
-            x = DistinctZeroPair(draw_complex(rng), draw_complex(rng))
+            x = (draw_complex(rng), draw_complex(rng))
             s = rng.choice(SIGNS)
             nxt = step_cubic_family(p, s, x)
-            y = YState(-(2 * x.x1 + x.x2), x.x1 * (x.x1 + 2 * x.x2))
-            y_next = YState(-(2 * nxt.x1 + nxt.x2), nxt.x1 * (nxt.x1 + 2 * nxt.x2))
+            y = YState(-(2 * x[0] + x[1]), x[0] * (x[0] + 2 * x[1]))
+            y_next = YState(-(2 * nxt[0] + nxt[1]), nxt[0] * (nxt[0] + 2 * nxt[1]))
             stepped = y_step(p.y_params(), y)
             assert residual(y_next.y1, stepped.y1) <= 1e-9
             assert residual(y_next.y2, stepped.y2) <= 1e-9
@@ -104,7 +103,7 @@ class TestCubicFamily:
 class TestDoubleStep:
     def test_hand_instances(self):
         p = CubicFamilyParams(1, 1, 1)
-        x = DistinctZeroPair(1, 0)
+        x = (1, 0)
         plus = double_step_cubic(p, PLUS, x)
         minus = double_step_cubic(p, MINUS, x)
         assert pair_residual(plus, (-216, 0)) <= 1e-12
@@ -114,7 +113,7 @@ class TestDoubleStep:
         rng = random.Random("stepmaps:double")
         for _ in range(50):
             p = CubicFamilyParams(draw_complex(rng), draw_complex(rng), rng.choice([-1, 1, 2]))
-            x = DistinctZeroPair(draw_complex(rng), draw_complex(rng))
+            x = (draw_complex(rng), draw_complex(rng))
             try:
                 for s0 in SIGNS:
                     for s1 in SIGNS:
@@ -126,7 +125,7 @@ class TestDoubleStep:
 
     def test_b_zero_sign_independent(self):
         p = CubicFamilyParams(1 - 0.5j, 0, 1)
-        x = DistinctZeroPair(0.5, 1.5)
+        x = (0.5, 1.5)
         assert double_step_cubic(p, PLUS, x) == double_step_cubic(p, MINUS, x)
 
 
@@ -240,7 +239,7 @@ class TestSqrtSystems:
             k = rng.choice([-1, 1, 2])
             cp = CubicFamilyParams(a, b, k)
             sp = YParams(3 * a, 3 * b, 3 * (a * a - b * b), k, 2 * k, 2 * (1 + k))
-            x = DistinctZeroPair(draw_complex(rng), draw_complex(rng))
+            x = (draw_complex(rng), draw_complex(rng))
             try:
                 want = [step_cubic_family(cp, s, x) for s in SIGNS]
                 for s in SIGNS:
@@ -253,7 +252,7 @@ class TestSqrtSystems:
         # The quadratic reproducer through the cubic bridge: x1 = (-y1 + r) / 3
         # would cancel to exactly 0 at ell 3, while y2 = x1 (x1 + 2 x2) stays 0.775.
         sp = YParams(-1.234, 1e-200, 0.775, 2, 5, 0)
-        x = x0 = DistinctZeroPair(-1.237 + 0.56j, -0.567 - 1.286j)
+        x = x0 = (-1.237 + 0.56j, -0.567 - 1.286j)
         solution = solve_sqrt_cubic(sp, x0, 4)
         for ell in range(1, 5):
             x = step_sqrt_cubic(sp, PLUS, x)
@@ -266,7 +265,7 @@ class TestSqrtSystems:
     def test_cubic_equal_zeros_branches_coincide(self):
         a, b = 0.8, 0.3
         sp = YParams(3 * a, 3 * b, 3 * (a * a - b * b), 1, 2, 4)
-        x = DistinctZeroPair(0.5 + 0.5j, 0.5 + 0.5j)
+        x = (0.5 + 0.5j, 0.5 + 0.5j)
         plus = step_sqrt_cubic(sp, PLUS, x)
         minus = step_sqrt_cubic(sp, MINUS, x)
         # The radicand cancels to roundoff, so its square root only
@@ -278,7 +277,7 @@ class TestConjugated:
     def test_identity_change_matches_cubic(self):
         p = CubicFamilyParams(1, 1, 1)
         got = step_conjugated(LinearChange(1, 0, 0, 1), p, PLUS, (1, 0))
-        want = step_cubic_family(p, PLUS, DistinctZeroPair(1, 0))
+        want = step_cubic_family(p, PLUS, (1, 0))
         assert pair_residual(got, tuple(want)) <= 1e-12
 
     def test_diagonal_change_example(self):
@@ -298,7 +297,7 @@ class TestConjugated:
             s = rng.choice(SIGNS)
             try:
                 got = step_conjugated(A, p, s, z)
-                want = A.apply(step_cubic_family(p, s, DistinctZeroPair(*A.invert(z))))
+                want = A.apply(step_cubic_family(p, s, A.invert(z)))
             except ZeroToNegativePowerError:
                 continue
             assert pair_residual(got, want) <= 1e-9
@@ -315,7 +314,7 @@ class TestConjugated:
                 z = draw_pair(rng)
                 s = rng.choice(SIGNS)
                 got = step_conjugated(A, p, s, z)
-                want = A.apply(step_cubic_family(p, s, DistinctZeroPair(*A.invert(z))))
+                want = A.apply(step_cubic_family(p, s, A.invert(z)))
             except (ConfigError, ZeroToNegativePowerError):
                 continue
             assert pair_residual(got, want) <= 1e-9

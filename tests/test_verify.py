@@ -6,7 +6,6 @@ import pytest
 
 from solvmaps import verify
 from solvmaps.errors import ConfigError
-from solvmaps.polybridge import DistinctZeroPair
 from solvmaps.solver import solve_cubic_family
 from solvmaps.stepmaps import (
     CubicFamilyParams,
@@ -26,7 +25,7 @@ from solvmaps.verify import (
 class TestEnumeration:
     def test_worked_cubic_level(self):
         p = CubicFamilyParams(1, 1, 1)
-        step = lambda s, x: step_cubic_family(p, s, DistinctZeroPair(*x))
+        step = lambda s, x: step_cubic_family(p, s, x)
         levels, failures = enumerate_sign_orbits(step, (1, 0), 1)
         assert failures == 0
         assert len(levels[1]) == 2
@@ -41,20 +40,20 @@ class TestEnumeration:
 
     def test_b_zero_cubic_single_state(self):
         p = CubicFamilyParams(0.9, 0, 1)
-        step = lambda s, x: step_cubic_family(p, s, DistinctZeroPair(*x))
+        step = lambda s, x: step_cubic_family(p, s, x)
         levels, _ = enumerate_sign_orbits(step, (0.5, -0.25), 4)
         assert all(len(states) == 1 for states in levels)
 
     def test_cap_enforced(self):
         p = CubicFamilyParams(1, 1, 1)
-        step = lambda s, x: step_cubic_family(p, s, DistinctZeroPair(*x))
+        step = lambda s, x: step_cubic_family(p, s, x)
         with pytest.raises(ValueError):
             enumerate_sign_orbits(step, (1, 0), 11)
 
     def test_failures_counted_not_fatal(self):
         # k = -1 from the origin raises on every expansion.
         p = CubicFamilyParams(1, 1, -1)
-        step = lambda s, x: step_cubic_family(p, s, DistinctZeroPair(*x))
+        step = lambda s, x: step_cubic_family(p, s, x)
         levels, failures = enumerate_sign_orbits(step, (0, 0), 1)
         assert failures == 2
         assert levels[1] == []
@@ -63,15 +62,15 @@ class TestEnumeration:
 class TestChecks:
     def test_branch_collapse_on_worked_instance(self):
         p = CubicFamilyParams(1, 1, 1)
-        sol = solve_cubic_family(p, DistinctZeroPair(1, 0), 3)
-        step = lambda s, x: step_cubic_family(p, s, DistinctZeroPair(*x))
+        sol = solve_cubic_family(p, (1, 0), 3)
+        step = lambda s, x: step_cubic_family(p, s, x)
         assert check_branch_collapse(step, sol, (1, 0)) <= 1e-9
 
     def test_closed_vs_iterated_membership(self):
         p = CubicFamilyParams(0.6, 0.4, 1)
         x0 = (0.5, -0.8)
-        sol = solve_cubic_family(p, DistinctZeroPair(*x0), 4)
-        step = lambda s, x: step_cubic_family(p, s, DistinctZeroPair(*x))
+        sol = solve_cubic_family(p, x0, 4)
+        step = lambda s, x: step_cubic_family(p, s, x)
         assert check_branch_collapse(step, sol, x0) <= 1e-8
 
 
