@@ -140,26 +140,29 @@ def principal_sqrt(z: complex) -> complex:
     return w
 
 
-def approx_eq(a: complex, b: complex, rel: float = 1e-9, abs_tol: float = 1e-12) -> bool:
-    """True iff ``|a-b| <= abs_tol + rel * max(|a|, |b|)``."""
-    return abs(a - b) <= abs_tol + rel * max(abs(a), abs(b))
+#: The one comparison rule, ``|a-b| <= EQ_ABS + EQ_REL * max(|a|, |b|)``: the
+#: tolerance of the sign-orbit dedupe in ``verify``.  Looser than the 1e-9
+#: residual tolerance of its properties, so roundoff never splits a genuine
+#: branch into two.
+EQ_REL = 1e-8
+EQ_ABS = 1e-12
 
 
-def pair_eq_unordered(
-    p: ComplexPair, q: ComplexPair, rel: float = 1e-9, abs_tol: float = 1e-12
-) -> bool:
+def approx_eq(a: complex, b: complex) -> bool:
+    """True iff ``|a-b| <= EQ_ABS + EQ_REL * max(|a|, |b|)``."""
+    return abs(a - b) <= EQ_ABS + EQ_REL * max(abs(a), abs(b))
+
+
+def pair_eq_unordered(p: ComplexPair, q: ComplexPair) -> bool:
     """Equality of two label-free pairs under some assignment of labels."""
     a1, a2 = p
     b1, b2 = q
-    return (approx_eq(a1, b1, rel, abs_tol) and approx_eq(a2, b2, rel, abs_tol)) or (
-        approx_eq(a1, b2, rel, abs_tol) and approx_eq(a2, b1, rel, abs_tol)
-    )
+    return (approx_eq(a1, b1) and approx_eq(a2, b2)) or (approx_eq(a1, b2) and approx_eq(a2, b1))
 
 
-def pair_eq_ordered(
-    p: ComplexPair, q: ComplexPair, rel: float = 1e-9, abs_tol: float = 1e-12
-) -> bool:
-    return approx_eq(p[0], q[0], rel, abs_tol) and approx_eq(p[1], q[1], rel, abs_tol)
+def pair_eq_ordered(p: ComplexPair, q: ComplexPair) -> bool:
+    """Equality of two labelled pairs, component by component."""
+    return approx_eq(p[0], q[0]) and approx_eq(p[1], q[1])
 
 
 def complex_from_obj(obj: object) -> complex:

@@ -8,6 +8,8 @@ Two bridges are provided:
   z**3 + y1 z**2 + y2 z + y3 = (z - x1)**2 (z - x2), where x1 has
   multiplicity 2 and the labels are meaningful.
 
+Both pairs are plain ``numeric.ComplexPair`` tuples; only the cubic one is ordered.
+
 The double-root inversion is implemented with the algebraically consistent
 prefactor 1/3 (the 1/2 printed in the source formula fails the round-trip
 test); the printed variant is kept available for the discrepancy report.
@@ -19,20 +21,13 @@ from .numeric import ComplexPair, Sign, principal_sqrt
 from .ysystem import YState
 
 
-#: Ordered pair (x1, x2): x1 is the double zero, x2 the simple zero.
-DistinctZeroPair = ComplexPair
-
-#: Unordered pair of indistinguishable zeros; equality is pair_eq_unordered.
-ZeroPair = ComplexPair
-
-
-def quad_from_zeros(p: ZeroPair) -> YState:
-    """Vieta: coefficients of the monic quadratic with the given zeros."""
+def quad_from_zeros(p: ComplexPair) -> YState:
+    """Vieta: coefficients of the monic quadratic with the given (unordered) zeros."""
     x1, x2 = p
     return YState(-(x1 + x2), x1 * x2)
 
 
-def quad_zeros(m: YState) -> ZeroPair:
+def quad_zeros(m: YState) -> ComplexPair:
     """The unordered zero pair of z**2 + y1 z + y2, the larger-magnitude zero first."""
     y1, y2 = complex(m[0]), complex(m[1])
     s = principal_sqrt(y1 * y1 - 4 * y2)
@@ -41,7 +36,7 @@ def quad_zeros(m: YState) -> ZeroPair:
     return quad_zeros_from_root(y1, s, y2)
 
 
-def quad_zeros_from_root(y1: complex, r: complex, y2: complex) -> ZeroPair:
+def quad_zeros_from_root(y1: complex, r: complex, y2: complex) -> ComplexPair:
     """The zero pair ((-y1 + r) / 2, (-y1 - r) / 2) of z**2 + y1 z + y2.
 
     ``r`` is a square root of the discriminant y1**2 - 4 y2; the other root
@@ -54,13 +49,13 @@ def quad_zeros_from_root(y1: complex, r: complex, y2: complex) -> ZeroPair:
     return (first, y2 / first) if first else (0j, 0j)
 
 
-def cubic_from_zeros(d: DistinctZeroPair) -> YState:
-    """(y1, y2) of (z - x1)**2 (z - x2); the dependent y3 is -x1**2 x2."""
+def cubic_from_zeros(d: ComplexPair) -> YState:
+    """(y1, y2) of (z - x1)**2 (z - x2) for the ordered pair (x1, x2); y3 is -x1**2 x2."""
     x1, x2 = d
     return YState(-(2 * x1 + x2), x1 * (x1 + 2 * x2))
 
 
-def cubic_zeros_branch(y1: complex, y2: complex, b: Sign) -> DistinctZeroPair:
+def cubic_zeros_branch(y1: complex, y2: complex, b: Sign) -> ComplexPair:
     """One branch of the double-root inversion.
 
     x1 solves 3 x1**2 + 2 y1 x1 + y2 = 0; the two branches enumerate both
@@ -70,7 +65,7 @@ def cubic_zeros_branch(y1: complex, y2: complex, b: Sign) -> DistinctZeroPair:
     return cubic_zeros_from_root(y1, b * principal_sqrt(y1 * y1 - 3 * y2), y2)
 
 
-def cubic_zeros_from_root(y1: complex, r: complex, y2: complex) -> DistinctZeroPair:
+def cubic_zeros_from_root(y1: complex, r: complex, y2: complex) -> ComplexPair:
     """The double-root pair with 2 x1 + x2 = -y1 and x1 - x2 = r.
 
     ``r`` is a square root of the discriminant y1**2 - 3 y2; the two roots
@@ -88,7 +83,7 @@ def cubic_zeros_from_root(y1: complex, r: complex, y2: complex) -> DistinctZeroP
     return (x1, -y1 - 2 * x1)
 
 
-def cubic_zeros_printed(y1: complex, y2: complex, s: Sign) -> DistinctZeroPair:
+def cubic_zeros_printed(y1: complex, y2: complex, s: Sign) -> ComplexPair:
     """The double-root inversion with the (incorrect) printed 1/2 prefactor.
 
     Kept only so the verification report can demonstrate that this variant

@@ -35,8 +35,6 @@ from typing import NamedTuple
 from .errors import NumericError
 from .numeric import MINUS, PLUS, ComplexPair, ensure_all_finite, principal_sqrt
 from .polybridge import (
-    DistinctZeroPair,
-    ZeroPair,
     cubic_from_zeros,
     cubic_zeros_from_root,
     quad_from_zeros,
@@ -130,22 +128,22 @@ def solve_y(p: YParams, y0: ComplexPair, ellmax: int) -> BranchSolution:
     return _solve_coefficients(p, YState(*y0), ellmax, lambda y: BranchEntry(y, y, y))
 
 
-def solve_sqrt_quadratic(p: YParams, x0: ZeroPair, ellmax: int) -> BranchSolution:
+def solve_sqrt_quadratic(p: YParams, x0: ComplexPair, ellmax: int) -> BranchSolution:
     """Closed-form orbit of the square-root quadratic system (free q, r)."""
     return _solve_coefficients(p, quad_from_zeros(x0), ellmax, _quad_invert)
 
 
-def solve_quadratic_family(p: QuadraticFamilyParams, x0: ZeroPair, ellmax: int) -> BranchSolution:
+def solve_quadratic_family(p: QuadraticFamilyParams, x0: ComplexPair, ellmax: int) -> BranchSolution:
     """Closed-form orbit of the quadratic family."""
     return _solve_family(p.y_params(), quad_from_zeros(x0), x0[0] - x0[1], ellmax, quad_zeros_from_root)
 
 
-def solve_sqrt_cubic(p: YParams, x0: DistinctZeroPair, ellmax: int) -> BranchSolution:
+def solve_sqrt_cubic(p: YParams, x0: ComplexPair, ellmax: int) -> BranchSolution:
     """Closed-form orbit of the square-root cubic system (free q, r)."""
     return _solve_coefficients(p, cubic_from_zeros(x0), ellmax, _cubic_invert)
 
 
-def solve_cubic_family(p: CubicFamilyParams, x0: DistinctZeroPair, ellmax: int) -> BranchSolution:
+def solve_cubic_family(p: CubicFamilyParams, x0: ComplexPair, ellmax: int) -> BranchSolution:
     """Closed-form orbit of the cubic family."""
     return _solve_family(p.y_params(), cubic_from_zeros(x0), x0[0] - x0[1], ellmax, cubic_zeros_from_root)
 

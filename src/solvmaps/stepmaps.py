@@ -21,8 +21,6 @@ from typing import NamedTuple
 from .errors import ConfigError
 from .numeric import ComplexPair, Sign, cpow, principal_sqrt
 from .polybridge import (
-    DistinctZeroPair,
-    ZeroPair,
     cubic_from_zeros,
     cubic_zeros_branch,
     quad_from_zeros,
@@ -178,7 +176,7 @@ class K1CoeffTable(NamedTuple):
     a23: complex
 
 
-def step_quadratic_family(p: QuadraticFamilyParams, s: Sign, x: ZeroPair) -> ZeroPair:
+def step_quadratic_family(p: QuadraticFamilyParams, s: Sign, x: ComplexPair) -> ComplexPair:
     """One step of the quadratic family (flipping s swaps the components)."""
     x1, x2 = x
     w = x1 + x2
@@ -187,7 +185,7 @@ def step_quadratic_family(p: QuadraticFamilyParams, s: Sign, x: ZeroPair) -> Zer
     return (base * (p.a * w - s * diff), base * (p.a * w + s * diff))
 
 
-def step_cubic_family(p: CubicFamilyParams, s: Sign, x: DistinctZeroPair) -> DistinctZeroPair:
+def step_cubic_family(p: CubicFamilyParams, s: Sign, x: ComplexPair) -> ComplexPair:
     """One step of the cubic family (ordered: the labels are meaningful)."""
     x1, x2 = x
     w = 2 * x1 + x2
@@ -197,7 +195,7 @@ def step_cubic_family(p: CubicFamilyParams, s: Sign, x: DistinctZeroPair) -> Dis
     return (base * (sign_k * p.a * w - diff), base * (sign_k * p.a * w + 2 * diff))
 
 
-def double_step_cubic(p: CubicFamilyParams, s01: Sign, x: DistinctZeroPair) -> DistinctZeroPair:
+def double_step_cubic(p: CubicFamilyParams, s01: Sign, x: ComplexPair) -> ComplexPair:
     """Two steps of the cubic family at once; only the sign product matters."""
     x1, x2 = x
     w = 2 * x1 + x2
@@ -225,7 +223,7 @@ def step_generalized(p: GeneralizedParams, s: Sign, z: ComplexPair) -> ComplexPa
     )
 
 
-def step_sqrt_quadratic(p: YParams, s: Sign, x: ZeroPair) -> ZeroPair:
+def step_sqrt_quadratic(p: YParams, s: Sign, x: ComplexPair) -> ComplexPair:
     """One step of the square-root quadratic system (free exponents q, r).
 
     The coefficients of the zeros take one :func:`~solvmaps.ysystem.y_step`;
@@ -236,7 +234,7 @@ def step_sqrt_quadratic(p: YParams, s: Sign, x: ZeroPair) -> ZeroPair:
     return quad_zeros_from_root(y.y1, -s * principal_sqrt(y.y1 * y.y1 - 4 * y.y2), y.y2)
 
 
-def step_sqrt_cubic(p: YParams, s: Sign, x: DistinctZeroPair) -> DistinctZeroPair:
+def step_sqrt_cubic(p: YParams, s: Sign, x: ComplexPair) -> ComplexPair:
     """One step of the square-root cubic system (free exponents q, r).
 
     The coefficients (y1, y2) of the double-root cubic take one

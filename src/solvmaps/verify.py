@@ -142,7 +142,7 @@ def enumerate_sign_orbits(
     ellmax: int,
     unordered: bool = False,
 ) -> tuple[list[list[ComplexPair]], int]:
-    """Breadth-first expansion over all sign sequences with tolerance dedupe.
+    """Breadth-first expansion over all sign sequences, deduplicated by ``numeric.pair_eq_*``.
 
     Returns the per-step deduplicated state sets (index 0 holds the initial
     state) and the number of expansions that died with a numeric error.
@@ -161,8 +161,7 @@ def enumerate_sign_orbits(
                 except NumericError:
                     failures += 1
                     continue
-                # Looser than TOL, so roundoff never splits a genuine branch into two.
-                if not any(eq(candidate, seen, rel=1e-8) for seen in frontier):
+                if not any(eq(candidate, seen) for seen in frontier):
                     frontier.append(candidate)
         levels.append(frontier)
     return levels, failures
@@ -275,8 +274,7 @@ def _draw_quad_family(rng: random.Random, record: Callable[..., None]) -> None:
         a = step_quadratic_family(p, s, x0)
         b = step_quadratic_family(p, -s, x0)
         # Exact swap covariance, no tolerance.
-        if (a[0], a[1]) != (b[1], b[0]):
-            record(0, pair_residual(a, (b[1], b[0])))
+        record(0, pair_residual(a, (b[1], b[0])))
     solution = solve_quadratic_family(p, x0, 5)
     step = lambda s, x: step_quadratic_family(p, s, x)
     record(1, check_branch_collapse(step, solution, x0, unordered=True))

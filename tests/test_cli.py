@@ -432,6 +432,24 @@ def test_bad_complex_input_exits_2_before_any_row(capsys, name):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+#: Inputs whose exit-2 message is pinned word for word.
+INPUT_MESSAGES = {
+    "params a number": (["--params", "5", "--x0", "[1, 0]"], "error: --params must be a JSON object"),
+    "params a list": (["--params", "[1]", "--x0", "[1, 0]"], "error: --params must be a JSON object"),
+    "x0 not a literal": (["--params", CUBIC_PARAMS, "--x0", '["abc", 0]'],
+                         "error: --x0: not a complex literal: 'abc'"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INPUT_MESSAGES))
+def test_bad_input_message(capsys, name):
+    argv, message = INPUT_MESSAGES[name]
+    code, out, err = run_cli(capsys, "iterate", "--system", "cubic-family", *argv, "--steps", "2")
+    assert code == 2
+    assert out == ""
+    assert err == message + "\n"
+
+
 NONFINITE = re.compile("nan|inf", re.IGNORECASE)
 
 SQRT_CUBIC_HUGE_Y1 = [

@@ -12,6 +12,7 @@ from solvmaps.numeric import (
     approx_eq,
     complex_from_obj,
     cpow,
+    pair_eq_ordered,
     pair_eq_unordered,
     principal_sqrt,
 )
@@ -162,13 +163,25 @@ class TestSqrtBranch:
 
 class TestComparisons:
     def test_approx_eq_identical(self):
-        assert approx_eq(1 + 0j, 1 + 0j, rel=0, abs_tol=0)
+        assert approx_eq(1 + 0j, 1 + 0j)
+        assert approx_eq(0j, 0j)
 
     def test_approx_eq_within_rel(self):
-        assert approx_eq(1 + 0j, 1 + 1e-12 + 0j, rel=1e-9, abs_tol=0)
+        # One rule for every caller: |a-b| <= 1e-12 + 1e-8 max(|a|, |b|).
+        assert approx_eq(1 + 0j, 1 + 5e-9 + 0j)
+        assert not approx_eq(1 + 0j, 1 + 2e-8 + 0j)
+
+    def test_approx_eq_within_abs(self):
+        assert approx_eq(0j, 5e-13 + 0j)
+        assert not approx_eq(0j, 2e-12 + 0j)
 
     def test_approx_eq_far_apart(self):
-        assert not approx_eq(1 + 0j, 2 + 0j, rel=1e-9, abs_tol=0)
+        assert not approx_eq(1 + 0j, 2 + 0j)
+
+    def test_pair_eq_ordered_needs_both_components(self):
+        assert pair_eq_ordered((1 + 0j, 2 + 0j), (1 + 0j, 2 + 0j))
+        assert not pair_eq_ordered((1 + 0j, 2 + 0j), (1 + 0j, 3 + 0j))
+        assert not pair_eq_ordered((1 + 0j, 2 + 0j), (2 + 0j, 1 + 0j))
 
     def test_pair_eq_unordered_label_swap(self):
         assert pair_eq_unordered((1 + 0j, 2 + 0j), (2 + 0j, 1 + 0j))
@@ -178,6 +191,8 @@ class TestComparisons:
 
     def test_pair_eq_unordered_mismatch(self):
         assert not pair_eq_unordered((1 + 0j, 2 + 0j), (1 + 0j, 3 + 0j))
+        # One component matches across the swap, the other nowhere.
+        assert not pair_eq_unordered((1 + 0j, 2 + 0j), (2 + 0j, 3 + 0j))
 
     @given(a=complexes, b=complexes)
     def test_pair_eq_unordered_symmetric(self, a, b):

@@ -6,7 +6,7 @@ import pytest
 
 from solvmaps import ysystem
 from solvmaps.errors import NumericOverflowError, ZeroToNegativePowerError
-from solvmaps.numeric import MINUS, PLUS, SIGNS, Powers, pair_eq_unordered
+from solvmaps.numeric import MINUS, PLUS, SIGNS, Powers
 from solvmaps.polybridge import cubic_from_zeros, quad_from_zeros
 from solvmaps.solver import (
     solve_conjugated,
@@ -139,12 +139,12 @@ class TestWorkedInstances:
 
     def test_quadratic_family_step_one(self):
         sol = solve_quadratic_family(QuadraticFamilyParams(1, 1, 1), (1, 0), 1)
-        assert pair_eq_unordered(sol.entries[1].plus, (0, -2))
+        assert set(sol.entries[1].plus) == {0, -2}
 
     def test_sqrt_quadratic_reduction_instance(self):
         sp = YParams(2, 2, 0, 1, 2, 4)
         sol = solve_sqrt_quadratic(sp, (1, 0), 1)
-        assert pair_eq_unordered(sol.entries[1].plus, (0, -2))
+        assert set(sol.entries[1].plus) == {0, -2}
 
     def test_generalized_tiny_b2(self):
         # y1 = z1 + B2 z2 rounds to z1, and B2**2 underflows; nothing divides by B2.

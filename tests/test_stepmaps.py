@@ -5,7 +5,7 @@ import random
 import pytest
 
 from solvmaps.errors import ConfigError, ZeroToNegativePowerError
-from solvmaps.numeric import MINUS, PLUS, SIGNS, pair_eq_unordered
+from solvmaps.numeric import MINUS, PLUS, SIGNS
 from solvmaps.solver import solve_sqrt_cubic, solve_sqrt_quadratic
 from solvmaps.stepmaps import (
     CubicFamilyParams,
@@ -32,8 +32,8 @@ from solvmaps.ysystem import YParams, YState, y_step
 class TestQuadraticFamily:
     def test_worked_example_both_signs(self):
         p = QuadraticFamilyParams(1, 1, 1)
-        assert pair_eq_unordered(step_quadratic_family(p, PLUS, (1, 0)), (-2, 0))
-        assert pair_eq_unordered(step_quadratic_family(p, MINUS, (1, 0)), (0, -2))
+        assert set(step_quadratic_family(p, PLUS, (1, 0))) == {-2, 0}
+        assert set(step_quadratic_family(p, MINUS, (1, 0))) == {0, -2}
 
     def test_sign_flip_swaps_components_exactly(self):
         rng = random.Random("stepmaps:swap")
@@ -216,7 +216,7 @@ class TestSqrtSystems:
         x = (1 + 1j, 0.5)
         t = -(x[0] + x[1])
         got = step_sqrt_quadratic(sp, PLUS, x)
-        assert pair_eq_unordered(got, (0, -1.5 * t * t))
+        assert set(got) == {0, -1.5 * t * t}
 
     def test_small_zero_kept_when_the_other_dwarfs_it(self):
         # y2 stays 0.775 while one zero grows past 1e80: (-y1 -/+ r) / 2

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from solvmaps import verify
-from solvmaps.errors import ConfigError
+from solvmaps.errors import ConfigError, NumericOverflowError
 from solvmaps.solver import solve_cubic_family
 from solvmaps.stepmaps import (
     CubicFamilyParams,
@@ -14,6 +14,7 @@ from solvmaps.stepmaps import (
     step_quadratic_family,
 )
 from solvmaps.verify import (
+    ENUMERATION_CAP,
     SUITE_NAMES,
     check_branch_collapse,
     enumerate_sign_orbits,
@@ -47,8 +48,10 @@ class TestEnumeration:
     def test_cap_enforced(self):
         p = CubicFamilyParams(1, 1, 1)
         step = lambda s, x: step_cubic_family(p, s, x)
+        levels, _ = enumerate_sign_orbits(step, (1, 0), ENUMERATION_CAP)
+        assert len(levels) == ENUMERATION_CAP + 1
         with pytest.raises(ValueError):
-            enumerate_sign_orbits(step, (1, 0), 11)
+            enumerate_sign_orbits(step, (1, 0), ENUMERATION_CAP + 1)
 
     def test_failures_counted_not_fatal(self):
         # k = -1 from the origin raises on every expansion.
@@ -72,6 +75,30 @@ class TestChecks:
         sol = solve_cubic_family(p, x0, 4)
         step = lambda s, x: step_cubic_family(p, s, x)
         assert check_branch_collapse(step, sol, x0) <= 1e-8
+
+    # Negative controls: each pins one way the oracle must fail or skip.
+
+    def test_three_states_do_not_collapse(self):
+        sol = solve_cubic_family(CubicFamilyParams(1, 1, 1), (1, 0), 2)
+        # Step 2 reaches x0[0] + 2, x0[0] and x0[0] - 2.
+        step = lambda s, x: (x[0] + s, x[1])
+        assert check_branch_collapse(step, sol, (1, 0)) == float("inf")
+
+    def test_level_whose_expansions_all_raise_adds_nothing(self):
+        def step(s, x):
+            raise NumericOverflowError("every expansion overflows")
+
+        sol = solve_cubic_family(CubicFamilyParams(1, 1, 1), (1, 0), 2)
+        # Only ell = 0, where one branch is x0 itself, is compared.
+        assert check_branch_collapse(step, sol, (1, 0)) == 0.0
+
+    def test_initial_entry_is_compared(self):
+        p = CubicFamilyParams(1, 1, 1)
+        sol = solve_cubic_family(p, (1, 0), 2)
+        # The minus branch at ell = 0 is (1/3, 4/3), far from x0.
+        sol.entries[0] = sol.entries[0]._replace(plus=(1 + 1e-4, 0j))
+        step = lambda s, x: step_cubic_family(p, s, x)
+        assert check_branch_collapse(step, sol, (1, 0)) == pytest.approx(1e-4, rel=1e-3)
 
 
 class TestReport:

@@ -101,6 +101,15 @@ class TestClosedForm:
         y0 = YState(0.5 + 0.5j, -1 + 2j)
         assert y_closed(p, y0, 0) == y0
 
+    def test_scale_read_off_y1_for_negative_q_over_k(self):
+        # q/k = -1: the scale is y1**-1 * alpha**ell * y1(0), alpha**ell a power, not a reciprocal.
+        p = YParams(0.7 + 0.3j, 1.1 - 0.2j, 0.4 + 0.9j, 1, -1, 2)
+        y0 = YState(0.8 - 0.6j, 0.3 + 0.5j)
+        assert repr(y_closed(p, y0, 2)) == (
+            "YState(y1=(0.09271360000000017-0.4318751999999999j), "
+            "y2=(1.6498255724137938+1.437849268965518j))"
+        )
+
     @pytest.mark.parametrize("closed", [y_closed, y_closed_special])
     def test_ell_zero_identity_when_k_divides_q(self, closed):
         # The scale is read off y1 only from ell = 1 on: y1(0)**2 * y1(0)**-2 is not exactly 1.
@@ -192,8 +201,9 @@ class TestClosedForm:
 class TestSpecialClosedForm:
     def test_qr_mismatch_raises(self):
         p = YParams(1, 1, 0, 1, 2, 5)
-        with pytest.raises(ConfigError):
-            y_closed_special(p, YState(1, 1), 1)
+        for ell in (0, 1):
+            with pytest.raises(ConfigError):
+                y_closed_special(p, YState(1, 1), ell)
 
     def test_worked_example(self):
         p = YParams(3, 3, 0, 1, 2, 4)
