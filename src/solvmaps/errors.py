@@ -43,9 +43,5 @@ class NumericOverflowError(NumericError):
     """A computation produced a non-finite value."""
 
 
-class NonIntegerExponentError(SolvmapsError):
-    """Defensive: a closed-form exponent failed its exact divisibility check."""
-
-
 class ConfigError(SolvmapsError, ValueError):
     """Invalid run configuration or parameters (CLI exit code 2)."""

@@ -168,10 +168,9 @@ def enumerate_sign_orbits(
 
 
 def _set_equal_residual(
-    got: Sequence[ComplexPair], want: Sequence[ComplexPair], unordered: bool
+    got: Sequence[ComplexPair], want: Sequence[ComplexPair], dist: Callable[[ComplexPair, ComplexPair], float]
 ) -> float:
-    """Two-sided Hausdorff-style residual between small state sets."""
-    dist = pair_residual_unordered if unordered else pair_residual
+    """Two-sided Hausdorff-style residual between small state sets under ``dist``."""
     worst = 0.0
     for a in got:
         worst = max(worst, min((dist(a, b) for b in want), default=float("inf")))
@@ -207,7 +206,7 @@ def check_branch_collapse(
             # is that one branch reproduces it, not set equality.
             worst = max(worst, min(dist(states[0], b) for b in branches))
         else:
-            worst = max(worst, _set_equal_residual(states, branches, unordered))
+            worst = max(worst, _set_equal_residual(states, branches, dist))
     return worst
 
 
@@ -377,7 +376,7 @@ def _draw_yz(rng: random.Random, record: Callable[..., None]) -> None:
 def _cubic_worked_instance() -> list[PropertyResult]:
     """a = b = k = 1, x0 = (1, 0): the step-1 branch set is {(-6, 0), (-2, -8)}."""
     branches = solve_cubic_family(CubicFamilyParams(1, 1, 1), (1, 0), 1).branch_set(1)
-    res = _set_equal_residual(list(branches), [(-6 + 0j, 0j), (-2 + 0j, -8 + 0j)], unordered=False)
+    res = _set_equal_residual(list(branches), [(-6 + 0j, 0j), (-2 + 0j, -8 + 0j)], pair_residual)
     return [_property("worked instance branch set", res, 1e-12)]
 
 

@@ -11,8 +11,9 @@ q = 2k, r = 2(1+k), where the accumulator sum collapses to a geometric
 series.
 
 All closed-form exponents are computed in exact integer arithmetic (they
-grow like (1+k)**ell), so the divisibility identities underlying the
-formulas are checked rather than approximated.  Where k divides q, the
+grow like (1+k)**ell).  Their quotients by k and k**2 are exact by algebra
+for every integer k != 0, q, r and ell >= 0, and Tier-1 proves the
+identities, so floor division yields them.  Where k divides q, the
 scale factor alpha**e_alpha * y1(0)**e_y10 is read off y1 instead, as
 y1**(q/k) alpha**(-q ell/k) y1(0)**(-q/k): the same closed form, with
 exponents of O(log ell) bits.
@@ -35,7 +36,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import ConfigError, NonIntegerExponentError, NumericError
+from .errors import ConfigError, NumericError
 from .numeric import Powers, cpow, ensure_finite
 
 
@@ -158,7 +159,7 @@ class OrbitPowers:
         radix = 1 + self.p.k
         if radix <= 0:  # k < 0: ``Powers`` reuses its products, O(1) per step for k >= -3.
             growth = radix**ell
-            return self.alpha.pow(_exact_div(growth - 1, self.p.k)) * self.y10.pow(growth), growth
+            return self.alpha.pow((growth - 1) // self.p.k) * self.y10.pow(growth), growth
         n, growth, alpha_s, alpha_g, y10_g = self._rung if self._rung[0] <= ell else self._start
         for n in range(n, ell):
             alpha_g = _radix_pow(alpha_g, radix) if n else alpha_g  # alpha**g(n)
@@ -198,8 +199,8 @@ class OrbitPowers:
                 if scale != 0 and cmath.isfinite(scale):
                     return scale, alpha_mell
         k, q = self.p.k, self.p.q
-        e_alpha = _exact_div(q * (growth - k * ell - 1), k * k)
-        e_y10 = _exact_div(q * (growth - 1), k)
+        e_alpha = q * (growth - k * ell - 1) // (k * k)
+        e_y10 = q * (growth - 1) // k
         return self.alpha.pow(e_alpha) * self.y10.pow(e_y10), alpha_mell
 
     def _geometric_sum(self, ell: int, alpha_2ell: complex | None, beta_2ell: complex) -> complex:
@@ -234,13 +235,6 @@ class OrbitPowers:
 def u_exponent(k: int, q: int, r: int) -> int:
     """The auxiliary exponent u = k*r - (1+k)*q."""
     return k * r - (1 + k) * q
-
-
-def _exact_div(num: int, den: int) -> int:
-    q, rem = divmod(num, den)
-    if rem:
-        raise NonIntegerExponentError(f"{num} is not divisible by {den}")
-    return q
 
 
 def y_step(p: YParams, s: YState) -> YState:
@@ -279,8 +273,8 @@ def _gamma_term(p: YParams, powers: OrbitPowers, s: int) -> complex:
     """t_s = alpha**e_s * y1(0)**f_s, the gamma term of step s before beta's powers."""
     k, q, u = p.k, p.q, u_exponent(p.k, p.q, p.r)
     gs = (1 + k) ** s
-    e_s = _exact_div(u * (gs - 1) + q * s * k, k * k)
-    f_s = _exact_div(u * gs + q, k)
+    e_s = (u * (gs - 1) + q * s * k) // (k * k)
+    f_s = (u * gs + q) // k
     return powers.alpha.pow(e_s) * powers.y10.pow(f_s)
 
 

@@ -79,14 +79,21 @@ def test_criterion_01_closed_form_iteration_equivalence():
 
 
 def test_criterion_02_exponent_divisibility():
+    # The closed forms' four floor divisions by k and k**2 are exact: with g = (1+k)**n,
+    # u = k r - (1+k) q, g = 1 + k n (mod k**2) and u + q = k (r - q).
     with criterion(2, "exact-integer exponent divisibility identities", 0.1):
-        for k in range(-5, 6):
+        for k in range(-6, 7):
             if k == 0:
                 continue
-            for ell in range(0, 9):
-                growth = (1 + k) ** ell
+            for n in range(0, 13):
+                growth = (1 + k) ** n
                 assert (growth - 1) % k == 0
-                assert (growth - k * ell - 1) % (k * k) == 0
+                assert (growth - k * n - 1) % (k * k) == 0
+                for q in range(-4, 5):
+                    for r in range(-4, 5):
+                        u = k * r - (1 + k) * q
+                        assert (u * growth + q) % k == 0
+                        assert (u * (growth - 1) + q * n * k) % (k * k) == 0
 
 
 def test_criterion_03_quadratic_swap_and_solvability():

@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 
 from solvmaps.cli import _SYSTEMS, _Writer, _state_columns, build_parser, main
 from solvmaps.numeric import MINUS, PLUS
-from solvmaps.stepmaps import CubicFamilyParams, step_cubic_family
+from solvmaps.solver import solve_quadratic_family
+from solvmaps.stepmaps import CubicFamilyParams, QuadraticFamilyParams, step_cubic_family
 from solvmaps.verify import pair_residual, pair_residual_unordered
 from solvmaps.ysystem import YParams, YState, y_closed
 
@@ -395,6 +396,23 @@ def test_family_k0_iterates_but_does_not_solve(capsys):
     assert code == 2
     assert out == ""
     assert "k = 0" in err
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 12: iterate re-forms its base from cancelling zeros and loses the orbit")
+def test_iterate_stays_on_the_orbit_that_solve_delivers(capsys):
+    # iterate stops at step 95 on a zero base; solve delivers all 201 states, with y1 = 2 from step 1 on.
+    code, out, _ = run_cli(
+        capsys,
+        "iterate", "--system", "quad-family",
+        "--params", '{"a": 1, "b": 1.5, "k": -1}', "--x0", "[1, 0.5]", "--steps", "200",
+    )
+    assert code == 0
+    _, rows = parse_csv(out)
+    assert len(rows) == 201
+    entries = solve_quadratic_family(QuadraticFamilyParams(1, 1.5, -1), (1, 0.5), 200).entries
+    for row in rows:
+        x1, x2 = row_state(row)
+        assert pair_residual((-(x1 + x2), x1 * x2), entries[int(row[0])].y) <= 1e-9
 
 
 HOSTILE_INPUTS = {

@@ -288,6 +288,22 @@ def test_closed_form_y2_survives_an_underflowing_power_when_k_does_not_divide_q(
     assert _relative(y_closed(p, y0, 5).y2, want) <= 1e-12
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 9: the special form's scale and bracket overflow apart on a bounded orbit")
+@pytest.mark.parametrize("solve, params, from_zeros", [
+    (solve_cubic_family, CubicFamilyParams(0.5, 0.25, -1), cubic_from_zeros),
+    (solve_cubic_family, CubicFamilyParams(0.5, 0.25, -2), cubic_from_zeros),
+    (solve_quadratic_family, QuadraticFamilyParams(0.75, 0.25, -1), quad_from_zeros),
+    (solve_quadratic_family, QuadraticFamilyParams(0.75, 0.25, -2), quad_from_zeros),
+], ids=["cubic-k=-1", "cubic-k=-2", "quad-k=-1", "quad-k=-2"])
+def test_family_solve_delivers_a_bounded_orbit(solve, params, from_zeros):
+    # Iteration keeps |y| <= 2.5 for all 1000 steps; solve stops at step 875 or 876 with an overflow.
+    x0 = (1, 0.5)
+    sol = solve(params, x0, 1000)
+    assert sol.error is None and len(sol.entries) == 1001
+    want = y_iterate(params.y_params(), from_zeros(x0), 1000)
+    assert pair_residual(sol.entries[1000].y, want) <= 1e-12
+
+
 @pytest.mark.xfail(strict=True, reason="D(0) = (x1 - x2)**2 overflows though y(0) is finite")
 def test_quad_family_delivers_the_initial_state_when_only_its_discriminant_overflows():
     # x1 - x2 = 2e154, so D(0) = 4e308 is inf; y(0) = (0, -1e308) is finite, and iterate writes it.

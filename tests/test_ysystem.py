@@ -255,18 +255,6 @@ class TestSpecialClosedForm:
             assert state_residual(closed, iterated) <= 1e-12
 
 
-class TestExponentIntegrality:
-    def test_divisibility_identities(self):
-        # Exact integers, no floats anywhere.
-        for k in range(-5, 6):
-            if k == 0:
-                continue
-            for ell in range(0, 9):
-                growth = (1 + k) ** ell
-                assert (growth - 1) % k == 0
-                assert (growth - k * ell - 1) % (k * k) == 0
-
-
 #: k from -3..3 without 0.
 KS = [-3, -2, -1, 1, 2, 3]
 
