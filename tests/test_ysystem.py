@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from solvmaps import solver
+from solvmaps import solver, ysystem
 from solvmaps.errors import ConfigError, NumericError, NumericOverflowError, ZeroToNegativePowerError
 from solvmaps.numeric import Powers, ensure_finite
 from solvmaps.solver import (
@@ -253,6 +253,48 @@ class TestSpecialClosedForm:
             closed = y_closed_special(p, y0, ell)
             iterated = y_iterate(p, y0, ell)
             assert state_residual(closed, iterated) <= 1e-12
+
+
+class _ExponentLog:
+    """Stands in for a ``Powers``: records each exponent asked for, returns 1."""
+
+    def __init__(self):
+        self.asked = []
+
+    def pow(self, n):
+        self.asked.append(n)
+        return 1 + 0j
+
+
+class TestExponentIntegrality:
+    def test_divisibility_identities(self):
+        # The exponents each floor division hands to alpha and y1(0), times its divisor,
+        # give back the numerator: every quotient the closed forms raise to is exact.
+        for k in range(-6, 7):
+            if k == 0:
+                continue
+            for q in range(-4, 5):
+                for r in range(-4, 5):
+                    u = u_exponent(k, q, r)
+                    powers = OrbitPowers(YParams(2, 1, 1, k, q, r), YState(3, 1))
+                    for n in range(0, 13):
+                        g = (1 + k) ** n
+                        powers.alpha, powers.y10 = _ExponentLog(), _ExponentLog()
+                        ysystem._gamma_term(powers.p, powers, n)
+                        if k < 0:
+                            assert powers._y1(n)[1] == g
+                        if q % k:  # q/k not an integer: the scale comes from its exponents.
+                            powers._scale(n, g, 1 + 0j)
+                        alpha, y10 = powers.alpha.asked, powers.y10.asked
+                        assert alpha.pop(0) * k * k == u * (g - 1) + q * n * k
+                        assert y10.pop(0) * k == u * g + q
+                        if k < 0:
+                            assert alpha.pop(0) * k == g - 1
+                            assert y10.pop(0) == g
+                        if q % k:
+                            assert alpha.pop(0) * k * k == q * (g - k * n - 1)
+                            assert y10.pop(0) * k == q * (g - 1)
+                        assert alpha == y10 == []
 
 
 #: k from -3..3 without 0.
