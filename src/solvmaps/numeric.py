@@ -10,9 +10,6 @@ one base across many exponents and returns exactly what :func:`cpow` would.
 from __future__ import annotations
 
 import cmath
-from functools import reduce
-from itertools import compress
-from operator import mul
 
 from .errors import NumericOverflowError, ZeroToNegativePowerError
 
@@ -75,11 +72,6 @@ def cpow(z: complex, n: int, step: int | None = None) -> complex:
     return result
 
 
-#: Maps the digits of ``bin(n)`` to the bytes 0 and 1, so the bits of ``n``
-#: can select entries of a squaring ladder.
-_BIT_VALUES = bytes.maketrans(b"01", b"\0\1")
-
-
 class Powers:
     """Integer powers of one base that share their squarings.
 
@@ -120,8 +112,10 @@ class Powers:
             lower = m ^ (1 << top)
             result = products.get(lower) if lower else 1 + 0j
             if result is None:
-                bits = bin(lower)[:1:-1].encode().translate(_BIT_VALUES)
-                result = reduce(mul, compress(ladder, bits), 1 + 0j)
+                result = 1 + 0j
+                for i in range(lower.bit_length()):
+                    if lower >> i & 1:
+                        result *= ladder[i]
             result *= ladder[top]
             products[m] = result
         if n < 0:
@@ -135,7 +129,7 @@ class Powers:
 def principal_sqrt(z: complex) -> complex:
     """Square root with non-negative real part (tie: non-negative imaginary)."""
     w = cmath.sqrt(z)
-    if w.real < 0 or (w.real == 0 and w.imag < 0):
+    if w.real == 0 and w.imag < 0:  # cmath.sqrt's real part is never negative
         w = -w
     return w
 

@@ -9,6 +9,8 @@ Two bridges are provided:
   multiplicity 2 and the labels are meaningful.
 
 Both pairs are plain ``numeric.ComplexPair`` tuples; only the cubic one is ordered.
+Each bridge has one root inversion (``*_zeros_from_root``) and one sign-taking
+inversion (``quad_zeros``, ``cubic_zeros_branch``): the first at b times the principal root.
 
 The double-root inversion is implemented with the algebraically consistent
 prefactor 1/3 (the 1/2 printed in the source formula fails the round-trip
@@ -27,13 +29,9 @@ def quad_from_zeros(p: ComplexPair) -> YState:
     return YState(-(x1 + x2), x1 * x2)
 
 
-def quad_zeros(m: YState) -> ComplexPair:
-    """The unordered zero pair of z**2 + y1 z + y2, the larger-magnitude zero first."""
-    y1, y2 = complex(m[0]), complex(m[1])
-    s = principal_sqrt(y1 * y1 - 4 * y2)
-    if abs(-y1 + s) < abs(-y1 - s):
-        s = -s  # the sign-matched root: (-y1 + s) / 2 is the larger zero
-    return quad_zeros_from_root(y1, s, y2)
+def quad_zeros(y1: complex, y2: complex, b: Sign) -> ComplexPair:
+    """The zero pair of z**2 + y1 z + y2 at b times the principal root; the signs give both orders."""
+    return quad_zeros_from_root(y1, b * principal_sqrt(y1 * y1 - 4 * y2), y2)
 
 
 def quad_zeros_from_root(y1: complex, r: complex, y2: complex) -> ComplexPair:

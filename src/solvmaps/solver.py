@@ -38,7 +38,6 @@ from .polybridge import (
     cubic_from_zeros,
     cubic_zeros_from_root,
     quad_from_zeros,
-    quad_zeros,
     quad_zeros_from_root,
 )
 from .stepmaps import CubicFamilyParams, GeneralizedParams, LinearChange, QuadraticFamilyParams, yz_forward, yz_from_root
@@ -100,15 +99,14 @@ def _solve_coefficients(yp: YParams, y0: YState, ellmax: int, invert) -> BranchS
     return _evolve(ellmax, lambda ell: invert(y_closed(yp, y0, ell, powers=powers)))
 
 
-def _quad_invert(y: YState) -> BranchEntry:
-    pair = quad_zeros(y)
-    # Indistinguishable zeros: both branches coincide as unordered pairs.
-    return BranchEntry(pair, (pair[1], pair[0]), y)
+def _root_invert(y: YState, c: int, zeros) -> BranchEntry:
+    """The root inversion ``zeros`` at PLUS and MINUS times the principal root w of y1**2 - c y2.
 
-
-def _cubic_invert(y: YState) -> BranchEntry:
-    w = principal_sqrt(y.y1 * y.y1 - 3 * y.y2)  # one square root for both branches of cubic_zeros_branch
-    return BranchEntry(cubic_zeros_from_root(y.y1, PLUS * w, y.y2), cubic_zeros_from_root(y.y1, MINUS * w, y.y2), y)
+    These are the bits of its bridge's sign-taking inversion, ``quad_zeros`` or ``cubic_zeros_branch``.
+    """
+    y1, y2 = y
+    w = principal_sqrt(y1 * y1 - c * y2)
+    return BranchEntry(zeros(y1, PLUS * w, y2), zeros(y1, MINUS * w, y2), y)
 
 
 def _solve_family(yp: YParams, y0: YState, r: complex, ellmax: int, zeros) -> BranchSolution:
@@ -130,7 +128,7 @@ def solve_y(p: YParams, y0: ComplexPair, ellmax: int) -> BranchSolution:
 
 def solve_sqrt_quadratic(p: YParams, x0: ComplexPair, ellmax: int) -> BranchSolution:
     """Closed-form orbit of the square-root quadratic system (free q, r)."""
-    return _solve_coefficients(p, quad_from_zeros(x0), ellmax, _quad_invert)
+    return _solve_coefficients(p, quad_from_zeros(x0), ellmax, lambda y: _root_invert(y, 4, quad_zeros_from_root))
 
 
 def solve_quadratic_family(p: QuadraticFamilyParams, x0: ComplexPair, ellmax: int) -> BranchSolution:
@@ -140,7 +138,7 @@ def solve_quadratic_family(p: QuadraticFamilyParams, x0: ComplexPair, ellmax: in
 
 def solve_sqrt_cubic(p: YParams, x0: ComplexPair, ellmax: int) -> BranchSolution:
     """Closed-form orbit of the square-root cubic system (free q, r)."""
-    return _solve_coefficients(p, cubic_from_zeros(x0), ellmax, _cubic_invert)
+    return _solve_coefficients(p, cubic_from_zeros(x0), ellmax, lambda y: _root_invert(y, 3, cubic_zeros_from_root))
 
 
 def solve_cubic_family(p: CubicFamilyParams, x0: ComplexPair, ellmax: int) -> BranchSolution:

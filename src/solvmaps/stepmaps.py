@@ -24,7 +24,7 @@ from .polybridge import (
     cubic_from_zeros,
     cubic_zeros_branch,
     quad_from_zeros,
-    quad_zeros_from_root,
+    quad_zeros,
 )
 from .ysystem import YParams, YState, _require_int, y_step
 
@@ -227,11 +227,9 @@ def step_sqrt_quadratic(p: YParams, s: Sign, x: ComplexPair) -> ComplexPair:
     """One step of the square-root quadratic system (free exponents q, r).
 
     The coefficients of the zeros take one :func:`~solvmaps.ysystem.y_step`;
-    the zeros are read back as the quadratic solver reads them, the larger
-    first (see :func:`~solvmaps.polybridge.quad_zeros_from_root`).
+    the zeros are read back by :func:`~solvmaps.polybridge.quad_zeros` at -s.
     """
-    y = y_step(p, quad_from_zeros(x))
-    return quad_zeros_from_root(y.y1, -s * principal_sqrt(y.y1 * y.y1 - 4 * y.y2), y.y2)
+    return quad_zeros(*y_step(p, quad_from_zeros(x)), -s)
 
 
 def step_sqrt_cubic(p: YParams, s: Sign, x: ComplexPair) -> ComplexPair:

@@ -284,8 +284,7 @@ def _doubled_geometric_sum(powers: OrbitPowers, ell: int) -> complex:
     S(2n) = S(n) (a2**n + b2**n) and S(n+1) = b2 S(n) + a2**n: O(log ell)
     steps, none of which cancels while a2 is near b2.
     """
-    alpha, beta = powers.alpha, powers.beta
-    b2 = beta.pow(2)
+    alpha, beta, b2 = powers.alpha, powers.beta, powers._b2
     total, n = 1 + 0j, 1
     for bit in bin(ell)[3:]:
         total *= alpha.pow(2 * n) + beta.pow(2 * n)

@@ -151,6 +151,11 @@ class TestSqrtBranch:
         # Tie on the real part resolves to non-negative imaginary part.
         assert principal_sqrt(-4 + 0j) == 2j
 
+    def test_tie_is_pinned_by_its_signed_zeros(self):
+        # cmath.sqrt never returns a negative real part; only the tie flips.
+        assert repr(principal_sqrt(complex(-4, -0.0))) == "(-0+2j)"
+        assert repr(principal_sqrt(complex(-0.0, -0.0))) == "-0j"
+
     @given(z=complexes)
     def test_branches_are_exact_negations(self, z):
         assert PLUS * principal_sqrt(z) == -(MINUS * principal_sqrt(z))

@@ -10,11 +10,13 @@ from solvmaps.numeric import MINUS, PLUS, SIGNS, cpow, principal_sqrt
 from solvmaps.polybridge import (
     cubic_from_zeros,
     cubic_zeros_branch,
+    cubic_zeros_from_root,
     cubic_zeros_printed,
     quad_from_zeros,
     quad_zeros,
+    quad_zeros_from_root,
 )
-from solvmaps.solver import _cubic_invert
+from solvmaps.solver import _root_invert
 from solvmaps.verify import draw_complex, draw_pair, residual
 from solvmaps.ysystem import YState
 
@@ -61,22 +63,22 @@ class TestQuadBridge:
         ],
     )
     def test_zeros(self, coeffs, want):
-        got = quad_zeros(YState(*coeffs))
+        got = quad_zeros(*coeffs, PLUS)
         assert set(got) == set(want)
 
     def test_zero_polynomial(self):
-        assert quad_zeros(YState(0, 0)) == (0j, 0j)
+        assert quad_zeros(0, 0, PLUS) == (0j, 0j)
 
     def test_tie_keeps_the_principal_root(self):
-        # y1 = 0: both zeros have modulus 2, and the principal root's zero comes first.
-        assert repr(quad_zeros(YState(0j, -4 + 0j))) == "((2+0j), (-2+0j))"
+        # y1 = 0: both zeros have modulus 2, and the principal root's zero comes first at PLUS.
+        assert repr(quad_zeros(0j, -4 + 0j, PLUS)) == "((2+0j), (-2+0j))"
 
     def test_round_trips(self):
         rng = random.Random("polybridge:quad")
         for _ in range(200):
             zeros = draw_pair(rng)
             m = quad_from_zeros(zeros)
-            back = quad_zeros(m)
+            back = quad_zeros(*m, PLUS)
             assert close_unordered(back, zeros)
             m2 = quad_from_zeros(back)
             assert residual(m2.y1, m.y1) <= 1e-9
@@ -86,7 +88,7 @@ class TestQuadBridge:
         # Roots of very different magnitude: the naive formula loses the
         # small root to cancellation, the companion-root form must not.
         m = quad_from_zeros((1e8 + 0j, 1e-8 + 0j))
-        got = quad_zeros(m)
+        got = quad_zeros(*m, PLUS)
         small = min(got, key=abs)
         assert residual(small, 1e-8 + 0j) <= 1e-9
 
@@ -205,6 +207,10 @@ def _spelled(*pairs) -> str:
     return repr([tuple(pair) for pair in pairs])
 
 
+@pytest.mark.parametrize("c, from_root, branch", [
+    (4, quad_zeros_from_root, quad_zeros),
+    (3, cubic_zeros_from_root, cubic_zeros_branch),
+], ids=["quad", "cubic"])
 @settings(derandomize=True, max_examples=400, deadline=None)
 @given(y1=complexes, r=complexes, y2=complexes)
 @example(y1=0j, r=1 + 1j, y2=2 + 0j)  # y1 = 0: the two quadratic sums tie in modulus
@@ -213,9 +219,8 @@ def _spelled(*pairs) -> str:
 @example(y1=1 + 0j, r=2 + 0j, y2=-1 + 0j)  # |head| = |y1| on the + branch only
 @example(y1=complex(-0.0, -0.0), r=complex(0.0, -0.0), y2=complex(-0.0, 0.0))  # signed zeros
 @example(y1=complex(3.0, -0.0), r=complex(-0.0, 0.0), y2=3 + 0j)  # a triple root, signed zeros
-def test_both_branches_in_one_call_equal_two_single_branch_calls(y1, r, y2):
-    # The square-root cubic solver takes its one root for both branches.  The
-    # draws of r (a root of the family solvers' D) do not enter this check.
-    entry = _cubic_invert(YState(y1, y2))
-    assert _spelled(entry.plus, entry.minus) == _spelled(
-        cubic_zeros_branch(y1, y2, PLUS), cubic_zeros_branch(y1, y2, MINUS))
+def test_both_branches_in_one_call_equal_two_single_branch_calls(c, from_root, branch, y1, r, y2):
+    # The square-root solvers take one root for both branches.  The draws of
+    # r (a root of the family solvers' D) do not enter this check.
+    entry = _root_invert(YState(y1, y2), c, from_root)
+    assert _spelled(entry.plus, entry.minus) == _spelled(branch(y1, y2, PLUS), branch(y1, y2, MINUS))

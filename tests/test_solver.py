@@ -7,7 +7,7 @@ import pytest
 from solvmaps import ysystem
 from solvmaps.errors import NumericOverflowError, ZeroToNegativePowerError
 from solvmaps.numeric import MINUS, PLUS, SIGNS, Powers
-from solvmaps.polybridge import cubic_from_zeros, quad_from_zeros
+from solvmaps.polybridge import cubic_from_zeros, cubic_zeros_branch, quad_from_zeros, quad_zeros
 from solvmaps.solver import (
     solve_conjugated,
     solve_cubic_family,
@@ -128,6 +128,28 @@ class TestOneStepConsistency:
             stepped = [step_generalized(p, s, z0) for s in SIGNS]
             for s_state in stepped:
                 assert min(pair_residual(s_state, b) for b in sol.branch_set(1)) <= 1e-8
+
+
+#: Inexact orbits that stay finite for 200 steps: (alpha, beta, gamma, k, q, r).
+INEXACT_ORBITS = [
+    (0.9 + 0.3j, 0.4 - 0.2j, 0.5 + 0.5j, -2, 1, 3),
+    (0.9 + 0.3j, 0.4 - 0.2j, 0.5 + 0.5j, -1, -3, 1),
+    (0.9 + 0.3j, 0.4 - 0.2j, 0.5 + 0.5j, -1, -2, 0),
+]
+
+
+@pytest.mark.parametrize("solve, branch", [
+    (solve_sqrt_quadratic, quad_zeros),
+    (solve_sqrt_cubic, cubic_zeros_branch),
+], ids=["sqrt-quad", "sqrt-cubic"])
+@pytest.mark.parametrize("orbit", INEXACT_ORBITS)
+def test_branches_are_the_sign_taking_inversion_at_plus_and_minus(solve, branch, orbit):
+    # One labelling rule: each branch is its bridge's inversion at that sign
+    # of the principal root, bit for bit.
+    sol = solve(YParams(*orbit), (0.6 - 0.2j, -0.3 + 0.7j), 200)
+    assert sol.error is None
+    for entry in sol.entries:
+        assert repr((entry.plus, entry.minus)) == repr((branch(*entry.y, PLUS), branch(*entry.y, MINUS)))
 
 
 class TestWorkedInstances:

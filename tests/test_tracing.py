@@ -35,12 +35,15 @@ def _package_attributes():
     }
 
 
-SQRT_CUBIC = {"alpha": [0, 1], "beta": [-1, 0], "gamma": [0, -1], "k": 1, "q": 1, "r": 3}
+SQRT = {"alpha": [0, 1], "beta": [-1, 0], "gamma": [0, -1], "k": 1, "q": 1, "r": 3}
 CUBIC = {"a": [1 / 3, 0], "b": [0, 1 / 3], "k": 1}
 
 #: One run of each kind, and the layers it must reach.
 RUNS = [
-    (["iterate", "--system", "sqrt-cubic", "--params", json.dumps(SQRT_CUBIC),
+    (["iterate", "--system", "sqrt-cubic", "--params", json.dumps(SQRT),
+      "--x0", "[1, [-2, -1]]", "--steps", "3"],
+     {"cli", "stepmaps.step", "ysystem.step", "polybridge.invert", "numeric.cpow"}),
+    (["iterate", "--system", "sqrt-quad", "--params", json.dumps(SQRT),
       "--x0", "[1, [-2, -1]]", "--steps", "3"],
      {"cli", "stepmaps.step", "ysystem.step", "polybridge.invert", "numeric.cpow"}),
     (["solve", "--system", "cubic-family", "--params", json.dumps(CUBIC),
