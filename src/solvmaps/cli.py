@@ -3,10 +3,12 @@ run verification suites, and export data.
 
 Exit codes: 0 success, 1 a verify property failed, 2 configuration, usage or
 parameter error, 3 numeric error (the message names the failing step).
-``--params`` and ``--x0`` are JSON.  Complex values are accepted as plain
-numbers, ``re+imi`` strings, or ``[re, im]`` arrays, and always emitted in the
-canonical ``[re, im]`` form (CSV splits them into ``_re``/``_im`` columns).
-A reader that closes the output early also exits 2.
+This module is the one reader of outside input.  ``--params`` and ``--x0``
+are JSON; a complex value is a real number, an ``[re, im]`` pair of reals or
+numeric strings, or a string such as ``"2i"`` or ``"1+2i"`` (``j`` also
+works, spaces are ignored), and must be finite.  Output rows hold each
+complex as two float columns (``_re``/``_im``).  A reader that closes the
+output early also exits 2.
 """
 
 from __future__ import annotations
@@ -18,12 +20,12 @@ import itertools
 import json
 import os
 import sys
-from contextlib import nullcontext
+from contextlib import nullcontext, suppress
 from dataclasses import dataclass, fields
-from typing import Callable, ContextManager, Iterable, NoReturn, Sequence, TextIO, get_type_hints
+from typing import Callable, ContextManager, Iterable, NoReturn, Sequence, TextIO
 
 from .errors import ConfigError, NumericError, SolvmapsError
-from .numeric import MINUS, PLUS, ComplexPair, Sign, complex_from_obj, ensure_all_finite
+from .numeric import MINUS, PLUS, ComplexPair, Sign, ensure_all_finite
 from .solver import (
     BranchSolution,
     solve_conjugated,
@@ -67,18 +69,6 @@ class SystemSpec:
     solve: Callable[[object, ComplexPair, int], BranchSolution]
     signed: bool = True
 
-    @property
-    def param_names(self) -> tuple[str, ...]:
-        return tuple(name for cls in self.types for name in _init_names(cls))
-
-    def build(self, params: dict) -> object:
-        built = [cls(**{name: params[name] for name in _init_names(cls)}) for cls in self.types]
-        return built[0] if len(built) == 1 else tuple(built)
-
-
-def _init_names(cls: type) -> list[str]:
-    return [f.name for f in fields(cls) if f.init]
-
 
 # Each step entry looks its map up by name at every call, so a rebound module attribute is used.
 _SYSTEMS: dict[str, SystemSpec] = {
@@ -119,46 +109,67 @@ def _load_json(option: str, raw: str | None) -> object:
         raise ConfigError(f"{option} is not valid JSON: {exc}") from exc
 
 
-def _parse_params(system: str, raw: str | None) -> dict:
-    spec = _SYSTEMS[system]
-    names = spec.param_names
+def _read_params(system: str, raw: str | None) -> object:
+    """The system's parameters, one instance per type, from each type's ``init`` fields.
+
+    Postponed annotations make a field's ``type`` the string ``"int"`` or
+    ``"complex"``.  Every value is read before any type is built.
+    """
     obj = _load_json("--params", raw)
     if not isinstance(obj, dict):
         raise ConfigError("--params must be a JSON object")
+    types = _SYSTEMS[system].types
+    groups = [[f for f in fields(cls) if f.init] for cls in types]
+    names = [f.name for group in groups for f in group]
     missing = [name for name in names if name not in obj]
     if missing:
         raise ConfigError(f"missing parameters for {system!r}: {', '.join(missing)}")
     unknown = [name for name in obj if name not in names]
     if unknown:
         raise ConfigError(f"unknown parameters for {system!r}: {', '.join(map(repr, unknown))}")
-    ints = {name for cls in spec.types for name, hint in get_type_hints(cls).items() if hint is int}
-    return {
-        name: obj[name] if name in ints else _parse_complex(obj[name], f"parameter {name!r}")
-        for name in names
+    values = {
+        f.name: obj[f.name] if f.type == "int" else _parse_complex(obj[f.name], f"parameter {f.name!r}")
+        for group in groups for f in group
     }
-
-
-def _parse_state(raw: str | None) -> ComplexPair:
-    obj = _load_json("--x0", raw)
-    if not isinstance(obj, list) or len(obj) != 2:
-        raise ConfigError("--x0 must be a two-element list, e.g. '[[1,0],[0,0]]' or '[1, 2]'")
-    return (_parse_complex(obj[0], "--x0"), _parse_complex(obj[1], "--x0"))
+    built = [cls(**{f.name: values[f.name] for f in group}) for cls, group in zip(types, groups)]
+    return built[0] if len(built) == 1 else tuple(built)
 
 
 def _parse_complex(value: object, what: str) -> complex:
-    """A finite complex scalar, so no ``nan`` or ``inf`` reaches a row."""
+    """A finite complex scalar from a JSON literal, so no ``nan`` or ``inf`` reaches a row.
+
+    JSON ``true`` and ``false`` are not numbers here, nor inside a pair.  A
+    string that does not parse is "not a complex literal"; a pair component
+    or an integer that ``float`` refuses is reported with ``float``'s reason.
+    """
+    z = None
     try:
-        z = complex_from_obj(value)
+        if isinstance(value, str):
+            with suppress(ValueError):
+                z = complex(value.strip().replace(" ", "").replace("i", "j"))
+        elif isinstance(value, list) and len(value) == 2 and not any(isinstance(v, bool) for v in value):
+            z = complex(float(value[0]), float(value[1]))
+        elif isinstance(value, (int, float)) and not isinstance(value, bool):
+            z = complex(value)
     except (ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(f"{what}: {exc}") from exc
+    if z is None:
+        raise ConfigError(f"{what}: not a complex literal: {value!r}")
     if not cmath.isfinite(z):
         raise ConfigError(f"{what}: {value!r} is not finite")
     return z
 
 
-def _check_steps(steps: int) -> None:
-    if steps < 0:
-        raise ConfigError(f"--steps must be >= 0, got {steps}")
+def _read_run(args: argparse.Namespace) -> tuple[SystemSpec, object, ComplexPair]:
+    """An ``iterate`` or ``solve`` run's system, parameters and ``--x0``, with ``--steps`` checked."""
+    params = _read_params(args.system, args.params)
+    obj = _load_json("--x0", args.x0)
+    if not isinstance(obj, list) or len(obj) != 2:
+        raise ConfigError("--x0 must be a two-element list, e.g. '[[1,0],[0,0]]' or '[1, 2]'")
+    state = (_parse_complex(obj[0], "--x0"), _parse_complex(obj[1], "--x0"))
+    if args.steps < 0:
+        raise ConfigError(f"--steps must be >= 0, got {args.steps}")
+    return _SYSTEMS[args.system], params, state
 
 
 def _parse_signs(raw: str | None, steps: int) -> Iterable[str]:
@@ -247,10 +258,7 @@ def _open_out(path: str | None) -> ContextManager[TextIO]:
 
 
 def cmd_iterate(args: argparse.Namespace) -> int:
-    spec = _SYSTEMS[args.system]
-    params = spec.build(_parse_params(args.system, args.params))
-    state = _parse_state(args.x0)
-    _check_steps(args.steps)
+    spec, params, state = _read_run(args)
     signed = spec.signed
     if not signed and args.signs is not None:
         raise ConfigError(f"the {args.system} system takes no per-step signs")
@@ -274,10 +282,7 @@ def cmd_iterate(args: argparse.Namespace) -> int:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    spec = _SYSTEMS[args.system]
-    params = spec.build(_parse_params(args.system, args.params))
-    state = _parse_state(args.x0)
-    _check_steps(args.steps)
+    spec, params, state = _read_run(args)
 
     with _open_out(args.out) as stream:
         solution = spec.solve(params, state, args.steps)

@@ -5,6 +5,7 @@ convention (-z)**s == (+/-) z**s holds with no branch-cut surprises), square
 roots are branch-explicit, and all comparisons share one
 relative-plus-absolute tolerance rule.  :class:`Powers` shares the squarings of
 one base across many exponents and returns exactly what :func:`cpow` would.
+Reading a complex from outside input is left to :mod:`solvmaps.cli`.
 """
 
 from __future__ import annotations
@@ -158,26 +159,3 @@ def pair_eq_ordered(p: ComplexPair, q: ComplexPair) -> bool:
     """Equality of two labelled pairs, component by component."""
     return approx_eq(p[0], q[0]) and approx_eq(p[1], q[1])
 
-
-def complex_from_obj(obj: object) -> complex:
-    """Parse a complex scalar from any accepted literal form.
-
-    Accepts what JSON decodes to: a real number, a two-element ``[re, im]``
-    list, or a string such as ``"1.5"``, ``"2i"``, ``"1+2i"`` (also with ``j``).
-    """
-    if isinstance(obj, bool):
-        raise ValueError(f"not a complex literal: {obj!r}")
-    if isinstance(obj, (int, float)):
-        return complex(obj)
-    if isinstance(obj, list) and len(obj) == 2:
-        re, im = obj
-        if isinstance(re, bool) or isinstance(im, bool):
-            raise ValueError(f"not a complex literal: {obj!r}")
-        return complex(float(re), float(im))
-    if isinstance(obj, str):
-        text = obj.strip().replace(" ", "").replace("i", "j")
-        try:
-            return complex(text)
-        except ValueError as exc:
-            raise ValueError(f"not a complex literal: {obj!r}") from exc
-    raise ValueError(f"not a complex literal: {obj!r}")

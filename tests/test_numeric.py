@@ -10,7 +10,6 @@ from solvmaps.numeric import (
     PLUS,
     Powers,
     approx_eq,
-    complex_from_obj,
     cpow,
     pair_eq_ordered,
     pair_eq_unordered,
@@ -204,28 +203,3 @@ class TestComparisons:
         assert pair_eq_unordered((a, b), (b, a))
         assert pair_eq_unordered((a, b), (a, b))
 
-
-class TestLiterals:
-    @pytest.mark.parametrize(
-        "obj, want",
-        [
-            (1.5, 1.5 + 0j),
-            ([1, 2], 1 + 2j),
-            ("2i", 2j),
-            ("1+2i", 1 + 2j),
-            ("1-2j", 1 - 2j),
-        ],
-    )
-    def test_accepted_literals(self, obj, want):
-        assert complex_from_obj(obj) == want
-
-    @pytest.mark.parametrize("obj", [True, "nope", [1], {}])
-    def test_rejected_literals(self, obj):
-        with pytest.raises(ValueError):
-            complex_from_obj(obj)
-
-    def test_bool_pair_components_rejected(self):
-        # JSON true/false inside an [re, im] pair are not read as 1 and 0.
-        for obj in ([True, 0], [0, False], [False, True]):
-            with pytest.raises(ValueError):
-                complex_from_obj(obj)
