@@ -6,9 +6,9 @@ parameter error, 3 numeric error (the message names the failing step).
 This module is the one reader of outside input.  ``--params`` and ``--x0``
 are JSON; a complex value is a real number, an ``[re, im]`` pair of reals or
 numeric strings, or a string such as ``"2i"`` or ``"1+2i"`` (``j`` also
-works, spaces are ignored), and must be finite.  Output rows hold each
-complex as two float columns (``_re``/``_im``).  A reader that closes the
-output early also exits 2.
+works, the unit comes last, spaces are ignored), and must be finite.  Output
+rows hold each complex as two float columns (``_re``/``_im``).  A write of
+the output that fails, or a reader that closes it early, also exits 2.
 """
 
 from __future__ import annotations
@@ -20,9 +20,9 @@ import itertools
 import json
 import os
 import sys
-from contextlib import nullcontext, suppress
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, fields
-from typing import Callable, ContextManager, Iterable, NoReturn, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, NoReturn, Sequence, TextIO
 
 from .errors import ConfigError, NumericError, SolvmapsError
 from .numeric import MINUS, PLUS, ComplexPair, Sign, ensure_all_finite
@@ -146,7 +146,8 @@ def _parse_complex(value: object, what: str) -> complex:
     try:
         if isinstance(value, str):
             with suppress(ValueError):
-                z = complex(value.strip().replace(" ", "").replace("i", "j"))
+                text = value.strip().replace(" ", "")
+                z = complex(text[:-1] + "j" if text.endswith("i") else text)
         elif isinstance(value, list) and len(value) == 2 and not any(isinstance(v, bool) for v in value):
             z = complex(float(value[0]), float(value[1]))
         elif isinstance(value, (int, float)) and not isinstance(value, bool):
@@ -193,23 +194,21 @@ _JSON_CELLS = {int: "%s", str: '"%s"', float: "%r"}
 
 
 class _Writer:
-    """Row sink for csv or jsonl output.
+    """Row templates for csv or jsonl output, built from the column list (writing the csv header).
 
-    Each row is formatted by one template, built from the column list.  The
-    bytes are those of ``csv.writer`` with floats as ``.17g`` and of
-    ``json.dumps`` on the row dict: the column names and the ``branch``
-    labels hold only characters (letters, digits, ``_``, ``+``, ``-``) that
-    neither module quotes or escapes, and every schema has several columns,
-    so an empty label is not quoted either.  Every float is finite: the
-    commands check their values before a row is written.
-
-    Rows are written straight from their complex values.  :meth:`row_pair`
-    writes a ``solve`` step's two rows at once and formats the ``shared``
-    cells they end with once.
+    ``row % (ell, label, *cells)`` is one row; a schema without a ``branch``
+    column spells the label as nothing.  ``pair % (*own, tail, *own, tail)``
+    is a ``solve`` step's two rows, with ``tail = shared % cells`` for the
+    ``shared`` cells they end with.  The bytes are those of ``csv.writer``
+    with floats as ``.17g`` and of ``json.dumps`` on the row dict: the column
+    names and the ``branch`` labels hold only characters (letters, digits,
+    ``_``, ``+``, ``-``) that neither module quotes or escapes, and every
+    schema has several columns, so an empty label is not quoted either.
+    Every float is finite: the commands check their values before a row is
+    written.
     """
 
     def __init__(self, stream: TextIO, fmt: str, columns: Sequence[str], shared: int = 0):
-        self.stream = stream
         kinds = [_COLUMN_KINDS.get(name, float) for name in columns]
         if fmt == "jsonl":
             cells = [f'"{name}": {_JSON_CELLS[kind]}' for name, kind in zip(columns, kinds)]
@@ -218,24 +217,14 @@ class _Writer:
             stream.write(",".join(columns) + "\r\n")
             cells = [_CSV_CELLS[kind] for kind in kinds]
             start, sep, end = "", ",", "\r\n"
-        self._template = start + sep.join(cells) + end
+        if "branch" not in columns:
+            cells[0] += "%.0s"  # ell's cell, then the label at precision 0
+        self.row = start + sep.join(cells) + end
         if shared:
             own = len(cells) - shared
-            self._shared = sep.join(cells[own:])
+            self.shared = sep.join(cells[own:])
             row = start + sep.join([*cells[:own], "%s"]) + end
-            self._pair = row + row
-
-    def row(self, head: tuple, pair: ComplexPair) -> None:
-        """Write the row ``[*head, *pair]``, each complex of ``pair`` as two cells."""
-        z1, z2 = pair
-        self.stream.write(self._template % (*head, z1.real, z1.imag, z2.real, z2.imag))
-
-    def row_pair(self, ell: int, plus: ComplexPair, minus: ComplexPair, y: ComplexPair) -> None:
-        """Write the rows ``[ell, "+", *plus, *y]`` and ``[ell, "-", *minus, *y]``, each complex as two cells."""
-        (x1, x2), (w1, w2), (y1, y2) = plus, minus, y
-        tail = self._shared % (y1.real, y1.imag, y2.real, y2.imag)
-        self.stream.write(self._pair % (ell, "+", x1.real, x1.imag, x2.real, x2.imag, tail,
-                                        ell, "-", w1.real, w1.imag, w2.real, w2.imag, tail))
+            self.pair = row + row
 
 
 def _state_columns(system: str, with_y: bool) -> list[str]:
@@ -247,37 +236,47 @@ def _state_columns(system: str, with_y: bool) -> list[str]:
     return cols
 
 
-def _open_out(path: str | None) -> ContextManager[TextIO]:
-    """The ``--out`` stream as a context manager; stdout is never closed."""
+@contextmanager
+def _open_out(path: str | None) -> Iterator[TextIO]:
+    """The ``--out`` stream, closed on the way out, or stdout, flushed then: a write
+    that fails does so before any message that follows the rows."""
     if path is None or path == "-":
-        return nullcontext(sys.stdout)
+        try:
+            yield sys.stdout
+        finally:
+            sys.stdout.flush()
+        return
     try:
-        return open(path, "w", newline="")
+        stream = open(path, "w", newline="")
     except OSError as exc:
         raise ConfigError(f"cannot write --out {path}: {exc.strerror or exc}") from exc
+    with stream:
+        yield stream
 
 
 def cmd_iterate(args: argparse.Namespace) -> int:
     spec, params, state = _read_run(args)
-    signed = spec.signed
-    if not signed and args.signs is not None:
+    if not spec.signed and args.signs is not None:
         raise ConfigError(f"the {args.system} system takes no per-step signs")
     signs = _parse_signs(args.signs, args.steps)
 
     with _open_out(args.out) as stream:
-        writer = _Writer(stream, args.format, _state_columns(args.system, with_y=False))
-        writer.row((0, "") if signed else (0,), state)
+        row = _Writer(stream, args.format, _state_columns(args.system, with_y=False)).row
+        write, step, isfinite = stream.write, spec.step, cmath.isfinite
+        x1, x2 = state
+        write(row % (0, "", x1.real, x1.imag, x2.real, x2.imag))
         sign_of = {"+": PLUS, "-": MINUS}
         prefix = ""
         for ell, ch in enumerate(signs, 1):
             try:
-                state = spec.step(params, sign_of[ch], state)
-                ensure_all_finite(*state)
+                x1, x2 = step(params, sign_of[ch], (x1, x2))
+                if not isfinite(x1 + x2):
+                    ensure_all_finite(x1, x2)
             except NumericError as exc:
                 exc.step = ell
                 raise
             prefix += ch
-            writer.row((ell, prefix) if signed else (ell,), state)
+            write(row % (ell, prefix, x1.real, x1.imag, x2.real, x2.imag))
     return 0
 
 
@@ -288,18 +287,24 @@ def cmd_solve(args: argparse.Namespace) -> int:
         solution = spec.solve(params, state, args.steps)
         # A step's two rows share their last four cells, y1_re .. y2_im.
         writer = _Writer(stream, args.format, _state_columns(args.system, with_y=True), shared=4)
-        for ell, (plus, minus, y) in enumerate(solution.entries):
-            if spec.signed:
-                writer.row_pair(ell, plus, minus, y)
-            else:
-                writer.row((ell,), y)
-        if solution.error is not None:
-            print(
-                f"error: closed-form evaluation failed at step {solution.overflow_at}: "
-                f"{solution.error.reason}; output truncated",
-                file=sys.stderr,
-            )
-            return 3
+        write = stream.write
+        if spec.signed:
+            pair, shared = writer.pair, writer.shared
+            for ell, ((x1, x2), (w1, w2), (y1, y2)) in enumerate(solution.entries):
+                tail = shared % (y1.real, y1.imag, y2.real, y2.imag)
+                write(pair % (ell, "+", x1.real, x1.imag, x2.real, x2.imag, tail,
+                              ell, "-", w1.real, w1.imag, w2.real, w2.imag, tail))
+        else:
+            row = writer.row
+            for ell, (_, _, (y1, y2)) in enumerate(solution.entries):
+                write(row % (ell, "", y1.real, y1.imag, y2.real, y2.imag))
+    if solution.error is not None:
+        print(
+            f"error: closed-form evaluation failed at step {solution.overflow_at}: "
+            f"{solution.error.reason}; output truncated",
+            file=sys.stderr,
+        )
+        return 3
     return 0
 
 
@@ -360,14 +365,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _discard_stdout() -> None:
+    """Point stdout at the null device, so the interpreter's flush at exit writes nowhere."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        try:
-            return args.func(args)
-        finally:
-            # Rows still buffered for a reader that has gone fail here, not at exit.
-            sys.stdout.flush()
+        return args.func(args)
     except NumericError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -375,9 +383,16 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:
-        # The interpreter flushes stdout once more at exit: let that write go nowhere.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        _discard_stdout()
         print("error: the output was closed before it was all written", file=sys.stderr)
+        return 2
+    except OSError as exc:  # a write or the close of the output; a failed open is a ConfigError
+        if args.out is None or args.out == "-":
+            _discard_stdout()
+            where = "stdout"
+        else:
+            where = f"--out {args.out}"
+        print(f"error: cannot write {where}: {exc.strerror or exc}", file=sys.stderr)
         return 2
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .errors import ConfigError
-from .numeric import ComplexPair, Sign, cpow, principal_sqrt
+from .numeric import SIGNS, ComplexPair, Sign, cpow, principal_sqrt
 from .polybridge import (
     cubic_from_zeros,
     cubic_zeros_branch,
@@ -71,7 +71,8 @@ class GeneralizedParams:
 
     Invariants checked at construction: B2 != 0 (divisor in the update of the
     second component) and B1**2 C2 + B2**2 C1 - B1 B2 C3 != 0 (divisor in d).
-    The derived coefficients are computed once, there.
+    The derived coefficients, and the linear-part table of each sign, are
+    computed once, there.
     """
 
     alpha: complex
@@ -89,43 +90,37 @@ class GeneralizedParams:
     g3: complex = field(init=False, repr=False, compare=False)
     #: The coefficient-evolution inhomogeneity implied by the B/C assignment.
     gamma: complex = field(init=False, repr=False, compare=False)
+    #: Sign -> :meth:`e_table`.
+    tables: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         _require_int("k", self.k)
         for name in ("alpha", "beta", "B1", "B2", "C1", "C2", "C3"):
             object.__setattr__(self, name, complex(getattr(self, name)))
-        B1, B2, C1, C2, C3 = self.B1, self.B2, self.C1, self.C2, self.C3
+        a, b, B1, B2, C1, C2, C3 = self.alpha, self.beta, self.B1, self.B2, self.C1, self.C2, self.C3
         if B2 == 0:
             raise ConfigError("B2 must be nonzero")
         denom = B1 * B1 * C2 + B2 * B2 * C1 - B1 * B2 * C3
         if denom == 0:
             raise ConfigError("B1**2 C2 + B2**2 C1 - B1 B2 C3 must be nonzero")
-        num = (C3 * C3 - 4 * C1 * C2) * (self.beta * self.beta - self.alpha * self.alpha)
-        for name, value in (
-            ("denom", denom),
-            ("d", 1 / (2 * denom)),
-            ("g1", 2 * B1 * C2 - B2 * C3),
-            ("g2", 2 * B2 * C1 - B1 * C3),
-            ("g3", B2 * C3 - 2 * B1 * C2),
-            ("gamma", num / (4 * denom)),
-        ):
-            object.__setattr__(self, name, value)
+        d = 1 / (2 * denom)
+        g1, g2, g3 = 2 * B1 * C2 - B2 * C3, 2 * B2 * C1 - B1 * C3, B2 * C3 - 2 * B1 * C2
+        # One table serves all k, as the k = -1 rational form's numerator too.  Of the two
+        # printed (1,2) entries, algebraically identical, the canonical d B2 (alpha g1 + s beta g3) is used.
+        lead = a * (1 - B1 * d * g1)
+        tables = {
+            s: (
+                (d * (a * g1 * B1 + s * b * B2 * g2), d * B2 * (a * g1 + s * b * g3)),
+                (lead * (B1 / B2) - B1 * d * s * b * g2, lead - B1 * d * s * b * g3),
+            )
+            for s in SIGNS
+        }
+        num = (C3 * C3 - 4 * C1 * C2) * (b * b - a * a)
+        self.__dict__.update(denom=denom, d=d, g1=g1, g2=g2, g3=g3, gamma=num / (4 * denom), tables=tables)
 
     def e_table(self, s: Sign) -> tuple[tuple[complex, complex], tuple[complex, complex]]:
-        """The 2x2 linear-part coefficient table for the given sign.
-
-        One construction serves all k: the k = -1 rational form uses the same
-        table as numerator (the two printed variants of the (1,2) entry are
-        algebraically identical; the canonical d*B2*(alpha g1 + s beta g3)
-        form is used).
-        """
-        d, g1, g2, g3 = self.d, self.g1, self.g2, self.g3
-        a, b = self.alpha, self.beta
-        e11 = d * (a * g1 * self.B1 + s * b * self.B2 * g2)
-        e12 = d * self.B2 * (a * g1 + s * b * g3)
-        e21 = a * (1 - self.B1 * d * g1) * (self.B1 / self.B2) - self.B1 * d * s * b * g2
-        e22 = a * (1 - self.B1 * d * g1) - self.B1 * d * s * b * g3
-        return ((e11, e12), (e21, e22))
+        """The 2x2 linear-part coefficient table for the given sign."""
+        return self.tables[s]
 
     def y_params(self) -> YParams:
         return YParams(self.alpha, self.beta, self.gamma, self.k, 2 * self.k, 2 * (1 + self.k))

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, formats, exit codes."""
 
+import contextlib
 import csv
 import dataclasses
 import io
@@ -490,6 +491,10 @@ REJECTED_LITERALS = {
     "400-digit integer": ("1" * 400, "int too large to convert to float"),
     "word": ('"abc"', "not a complex literal: 'abc'"),
     "nan string": ('"nan"', "'nan' is not finite"),
+    # Only a trailing i is the imaginary unit: these are real infinities, and an imaginary one.
+    "inf string": ('"inf"', "'inf' is not finite"),
+    "-infinity string": ('"-infinity"', "'-infinity' is not finite"),
+    "infi string": ('"infi"', "'infi' is not finite"),
 }
 
 #: Inputs whose exit-2 message is pinned word for word.
@@ -599,10 +604,19 @@ def _states_written(out):
     return len({json.loads(line)["ell"] for line in lines})
 
 
-@pytest.mark.parametrize("name", sorted(OVERFLOWING_RUNS))
-def test_overflow_exits_3_after_the_finite_rows(capsys, name):
+# Each run once on stdout and once more with --out FILE, whose buffer holds the rows until the close.
+@pytest.mark.parametrize(
+    "name, to_file",
+    [(name, to_file) for to_file in (False, True) for name in sorted(OVERFLOWING_RUNS)],
+    ids=[*sorted(OVERFLOWING_RUNS), *(f"{name} --out" for name in sorted(OVERFLOWING_RUNS))],
+)
+def test_overflow_exits_3_after_the_finite_rows(capsys, tmp_path, name, to_file):
     argv, rows = OVERFLOWING_RUNS[name]
-    code, out, err = run_cli(capsys, *argv)
+    path = tmp_path / "out"
+    code, out, err = run_cli(capsys, *argv, *(["--out", str(path)] if to_file else []))
+    if to_file:
+        assert out == ""
+        out = path.read_text()
     assert code == 3
     assert out.splitlines() == rows
     assert err.startswith("error: ") and err.count("\n") == 1
@@ -686,17 +700,42 @@ def test_negative_steps_exits_2(capsys, command):
     assert err == "error: --steps must be >= 0, got -1\n"
 
 
-@pytest.mark.parametrize("command", ["iterate", "solve", "verify"])
-def test_unwritable_out_exits_2(capsys, tmp_path, command):
-    path = tmp_path / "missing" / "out"
-    argv = ["--suites", "prefactor"] if command == "verify" else [
-        "--system", "cubic-family", "--params", CUBIC_PARAMS, "--x0", "[1, 0]",
-    ]
-    code, out, err = run_cli(capsys, command, *argv, "--out", str(path))
+DEV_FULL = Path("/dev/full")
+needs_dev_full = pytest.mark.skipif(not DEV_FULL.exists(), reason="no /dev/full here")
+
+#: One short run of each command: its output fails at the close of ``--out``.
+OUT_RUNS = {
+    "iterate": ["iterate", "--system", "cubic-family", "--params", CUBIC_PARAMS, "--x0", "[1, 0]"],
+    "solve": ["solve", "--system", "cubic-family", "--params", CUBIC_PARAMS, "--x0", "[1, 0]"],
+    "verify": ["verify", "--suites", "prefactor"],
+}
+
+
+# A path in a missing directory fails to open; the full device opens, then fails at the close.
+@pytest.mark.parametrize("command, full", [
+    *(pytest.param(command, False, id=command) for command in sorted(OUT_RUNS)),
+    *(pytest.param(command, True, marks=needs_dev_full, id=f"{command}-dev-full") for command in sorted(OUT_RUNS)),
+])
+def test_unwritable_out_exits_2(capsys, tmp_path, command, full):
+    path = DEV_FULL if full else tmp_path / "missing" / "out"
+    code, out, err = run_cli(capsys, *OUT_RUNS[command], "--out", str(path))
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert str(path) in err
+    assert f"--out {path}" in err
+
+
+@needs_dev_full
+@pytest.mark.parametrize("command", sorted(OUT_RUNS))
+def test_full_stdout_exits_2_with_one_line(capsys, command):
+    """stdout on a full device: one ``error:`` line, and stdout is left to write nowhere."""
+    with open(DEV_FULL, "w") as full, contextlib.redirect_stdout(full):
+        # A long iterate fails at a write, before its rows are done; the others at the flush.
+        code = main([*OUT_RUNS[command], *(["--steps", "2000"] if command == "iterate" else [])])
+        assert os.path.samestat(os.fstat(full.fileno()), os.stat(os.devnull))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == "error: cannot write stdout: No space left on device\n"
 
 
 # --- row formatter -----------------------------------------------------------
@@ -736,10 +775,11 @@ def _reference(buf, fmt, columns, rows):
 
 
 def _formatted(buf, fmt, columns, rows):
-    writer = _Writer(buf, fmt, columns)
-    for values in rows:
-        # The last four cells are the real and imaginary parts of the row's pair.
-        writer.row(tuple(values[:-4]), (complex(*values[-4:-2]), complex(*values[-2:])))
+    row = _Writer(buf, fmt, columns).row
+    for ell, *cells in rows:
+        # Every row template takes a label; a schema without a branch column drops it.
+        label = cells.pop(0) if "branch" in columns else "-+"
+        buf.write(row % (ell, label, *cells))
 
 
 @st.composite
@@ -773,8 +813,9 @@ def test_writer_matches_csv_and_json_modules(fmt, table):
 def _solve_rows(buf, fmt, columns, steps):
     """``solve``'s two rows per step, from the complex values: (ell, plus, minus, y) each."""
     writer = _Writer(buf, fmt, columns, shared=4)
-    for step in steps:
-        writer.row_pair(*step)
+    for ell, plus, minus, y in steps:
+        tail = writer.shared % tuple(_cells(*y))
+        buf.write(writer.pair % (ell, "+", *_cells(*plus), tail, ell, "-", *_cells(*minus), tail))
 
 
 def _cells(*values: complex) -> list[float]:
@@ -872,6 +913,18 @@ def _package_env() -> dict[str, str]:
     """The environment of a child interpreter that imports this checkout's package."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+@needs_dev_full
+def test_stdout_to_a_full_device_exits_2_with_one_line():
+    """The interpreter's flush of stdout at exit adds no second line."""
+    with open(DEV_FULL, "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "solvmaps.cli", *LONG_RUNS["iterate"]],
+            stdout=full, stderr=subprocess.PIPE, env=_package_env(), text=True, timeout=60,
+        )
+    assert proc.returncode == 2
+    assert proc.stderr == "error: cannot write stdout: No space left on device\n"
 
 
 @pytest.mark.parametrize("command", sorted(LONG_RUNS))
