@@ -139,10 +139,16 @@ def _parse_complex(value: object, what: str) -> complex:
     """A finite complex scalar from a JSON literal, so no ``nan`` or ``inf`` reaches a row.
 
     JSON ``true`` and ``false`` are not numbers here, nor inside a pair.  A
-    string that does not parse is "not a complex literal"; a pair component
-    or an integer that ``float`` refuses is reported with ``float``'s reason.
+    string that does not parse is "not a complex literal", and so is one,
+    alone or in a pair, that is not ASCII or holds ``_``, ``(`` or ``)``:
+    ``complex`` and ``float`` read other digits, separators and parentheses,
+    the README's grammar does not.  A pair component or an integer that
+    ``float`` refuses is reported with ``float``'s reason.
     """
     z = None
+    parts = value if isinstance(value, list) else [value]
+    if any(isinstance(v, str) and (not v.isascii() or any(c in "_()" for c in v)) for v in parts):
+        raise ConfigError(f"{what}: not a complex literal: {value!r}")
     try:
         if isinstance(value, str):
             with suppress(ValueError):

@@ -54,14 +54,17 @@ def cpow(z: complex, n: int, step: int | None = None) -> complex:
             raise ZeroToNegativePowerError("zero base raised to a negative power", step=step)
         return 0j
     m = -n if n < 0 else n
-    result = 1 + 0j
-    base = z
-    while m:
-        if m & 1:
-            result *= base
-        m >>= 1
-        if m:
-            base *= base
+    if m <= 2:  # the loop's own products, without the loop
+        result = (1 + 0j) * (z if m == 1 else z * z)
+    else:
+        result = 1 + 0j
+        base = z
+        while m:
+            if m & 1:
+                result *= base
+            m >>= 1
+            if m:
+                base *= base
     if n < 0:
         if result == 0:
             # |z|**|n| underflowed; its reciprocal is an overflow.
@@ -77,11 +80,11 @@ class Powers:
     """Integer powers of one base that share their squarings.
 
     Keeps the ladder ``z, z**2, z**4, ...`` (extended on demand) and the
-    product for every ``|n|`` already asked for.  A power is the product of
-    the ladder entries at the set bits of ``|n|``, multiplied low bit first
-    onto ``1+0j``: the same squarings and the same multiplication order as
-    :func:`cpow`, so ``Powers(z).pow(n)`` equals ``cpow(z, n)`` bit for bit
-    and raises the same errors.  Meant to live for one orbit.
+    finite product for every ``|n|`` already asked for.  A power is the
+    product of the ladder entries at the set bits of ``|n|``, multiplied low
+    bit first onto ``1+0j``: the same squarings and the same multiplication
+    order as :func:`cpow`, so ``Powers(z).pow(n)`` equals ``cpow(z, n)``
+    bit for bit and raises the same errors.  Meant to live for one orbit.
     """
 
     __slots__ = ("base", "_ladder", "_products")
@@ -118,13 +121,12 @@ class Powers:
                     if lower >> i & 1:
                         result *= ladder[i]
             result *= ladder[top]
-            products[m] = result
+            products[m] = ensure_finite(result)  # only finite products are kept
         if n < 0:
-            ensure_finite(result)
             if result == 0:
                 raise NumericOverflowError("reciprocal of underflowed power")
-            result = 1 / result
-        return ensure_finite(result)
+            return ensure_finite(1 / result)
+        return result
 
 
 def principal_sqrt(z: complex) -> complex:

@@ -134,16 +134,16 @@ class LinearChange:
     A12: complex
     A21: complex
     A22: complex
+    #: The determinant, computed once at construction.
+    det: complex = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for name in ("A11", "A12", "A21", "A22"):
             object.__setattr__(self, name, complex(getattr(self, name)))
-        if self.det == 0:
+        det = self.A11 * self.A22 - self.A12 * self.A21
+        if det == 0:
             raise ConfigError("change of variables has zero determinant")
-
-    @property
-    def det(self) -> complex:
-        return self.A11 * self.A22 - self.A12 * self.A21
+        object.__setattr__(self, "det", det)
 
     def apply(self, x: ComplexPair) -> ComplexPair:
         x1, x2 = x

@@ -113,8 +113,10 @@ class VerifyReport:
 
 
 def residual(got: complex, want: complex) -> float:
-    """Normalized deviation: |got - want| / max(|got|, |want|, 1)."""
-    return abs(got - want) / max(abs(got), abs(want), 1.0)
+    """Normalized deviation: |got - want| / max(|got|, |want|, 1), by max()'s own comparisons."""
+    dev, m, b = abs(got - want), abs(got), abs(want)
+    m = b if b > m else m
+    return dev / (1.0 if 1.0 > m else m)
 
 
 def pair_residual(got: ComplexPair, want: ComplexPair) -> float:
@@ -129,7 +131,9 @@ def pair_residual_unordered(got: ComplexPair, want: ComplexPair) -> float:
 
 
 def draw_complex(rng: random.Random, scale: float = 1.25) -> complex:
-    return complex(rng.uniform(-scale, scale), rng.uniform(-scale, scale))
+    """Two ``rng.uniform(-scale, scale)``, real part first, in uniform's own arithmetic."""
+    lo = -scale
+    return complex(lo + (scale - lo) * rng.random(), lo + (scale - lo) * rng.random())
 
 
 def draw_pair(rng: random.Random) -> ComplexPair:
@@ -171,11 +175,13 @@ def _set_equal_residual(
     got: Sequence[ComplexPair], want: Sequence[ComplexPair], dist: Callable[[ComplexPair, ComplexPair], float]
 ) -> float:
     """Two-sided Hausdorff-style residual between small state sets under ``dist``."""
+    # Each dist(a, b) is computed once; the minima over b (rows), then over a (columns).
+    rows = [[dist(a, b) for b in want] for a in got]
     worst = 0.0
-    for a in got:
-        worst = max(worst, min((dist(a, b) for b in want), default=float("inf")))
-    for b in want:
-        worst = max(worst, min((dist(a, b) for a in got), default=float("inf")))
+    for row in rows:
+        worst = max(worst, min(row, default=float("inf")))
+    for j in range(len(want)):
+        worst = max(worst, min((row[j] for row in rows), default=float("inf")))
     return worst
 
 

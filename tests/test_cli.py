@@ -490,6 +490,13 @@ REJECTED_LITERALS = {
     "pair with a null": ("[1, null]", "float() argument must be a string or a real number, not 'NoneType'"),
     "400-digit integer": ("1" * 400, "int too large to convert to float"),
     "word": ('"abc"', "not a complex literal: 'abc'"),
+    # complex() and float() read these; the literal grammar is ASCII, without separators or parentheses.
+    "full-width digit": ('"\uff11"', "not a complex literal: '\uff11'"),
+    "Arabic-Indic digit": ('"\u0663"', "not a complex literal: '\u0663'"),
+    "parenthesized string": ('"(1+2j)"', "not a complex literal: '(1+2j)'"),
+    "string with a digit separator": ('"1_0"', "not a complex literal: '1_0'"),
+    "pair with a full-width digit": ('[0, "\uff11"]', "not a complex literal: [0, '\uff11']"),
+    "pair with a digit separator": ('["1_0", 0]', "not a complex literal: ['1_0', 0]"),
     "nan string": ('"nan"', "'nan' is not finite"),
     # Only a trailing i is the imaginary unit: these are real infinities, and an imaginary one.
     "inf string": ('"inf"', "'inf' is not finite"),

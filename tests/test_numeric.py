@@ -1,5 +1,7 @@
 """Complex-scalar primitives: integer powers, branch roots, comparisons."""
 
+import cmath
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -136,6 +138,76 @@ class TestPowers:
         powers.pow(-(2**40))
         powers.pow(2**20 + 1)
         assert len(powers._ladder) == 41
+
+
+def _square_and_multiply(z, n):
+    """The reference power: the ladder's entries at the set bits of |n|, low bit first onto 1+0j."""
+    z = complex(z)
+    if n == 0:
+        return 1 + 0j
+    if z == 0:
+        if n < 0:
+            raise ZeroToNegativePowerError("zero base raised to a negative power")
+        return 0j
+    m, result, base = abs(n), 1 + 0j, z
+    while m:
+        if m & 1:
+            result *= base
+        m >>= 1
+        if m:
+            base *= base
+    if n < 0:
+        if result == 0:
+            raise NumericOverflowError("reciprocal of underflowed power")
+        if cmath.isfinite(result):
+            result = 1 / result
+    if not cmath.isfinite(result):
+        raise NumericOverflowError("result overflowed to a non-finite value")
+    return result
+
+
+#: Signed zeros, subnormals, and moduli near the square and the full range limits.
+EDGE_PARTS = [
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-308, 1e-154, 1.5e-154,
+    1.0, -1.0, 0.5, 1e154, -1.4e154, 1e308, -1.7976931348623157e308,
+]
+edge_components = st.one_of(
+    st.sampled_from(EDGE_PARTS),
+    st.floats(),
+    st.floats(1e150, 1e160) | st.floats(1e-160, 1e-150),
+    st.floats(1e300, 1.7976931348623157e308) | st.floats(0, 1e-300),
+).flatmap(lambda x: st.sampled_from([x, -x]))
+SMALL_POWERS = range(-6, 7)
+
+
+class TestSmallPowers:
+    """``cpow`` and ``Powers`` for |n| <= 6 against the square-and-multiply reference."""
+
+    def _check(self, z):
+        reused = Powers(z)
+        for n in [*SMALL_POWERS, *SMALL_POWERS]:  # the second pass reads the cache or re-forms
+            want = _outcome(_square_and_multiply, z, n)
+            assert _outcome(cpow, z, n) == want, (z, n)
+            assert _outcome(Powers(z).pow, n) == want, (z, n)
+            assert _outcome(reused.pow, n) == want, (z, n)
+
+    def test_edge_grid(self):
+        for real in EDGE_PARTS:
+            for imag in EDGE_PARTS:
+                self._check(complex(real, imag))
+
+    @given(real=edge_components, imag=edge_components)
+    def test_drawn(self, real, imag):
+        self._check(complex(real, imag))
+
+    def test_overflowing_product_raises_again(self):
+        powers = Powers(1e200 + 1e200j)
+        for _ in range(2):
+            with pytest.raises(NumericOverflowError, match="result overflowed to a non-finite value"):
+                powers.pow(2)
+            with pytest.raises(NumericOverflowError, match="result overflowed to a non-finite value"):
+                powers.pow(-3)
+        assert powers.pow(1) == 1e200 + 1e200j
 
 
 class TestSqrtBranch:

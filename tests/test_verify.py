@@ -1,12 +1,15 @@
 """Verification harness: enumeration oracle, suites, report determinism."""
 
 import json
+import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from solvmaps import verify
 from solvmaps.errors import ConfigError, NumericOverflowError
-from solvmaps.solver import solve_cubic_family
+from solvmaps.solver import solve_cubic_family, solve_quadratic_family
 from solvmaps.stepmaps import (
     CubicFamilyParams,
     QuadraticFamilyParams,
@@ -17,8 +20,11 @@ from solvmaps.verify import (
     ENUMERATION_CAP,
     SUITE_NAMES,
     check_branch_collapse,
+    draw_complex,
     enumerate_sign_orbits,
     pair_residual,
+    pair_residual_unordered,
+    residual,
     run_verify,
 )
 
@@ -99,6 +105,85 @@ class TestChecks:
         sol.entries[0] = sol.entries[0]._replace(plus=(1 + 1e-4, 0j))
         step = lambda s, x: step_cubic_family(p, s, x)
         assert check_branch_collapse(step, sol, (1, 0)) == pytest.approx(1e-4, rel=1e-3)
+
+
+def _two_direction(got, want, dist):
+    """The set residual's definition: the worst distance from a point of either set to the other set."""
+    worst = 0.0
+    for a in got:
+        worst = max(worst, min((dist(a, b) for b in want), default=float("inf")))
+    for b in want:
+        worst = max(worst, min((dist(a, b) for a in got), default=float("inf")))
+    return worst
+
+
+def _residual_definition(g, w):
+    return abs(g - w) / max(abs(g), abs(w), 1.0)
+
+
+def _repr_outcome(fn, *args):
+    """A float's repr (NaN included), or the type and message of what was raised."""
+    try:
+        return repr(fn(*args))
+    except OverflowError as exc:
+        return type(exc), str(exc)
+
+
+_parts = st.one_of(
+    st.sampled_from([0.0, -0.0, float("inf"), -float("inf"), float("nan"), 1e308, -1.7e308, 1e154]),
+    st.floats(-2, 2),
+    st.floats(),
+)
+_complexes = st.builds(complex, _parts, _parts)
+_state_sets = st.lists(st.tuples(_complexes, _complexes), max_size=3)
+
+
+class TestResidualArithmetic:
+    """The residuals and draws equal their definitions bit for bit, errors included."""
+
+    @given(got=_state_sets, want=_state_sets)
+    def test_set_residual_is_the_two_direction_definition(self, got, want):
+        for dist in (pair_residual, pair_residual_unordered):
+            want_outcome = _repr_outcome(_two_direction, got, want, dist)
+            assert _repr_outcome(verify._set_equal_residual, got, want, dist) == want_outcome
+
+    @given(g=_complexes, w=_complexes)
+    def test_residual_is_its_definition(self, g, w):
+        assert _repr_outcome(residual, g, w) == _repr_outcome(_residual_definition, g, w)
+
+    def test_residual_raises_where_abs_overflows(self):
+        huge = complex(1.5e308, 1.5e308)
+        for g, w in ((huge, 0j), (0j, huge), (huge, -huge)):
+            with pytest.raises(OverflowError):
+                residual(g, w)
+            assert _repr_outcome(residual, g, w) == _repr_outcome(_residual_definition, g, w)
+
+    @pytest.mark.parametrize("scale", [None, 1.5, 0.1, 3.0, 0.0, 1e300])
+    def test_draw_complex_is_two_uniform_draws(self, scale):
+        rng, twin = random.Random(7), random.Random(7)
+        s = 1.25 if scale is None else scale  # None: the default scale
+        for _ in range(200):
+            got = draw_complex(rng) if scale is None else draw_complex(rng, s)
+            assert repr(got) == repr(complex(twin.uniform(-s, s), twin.uniform(-s, s)))
+
+    @pytest.mark.parametrize("unordered", [False, True])
+    def test_collapse_computes_each_distance_once(self, monkeypatch, unordered):
+        if unordered:
+            p, x0 = QuadraticFamilyParams(0.6, 0.4, 1), (0.5, -0.8)
+            solution = solve_quadratic_family(p, x0, 5)
+            step = lambda s, x: step_quadratic_family(p, s, x)
+        else:
+            p, x0 = CubicFamilyParams(0.6, 0.4, 1), (0.5, -0.8)
+            solution = solve_cubic_family(p, x0, 5)
+            step = lambda s, x: step_cubic_family(p, s, x)
+        levels, _ = enumerate_sign_orbits(step, x0, 5, unordered=unordered)
+        branches = 1 if unordered else 2
+        name = "pair_residual_unordered" if unordered else "pair_residual"
+        calls = []
+        dist = getattr(verify, name)
+        monkeypatch.setattr(verify, name, lambda a, b: calls.append(1) or dist(a, b))
+        assert check_branch_collapse(step, solution, x0, unordered=unordered) <= 1e-8
+        assert len(calls) == sum(len(states) * branches for states in levels)
 
 
 class TestReport:
