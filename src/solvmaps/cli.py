@@ -25,7 +25,7 @@ from dataclasses import dataclass, fields
 from typing import Callable, Iterable, Iterator, NoReturn, Sequence, TextIO
 
 from .errors import ConfigError, NumericError, SolvmapsError
-from .numeric import MINUS, PLUS, ComplexPair, Sign, ensure_all_finite
+from .numeric import MINUS, PLUS, ComplexPair, Sign, ensure_finite
 from .solver import (
     BranchSolution,
     solve_conjugated,
@@ -37,9 +37,9 @@ from .solver import (
     solve_y,
 )
 from .stepmaps import (
+    ConjugatedParams,
     CubicFamilyParams,
     GeneralizedParams,
-    LinearChange,
     QuadraticFamilyParams,
     step_conjugated,
     step_cubic_family,
@@ -54,17 +54,17 @@ from .ysystem import YParams, YState, y_step
 
 @dataclass(frozen=True)
 class SystemSpec:
-    """One CLI system, read off its parameter types.
+    """One CLI system, read off its parameter type.
 
-    ``--params`` holds the ``init`` fields of each type, in order, and the
-    system's parameters are one instance of each type (a tuple of them when
-    there are several).  Each type judges its own values: the CLI passes a
-    field annotated ``int`` on as it is and parses every other as a complex.
-    An unsigned system's step ignores the sign, and its rows have no
-    ``branch`` column: its state is the coefficient pair itself.
+    ``--params`` holds the ``init`` fields of ``params``, in order, and the
+    system's parameters are one instance of it.  The type judges its own
+    values: the CLI passes a field annotated ``int`` on as it is and parses
+    every other as a complex.  An unsigned system's step ignores the sign,
+    and its rows have no ``branch`` column: its state is the coefficient pair
+    itself.
     """
 
-    types: tuple[type, ...]
+    params: type
     step: Callable[[object, Sign, ComplexPair], ComplexPair]
     solve: Callable[[object, ComplexPair, int], BranchSolution]
     signed: bool = True
@@ -73,29 +73,27 @@ class SystemSpec:
 # Each step entry looks its map up by name at every call, so a rebound module attribute is used.
 _SYSTEMS: dict[str, SystemSpec] = {
     "y": SystemSpec(
-        (YParams,), lambda p, s, y: y_step(p, YState(*y)), solve_y, signed=False
+        YParams, lambda p, s, y: y_step(p, YState(*y)), solve_y, signed=False
     ),
     "quad-family": SystemSpec(
-        (QuadraticFamilyParams,),
+        QuadraticFamilyParams,
         lambda p, s, x: step_quadratic_family(p, s, x),
         solve_quadratic_family,
     ),
     "cubic-family": SystemSpec(
-        (CubicFamilyParams,), lambda p, s, x: step_cubic_family(p, s, x), solve_cubic_family
+        CubicFamilyParams, lambda p, s, x: step_cubic_family(p, s, x), solve_cubic_family
     ),
     "generalized": SystemSpec(
-        (GeneralizedParams,), lambda p, s, x: step_generalized(p, s, x), solve_generalized
+        GeneralizedParams, lambda p, s, x: step_generalized(p, s, x), solve_generalized
     ),
     "sqrt-quad": SystemSpec(
-        (YParams,), lambda p, s, x: step_sqrt_quadratic(p, s, x), solve_sqrt_quadratic
+        YParams, lambda p, s, x: step_sqrt_quadratic(p, s, x), solve_sqrt_quadratic
     ),
     "sqrt-cubic": SystemSpec(
-        (YParams,), lambda p, s, x: step_sqrt_cubic(p, s, x), solve_sqrt_cubic
+        YParams, lambda p, s, x: step_sqrt_cubic(p, s, x), solve_sqrt_cubic
     ),
     "conjugated": SystemSpec(
-        (CubicFamilyParams, LinearChange),
-        lambda p, s, x: step_conjugated(p[1], p[0], s, x),
-        lambda p, x0, n: solve_conjugated(p[1], p[0], x0, n),
+        ConjugatedParams, lambda p, s, x: step_conjugated(p, s, x), solve_conjugated
     ),
 }
 
@@ -110,29 +108,27 @@ def _load_json(option: str, raw: str | None) -> object:
 
 
 def _read_params(system: str, raw: str | None) -> object:
-    """The system's parameters, one instance per type, from each type's ``init`` fields.
+    """The system's parameters, one instance of its type, from the type's ``init`` fields.
 
     Postponed annotations make a field's ``type`` the string ``"int"`` or
-    ``"complex"``.  Every value is read before any type is built.
+    ``"complex"``.  Every value is read before the instance is built.
     """
     obj = _load_json("--params", raw)
     if not isinstance(obj, dict):
         raise ConfigError("--params must be a JSON object")
-    types = _SYSTEMS[system].types
-    groups = [[f for f in fields(cls) if f.init] for cls in types]
-    names = [f.name for group in groups for f in group]
+    cls = _SYSTEMS[system].params
+    init = [f for f in fields(cls) if f.init]
+    names = [f.name for f in init]
     missing = [name for name in names if name not in obj]
     if missing:
         raise ConfigError(f"missing parameters for {system!r}: {', '.join(missing)}")
     unknown = [name for name in obj if name not in names]
     if unknown:
         raise ConfigError(f"unknown parameters for {system!r}: {', '.join(map(repr, unknown))}")
-    values = {
+    return cls(**{
         f.name: obj[f.name] if f.type == "int" else _parse_complex(obj[f.name], f"parameter {f.name!r}")
-        for group in groups for f in group
-    }
-    built = [cls(**{f.name: values[f.name] for f in group}) for cls, group in zip(types, groups)]
-    return built[0] if len(built) == 1 else tuple(built)
+        for f in init
+    })
 
 
 def _parse_complex(value: object, what: str) -> complex:
@@ -277,7 +273,8 @@ def cmd_iterate(args: argparse.Namespace) -> int:
             try:
                 x1, x2 = step(params, sign_of[ch], (x1, x2))
                 if not isfinite(x1 + x2):
-                    ensure_all_finite(x1, x2)
+                    ensure_finite(x1)
+                    ensure_finite(x2)
             except NumericError as exc:
                 exc.step = ell
                 raise

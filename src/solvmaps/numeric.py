@@ -30,16 +30,6 @@ def ensure_finite(z: complex) -> complex:
     return z
 
 
-def ensure_all_finite(*values: complex) -> None:
-    """Raise ``NumericOverflowError`` if any of ``values`` is not finite.
-
-    A finite sum means finite values; a sum that overflows is checked value by value.
-    """
-    if not cmath.isfinite(sum(values)):
-        for z in values:
-            ensure_finite(z)
-
-
 def cpow(z: complex, n: int, step: int | None = None) -> complex:
     """``z`` raised to the signed integer ``n`` by binary exponentiation.
 

@@ -33,14 +33,14 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .errors import NumericError
-from .numeric import MINUS, PLUS, ComplexPair, ensure_all_finite, principal_sqrt
+from .numeric import MINUS, PLUS, ComplexPair, ensure_finite, principal_sqrt
 from .polybridge import (
     cubic_from_zeros,
     cubic_zeros_from_root,
     quad_from_zeros,
     quad_zeros_from_root,
 )
-from .stepmaps import CubicFamilyParams, GeneralizedParams, LinearChange, QuadraticFamilyParams, yz_forward, yz_from_root
+from .stepmaps import ConjugatedParams, CubicFamilyParams, GeneralizedParams, QuadraticFamilyParams, yz_forward, yz_from_root
 from .ysystem import OrbitPowers, YParams, YState, y_closed, y_closed_special
 
 
@@ -84,7 +84,8 @@ def _evolve(ellmax: int, branches) -> BranchSolution:
         try:
             (x1, x2), (w1, w2), _ = entry = branches(ell)
             if not isfinite(x1 + x2 + w1 + w2):  # a finite sum has four finite terms
-                ensure_all_finite(x1, x2, w1, w2)
+                for z in (x1, x2, w1, w2):
+                    ensure_finite(z)
         except NumericError as exc:
             exc.step = ell
             solution.error = exc
@@ -152,8 +153,8 @@ def solve_generalized(p: GeneralizedParams, z0: ComplexPair, ellmax: int) -> Bra
     return _solve_family(p.y_params(), yz_forward(p, z0), r0, ellmax, lambda y1, r, y2: yz_from_root(p, y1, r))
 
 
-def solve_conjugated(A: LinearChange, p: CubicFamilyParams, z0: ComplexPair, ellmax: int) -> BranchSolution:
+def solve_conjugated(c: ConjugatedParams, z0: ComplexPair, ellmax: int) -> BranchSolution:
     """Closed-form orbit of the conjugated cubic family: A applied componentwise."""
-    x0 = A.invert(z0)
-    return _solve_family(p.y_params(), cubic_from_zeros(x0), x0[0] - x0[1], ellmax,
-                         lambda y1, r, y2: A.apply(cubic_zeros_from_root(y1, r, y2)))
+    x0 = c.invert(z0)
+    return _solve_family(c.y_params(), cubic_from_zeros(x0), x0[0] - x0[1], ellmax,
+                         lambda y1, r, y2: c.apply(cubic_zeros_from_root(y1, r, y2)))

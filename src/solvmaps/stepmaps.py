@@ -90,7 +90,7 @@ class GeneralizedParams:
     g3: complex = field(init=False, repr=False, compare=False)
     #: The coefficient-evolution inhomogeneity implied by the B/C assignment.
     gamma: complex = field(init=False, repr=False, compare=False)
-    #: Sign -> :meth:`e_table`.
+    #: Sign -> the 2x2 linear-part coefficient table.
     tables: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -118,32 +118,37 @@ class GeneralizedParams:
         num = (C3 * C3 - 4 * C1 * C2) * (b * b - a * a)
         self.__dict__.update(denom=denom, d=d, g1=g1, g2=g2, g3=g3, gamma=num / (4 * denom), tables=tables)
 
-    def e_table(self, s: Sign) -> tuple[tuple[complex, complex], tuple[complex, complex]]:
-        """The 2x2 linear-part coefficient table for the given sign."""
-        return self.tables[s]
-
     def y_params(self) -> YParams:
         return YParams(self.alpha, self.beta, self.gamma, self.k, 2 * self.k, 2 * (1 + self.k))
 
 
 @dataclass(frozen=True)
-class LinearChange:
-    """Invertible linear change of dependent variables z = A x."""
+class ConjugatedParams(CubicFamilyParams):
+    """The cubic family's (a, b, k) seen through the invertible change of variables z = A x.
+
+    The determinant of A, the common-zero line and each sign's linear
+    factors are computed once, at construction.
+    """
 
     A11: complex
     A12: complex
     A21: complex
     A22: complex
-    #: The determinant, computed once at construction.
     det: complex = field(init=False, repr=False, compare=False)
+    #: (z1, z2) coefficients (2 A22 - A21, A11 - 2 A12) of the line on which both components vanish.
+    line: ComplexPair = field(init=False, repr=False, compare=False)
+    #: Sign -> :func:`_conjugated_f_coeffs`.
+    factors: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         for name in ("A11", "A12", "A21", "A22"):
             object.__setattr__(self, name, complex(getattr(self, name)))
         det = self.A11 * self.A22 - self.A12 * self.A21
         if det == 0:
             raise ConfigError("change of variables has zero determinant")
-        object.__setattr__(self, "det", det)
+        line = (2 * self.A22 - self.A21, self.A11 - 2 * self.A12)
+        self.__dict__.update(det=det, line=line, factors={s: _conjugated_f_coeffs(self, s) for s in SIGNS})
 
     def apply(self, x: ComplexPair) -> ComplexPair:
         x1, x2 = x
@@ -210,7 +215,7 @@ def double_step_cubic(p: CubicFamilyParams, s01: Sign, x: ComplexPair) -> Comple
 def step_generalized(p: GeneralizedParams, s: Sign, z: ComplexPair) -> ComplexPair:
     """One step of the generalized B/C system."""
     z1, z2 = z
-    e = p.e_table(s)
+    e = p.tables[s]
     base = cpow(p.B1 * z1 + p.B2 * z2, p.k)
     return (
         base * (e[0][0] * z1 + e[0][1] * z2),
@@ -240,60 +245,55 @@ def step_sqrt_cubic(p: YParams, s: Sign, x: ComplexPair) -> ComplexPair:
     return cubic_zeros_branch(*y_step(p, cubic_from_zeros(x)), -s)
 
 
-def _theta(k: int, n1: int, n2: int, n: int, a: complex, b: complex, s: Sign) -> complex:
-    """Theta coefficient: (-1)**k n1 a + (-1)**n n2 s b."""
-    return (-1 if k % 2 else 1) * n1 * a + (-1 if n % 2 else 1) * n2 * s * b
-
-
-def _conjugated_f_coeffs(A: LinearChange, p: CubicFamilyParams, s: Sign) -> list[ComplexPair]:
+def _conjugated_f_coeffs(c: ConjugatedParams, s: Sign) -> list[ComplexPair]:
     """(z1, z2) coefficients of the two linear factors f_n of the conjugated map.
 
     The theta subscripts follow the conjugation algebra (the printed index
     pattern fails the probe-point oracle; the pattern below is the one the
     oracle certifies): f_n = (theta_{k;2,n;n} A22 - theta_{k;1,n;n+1} A21) z1
-    + (theta_{k;1,n;n+1} A11 - theta_{k;2,n;n} A12) z2.
+    + (theta_{k;1,n;n+1} A11 - theta_{k;2,n;n} A12) z2, where
+    theta_{k;n1,n2;n} = (-1)**k n1 a + (-1)**n n2 s b.
     """
+    sign_k = -1 if c.k % 2 else 1
+    a1, a2, b = sign_k * c.a, sign_k * 2 * c.a, c.b
     coeffs = []
     for n in (1, 2):
-        t2 = _theta(p.k, 2, n, n, p.a, p.b, s)
-        t1 = _theta(p.k, 1, n, n + 1, p.a, p.b, s)
-        coeffs.append((t2 * A.A22 - t1 * A.A21, t1 * A.A11 - t2 * A.A12))
+        t2 = a2 + (-1 if n % 2 else 1) * n * s * b  # theta_{k;2,n;n}
+        t1 = a1 + (1 if n % 2 else -1) * n * s * b  # theta_{k;1,n;n+1}
+        coeffs.append((t2 * c.A22 - t1 * c.A21, t1 * c.A11 - t2 * c.A12))
     return coeffs
 
 
-def step_conjugated(A: LinearChange, p: CubicFamilyParams, s: Sign, z: ComplexPair) -> ComplexPair:
+def step_conjugated(c: ConjugatedParams, s: Sign, z: ComplexPair) -> ComplexPair:
     """One step of the cubic family conjugated by the linear change A."""
     z1, z2 = z
-    base_lin = (2 * A.A22 - A.A21) * z1 + (A.A11 - 2 * A.A12) * z2
-    (f11, f12), (f21, f22) = _conjugated_f_coeffs(A, p, s)
+    (lambda2, lambda1), ((f11, f12), (f21, f22)) = c.line, c.factors[s]
     f1 = f11 * z1 + f12 * z2
     f2 = f21 * z1 + f22 * z2
-    prefactor = cpow(A.det, -(p.k + 1)) * cpow(base_lin, p.k)
+    prefactor = cpow(c.det, -(c.k + 1)) * cpow(lambda2 * z1 + lambda1 * z2, c.k)
     return (
-        prefactor * (A.A11 * f1 + A.A12 * f2),
-        prefactor * (A.A21 * f1 + A.A22 * f2),
+        prefactor * (c.A11 * f1 + c.A12 * f2),
+        prefactor * (c.A21 * f1 + c.A22 * f2),
     )
 
 
-def k1_coeff_table(A: LinearChange, p: CubicFamilyParams, s: Sign) -> K1CoeffTable:
+def k1_coeff_table(c: ConjugatedParams, s: Sign) -> K1CoeffTable:
     """Quadratic-form coefficients of the conjugated map at k = 1.
 
     Expands D**-2 (lambda2 z1 + lambda1 z2)(A_n1 f1 + A_n2 f2) into the six
     a_nj; the resulting table matches :func:`step_conjugated` on probe points
     and satisfies the common-zero constraint residual identically.
     """
-    if p.k != 1:
+    if c.k != 1:
         raise ValueError("coefficient table is defined for k = 1 only")
     # The common-zero line of both rows: lambda2 z1 + lambda1 z2 = 0.
-    lambda1 = A.A11 - 2 * A.A12
-    lambda2 = 2 * A.A22 - A.A21
-    (f11, f12), (f21, f22) = _conjugated_f_coeffs(A, p, s)
+    (lambda2, lambda1), ((f11, f12), (f21, f22)) = c.line, c.factors[s]
     # eta_nm: z_m coefficient of A_n1 f1 + A_n2 f2.
-    eta11 = A.A11 * f11 + A.A12 * f21
-    eta12 = A.A11 * f12 + A.A12 * f22
-    eta21 = A.A21 * f11 + A.A22 * f21
-    eta22 = A.A21 * f12 + A.A22 * f22
-    d2 = 1 / (A.det * A.det)
+    eta11 = c.A11 * f11 + c.A12 * f21
+    eta12 = c.A11 * f12 + c.A12 * f22
+    eta21 = c.A21 * f11 + c.A22 * f21
+    eta22 = c.A21 * f12 + c.A22 * f22
+    d2 = 1 / (c.det * c.det)
     return K1CoeffTable(
         a11=d2 * lambda2 * eta11,
         a12=d2 * lambda1 * eta12,

@@ -34,10 +34,10 @@ from .solver import (
     solve_quadratic_family,
 )
 from .stepmaps import (
+    ConjugatedParams,
     CubicFamilyParams,
     GeneralizedParams,
     K1CoeffTable,
-    LinearChange,
     QuadraticFamilyParams,
     conda_residual,
     double_step_cubic,
@@ -328,32 +328,33 @@ def _draw_reductions(rng: random.Random, record: Callable[..., None]) -> None:
 
 
 def _draw_conda(rng: random.Random, record: Callable[..., None]) -> None:
-    A = LinearChange(*(draw_complex(rng) for _ in range(4)))
-    p = CubicFamilyParams(draw_complex(rng), draw_complex(rng), 1)
-    table = k1_coeff_table(A, p, rng.choice(SIGNS))
+    # A's four draws come before a and b: every seed's report depends on the order.
+    A = [draw_complex(rng) for _ in range(4)]
+    conj = ConjugatedParams(draw_complex(rng), draw_complex(rng), 1, *A)
+    table = k1_coeff_table(conj, rng.choice(SIGNS))
     scale = max(abs(c) for c in table)
     bound = max(scale, 1e-6) ** 4
     record(0, abs(conda_residual(table)) / bound)
 
 
 def _draw_conjugation(rng: random.Random, record: Callable[..., None]) -> None:
-    A = LinearChange(*(draw_complex(rng) for _ in range(4)))
-    p = CubicFamilyParams(draw_complex(rng), draw_complex(rng), rng.choice([-1, 1, 2]))
+    A = [draw_complex(rng) for _ in range(4)]
+    conj = ConjugatedParams(draw_complex(rng), draw_complex(rng), rng.choice([-1, 1, 2]), *A)
     z = draw_pair(rng)
     s = rng.choice(SIGNS)
-    got = step_conjugated(A, p, s, z)
-    want = A.apply(step_cubic_family(p, s, A.invert(z)))
+    got = step_conjugated(conj, s, z)
+    want = conj.apply(step_cubic_family(conj, s, conj.invert(z)))
     record(0, pair_residual(got, want))
 
-    if p.k == 1:
-        table = k1_coeff_table(A, p, s)
+    if conj.k == 1:
+        table = k1_coeff_table(conj, s)
         for _probe in range(5):
             w = draw_pair(rng)
             via_table = (
                 table.a11 * w[0] ** 2 + table.a12 * w[1] ** 2 + table.a13 * w[0] * w[1],
                 table.a21 * w[0] ** 2 + table.a22 * w[1] ** 2 + table.a23 * w[0] * w[1],
             )
-            record(1, pair_residual(via_table, step_conjugated(A, p, s, w)))
+            record(1, pair_residual(via_table, step_conjugated(conj, s, w)))
 
 
 def _draw_yz(rng: random.Random, record: Callable[..., None]) -> None:

@@ -388,6 +388,41 @@ def test_unknown_params_exit_2_naming_them(capsys, command):
     assert err == "error: unknown parameters for 'quad-family': 'q', 'bb'\n"
 
 
+CONJUGATED_IDENTITY = {"a": 1, "b": 1, "k": 1, "A11": 1, "A12": 0, "A21": 0, "A22": 1}
+CONJUGATED_SINGULAR = {"A11": 1, "A12": 2, "A21": 2, "A22": 4}
+
+#: ``conjugated``'s parameter messages, word for word: the names in ``--params``
+#: order, and a non-integer k reported before a singular change of variables.
+CONJUGATED_MESSAGES = {
+    "missing change of variables": (
+        {"a": 1, "b": 1, "k": 1},
+        "error: missing parameters for 'conjugated': A11, A12, A21, A22\n",
+    ),
+    "unknown key": (
+        {**CONJUGATED_IDENTITY, "zz": 2},
+        "error: unknown parameters for 'conjugated': 'zz'\n",
+    ),
+    "k 1.5 and singular": (
+        {**CONJUGATED_IDENTITY, "k": 1.5, **CONJUGATED_SINGULAR},
+        "error: k must be an integer, got 1.5\n",
+    ),
+    "singular": (
+        {**CONJUGATED_IDENTITY, **CONJUGATED_SINGULAR},
+        "error: change of variables has zero determinant\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", ["iterate", "solve"])
+@pytest.mark.parametrize("name", sorted(CONJUGATED_MESSAGES))
+def test_conjugated_parameter_messages(capsys, command, name):
+    params, message = CONJUGATED_MESSAGES[name]
+    code, out, err = run_cli(
+        capsys, command, "--system", "conjugated", "--params", json.dumps(params), "--x0", "[1, 2]"
+    )
+    assert (code, out, err) == (2, "", message)
+
+
 def test_family_k0_iterates_but_does_not_solve(capsys):
     """The step maps never divide by k; the closed-form exponents do."""
     argv = ["--system", "quad-family", "--params", json.dumps(FAMILY_K0), "--x0", "[1, 2]", "--steps", "2"]
@@ -580,6 +615,12 @@ OVERFLOWING_RUNS = {
          "--x0", "[1e100, 0]", "--steps", "3"],
         ["ell,branch,x1_re,x1_im,x2_re,x2_im", "0,,1e+100,0,0,0"],
     ),
+    # x1' = a w - b (x1 - x2) cancels to 0; only x2' = a w + b (x1 - x2) overflows.
+    "iterate quad-family second component only": (
+        ["iterate", "--system", "quad-family", "--params", '{"a": 1, "b": 1, "k": 0}',
+         "--x0", "[1e308, 0]", "--steps", "2"],
+        ["ell,branch,x1_re,x1_im,x2_re,x2_im", "0,,1e+308,0,0,0"],
+    ),
     "iterate generalized jsonl": (
         ["iterate", "--system", "generalized", "--params", json.dumps({**GENERALIZED, "alpha": 1e300}),
          "--x0", "[1, 2]", "--steps", "3", "--format", "jsonl"],
@@ -656,17 +697,16 @@ def test_param_fields_are_int_or_complex():
     module that does not postpone them, fails here instead of being read as a complex.
     """
     for system, spec in _SYSTEMS.items():
-        for cls in spec.types:
-            for f in dataclasses.fields(cls):
-                if f.init:
-                    assert f.type in ("int", "complex"), (system, cls.__name__, f.name, f.type)
+        for f in dataclasses.fields(spec.params):
+            if f.init:
+                assert f.type in ("int", "complex"), (system, spec.params.__name__, f.name, f.type)
 
 
 @st.composite
 def cli_runs(draw):
     system = draw(st.sampled_from(sorted(_SYSTEMS)))
     params = {}
-    for f in (f for cls in _SYSTEMS[system].types for f in dataclasses.fields(cls) if f.init):
+    for f in (f for f in dataclasses.fields(_SYSTEMS[system].params) if f.init):
         if f.type == "int":
             params[f.name] = draw(st.integers(-3, 6))
         else:

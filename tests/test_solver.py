@@ -17,9 +17,9 @@ from solvmaps.solver import (
     solve_sqrt_quadratic,
 )
 from solvmaps.stepmaps import (
+    ConjugatedParams,
     CubicFamilyParams,
     GeneralizedParams,
-    LinearChange,
     QuadraticFamilyParams,
     step_cubic_family,
     step_generalized,
@@ -178,14 +178,13 @@ class TestWorkedInstances:
             assert (entry.y.y1, entry.y.y2) == (1, 5)
 
     def test_conjugated_diagonal_change(self):
-        A = LinearChange(1, 0, 0, 2)
-        sol = solve_conjugated(A, CubicFamilyParams(1, 1, 1), (1, 0), 1)
+        sol = solve_conjugated(ConjugatedParams(1, 1, 1, 1, 0, 0, 2), (1, 0), 1)
         assert branch_set_matches(sol.branch_set(1), [(-6 + 0j, 0j), (-2 + 0j, -16 + 0j)], tol=1e-12)
 
     def test_conjugated_identity_matches_cubic(self):
         p = CubicFamilyParams(0.5, 0.25, 1)
         x0 = (1 + 1j, -0.5)
-        conj = solve_conjugated(LinearChange(1, 0, 0, 1), p, x0, 3)
+        conj = solve_conjugated(ConjugatedParams(0.5, 0.25, 1, 1, 0, 0, 1), x0, 3)
         plain = solve_cubic_family(p, x0, 3)
         for a, b in zip(conj.entries, plain.entries):
             assert pair_residual(a.plus, b.plus) <= 1e-12

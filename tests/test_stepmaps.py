@@ -1,17 +1,22 @@
 """One-step maps of every family, coefficient tables, and yz relations."""
 
+import json
 import random
 
 import pytest
+from hypothesis import assume, example, given
+from hypothesis import strategies as st
 
-from solvmaps.errors import ConfigError, ZeroToNegativePowerError
-from solvmaps.numeric import MINUS, PLUS, SIGNS
+from solvmaps import stepmaps
+from solvmaps.cli import main
+from solvmaps.errors import ConfigError, SolvmapsError, ZeroToNegativePowerError
+from solvmaps.numeric import MINUS, PLUS, SIGNS, cpow
 from solvmaps.solver import solve_sqrt_cubic, solve_sqrt_quadratic
 from solvmaps.stepmaps import (
+    ConjugatedParams,
     CubicFamilyParams,
     GeneralizedParams,
     K1CoeffTable,
-    LinearChange,
     QuadraticFamilyParams,
     conda_residual,
     double_step_cubic,
@@ -276,28 +281,28 @@ class TestSqrtSystems:
 class TestConjugated:
     def test_identity_change_matches_cubic(self):
         p = CubicFamilyParams(1, 1, 1)
-        got = step_conjugated(LinearChange(1, 0, 0, 1), p, PLUS, (1, 0))
+        got = step_conjugated(ConjugatedParams(1, 1, 1, 1, 0, 0, 1), PLUS, (1, 0))
         want = step_cubic_family(p, PLUS, (1, 0))
         assert pair_residual(got, tuple(want)) <= 1e-12
 
     def test_diagonal_change_example(self):
-        A = LinearChange(1, 0, 0, 2)
-        got = step_conjugated(A, CubicFamilyParams(1, 1, 1), PLUS, (1, 0))
+        c = ConjugatedParams(1, 1, 1, 1, 0, 0, 2)
+        got = step_conjugated(c, PLUS, (1, 0))
         assert pair_residual(got, (-6, 0)) <= 1e-12
 
     def test_conjugation_identity(self):
         rng = random.Random("stepmaps:conjugation")
         for _ in range(100):
+            A = [draw_complex(rng) for _ in range(4)]
             try:
-                A = LinearChange(*(draw_complex(rng) for _ in range(4)))
+                c = ConjugatedParams(draw_complex(rng), draw_complex(rng), rng.choice([-1, 1, 2]), *A)
             except ConfigError:
                 continue
-            p = CubicFamilyParams(draw_complex(rng), draw_complex(rng), rng.choice([-1, 1, 2]))
             z = draw_pair(rng)
             s = rng.choice(SIGNS)
             try:
-                got = step_conjugated(A, p, s, z)
-                want = A.apply(step_cubic_family(p, s, A.invert(z)))
+                got = step_conjugated(c, s, z)
+                want = c.apply(step_cubic_family(c, s, c.invert(z)))
             except ZeroToNegativePowerError:
                 continue
             assert pair_residual(got, want) <= 1e-9
@@ -309,12 +314,12 @@ class TestConjugated:
         checked = 0
         while checked < 20:
             try:
-                A = LinearChange(*(draw_complex(rng) for _ in range(4)))
-                p = CubicFamilyParams(draw_complex(rng), draw_complex(rng), -1)
+                A = [draw_complex(rng) for _ in range(4)]
+                c = ConjugatedParams(draw_complex(rng), draw_complex(rng), -1, *A)
                 z = draw_pair(rng)
                 s = rng.choice(SIGNS)
-                got = step_conjugated(A, p, s, z)
-                want = A.apply(step_cubic_family(p, s, A.invert(z)))
+                got = step_conjugated(c, s, z)
+                want = c.apply(step_cubic_family(c, s, c.invert(z)))
             except (ConfigError, ZeroToNegativePowerError):
                 continue
             assert pair_residual(got, want) <= 1e-9
@@ -322,31 +327,115 @@ class TestConjugated:
 
     def test_singular_change_rejected(self):
         with pytest.raises(ConfigError):
-            LinearChange(1, 2, 2, 4)
+            ConjugatedParams(1, 1, 1, 1, 2, 2, 4)
 
 
 class TestK1Table:
     def test_requires_k_one(self):
         with pytest.raises(ValueError):
-            k1_coeff_table(LinearChange(1, 0, 0, 1), CubicFamilyParams(1, 1, 2), PLUS)
+            k1_coeff_table(ConjugatedParams(1, 1, 2, 1, 0, 0, 1), PLUS)
 
     def test_probe_points_match_map(self):
         rng = random.Random("stepmaps:k1")
         for _ in range(40):
+            A = [draw_complex(rng) for _ in range(4)]
             try:
-                A = LinearChange(*(draw_complex(rng) for _ in range(4)))
+                c = ConjugatedParams(draw_complex(rng), draw_complex(rng), 1, *A)
             except ConfigError:
                 continue
-            p = CubicFamilyParams(draw_complex(rng), draw_complex(rng), 1)
             s = rng.choice(SIGNS)
-            t = k1_coeff_table(A, p, s)
+            t = k1_coeff_table(c, s)
             for _ in range(5):
                 z = draw_pair(rng)
                 via_table = (
                     t.a11 * z[0] ** 2 + t.a12 * z[1] ** 2 + t.a13 * z[0] * z[1],
                     t.a21 * z[0] ** 2 + t.a22 * z[1] ** 2 + t.a23 * z[0] * z[1],
                 )
-                assert pair_residual(via_table, step_conjugated(A, p, s, z)) <= 1e-9
+                assert pair_residual(via_table, step_conjugated(c, s, z)) <= 1e-9
+
+
+def _reference_factors(c, s):
+    """The linear factors with each theta_{k;n1,n2;n} = (-1)**k n1 a + (-1)**n n2 s b formed on its own."""
+    coeffs = []
+    for n in (1, 2):
+        t2 = (-1 if c.k % 2 else 1) * 2 * c.a + (-1 if n % 2 else 1) * n * s * c.b
+        t1 = (-1 if c.k % 2 else 1) * 1 * c.a + (-1 if (n + 1) % 2 else 1) * n * s * c.b
+        coeffs.append((t2 * c.A22 - t1 * c.A21, t1 * c.A11 - t2 * c.A12))
+    return coeffs
+
+
+def _reference_step(c, s, z):
+    z1, z2 = z
+    base_lin = (2 * c.A22 - c.A21) * z1 + (c.A11 - 2 * c.A12) * z2
+    (f11, f12), (f21, f22) = _reference_factors(c, s)
+    f1 = f11 * z1 + f12 * z2
+    f2 = f21 * z1 + f22 * z2
+    prefactor = cpow(c.det, -(c.k + 1)) * cpow(base_lin, c.k)
+    return (prefactor * (c.A11 * f1 + c.A12 * f2), prefactor * (c.A21 * f1 + c.A22 * f2))
+
+
+def _reference_k1_table(c, s):
+    lambda1 = c.A11 - 2 * c.A12
+    lambda2 = 2 * c.A22 - c.A21
+    (f11, f12), (f21, f22) = _reference_factors(c, s)
+    eta11 = c.A11 * f11 + c.A12 * f21
+    eta12 = c.A11 * f12 + c.A12 * f22
+    eta21 = c.A21 * f11 + c.A22 * f21
+    eta22 = c.A21 * f12 + c.A22 * f22
+    d2 = 1 / (c.det * c.det)
+    return K1CoeffTable(
+        d2 * lambda2 * eta11, d2 * lambda1 * eta12, d2 * (lambda2 * eta12 + lambda1 * eta11),
+        d2 * lambda2 * eta21, d2 * lambda1 * eta22, d2 * (lambda2 * eta22 + lambda1 * eta21),
+    )
+
+
+def _outcome(f, *args):
+    """The repr of ``f(*args)``, or the type and message of what it raised."""
+    try:
+        return repr(f(*args))
+    except (SolvmapsError, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+
+
+#: Unit-scale parts, signed zeros, and parts whose products overflow or underflow.
+_parts = (
+    st.sampled_from([0.0, -0.0, 0.5, 1.0, -1.0, 2.0, -2.0]) | st.floats(-3, 3)
+    | st.floats(1e150, 1e300) | st.floats(-1e-300, 1e-300)
+)
+_complexes = st.builds(complex, _parts, _parts)
+
+
+class TestStoredFactors:
+    @given(st.lists(_complexes, min_size=6, max_size=6), st.integers(-3, 3), st.sampled_from(SIGNS),
+           st.tuples(_complexes, _complexes))
+    # A21 = 2 A22 puts a signed zero in the common-zero line and, at b = 0, in a factor.
+    @example(values=[1, 0, 1, 0, 2, 1], k=1, s=PLUS, z=(1, 1))
+    @example(values=[1, 0, 1, 0, -2, -1], k=1, s=MINUS, z=(1, -1))
+    def test_step_and_table_keep_the_per_step_bits(self, values, k, s, z):
+        a, b, *A = values
+        try:
+            c = ConjugatedParams(a, b, k, *A)
+        except ConfigError:
+            assume(False)
+        assert _outcome(step_conjugated, c, s, z) == _outcome(_reference_step, c, s, z)
+        if k == 1:
+            assert _outcome(k1_coeff_table, c, s) == _outcome(_reference_k1_table, c, s)
+
+    def test_factors_are_built_once_per_sign(self, monkeypatch, capsys):
+        calls = []
+
+        def counted(c, s):
+            calls.append(s)
+            return original(c, s)
+
+        original = stepmaps._conjugated_f_coeffs
+        monkeypatch.setattr(stepmaps, "_conjugated_f_coeffs", counted)
+        params = {"a": 0.5, "b": 0.25, "k": -1, "A11": 1, "A12": 0.2, "A21": 0.1, "A22": 1}
+        argv = ["iterate", "--system", "conjugated", "--params", json.dumps(params),
+                "--x0", "[1, 0.5]", "--steps", "200", "--signs", "+-" * 100]
+        assert main(argv) == 0
+        assert capsys.readouterr().out.count("\n") == 202
+        assert sorted(calls) == [MINUS, PLUS]
 
 
 class TestConda:
@@ -363,12 +452,12 @@ class TestConda:
     def test_generated_tables_satisfy_constraint(self):
         rng = random.Random("stepmaps:conda")
         for _ in range(100):
+            A = [draw_complex(rng) for _ in range(4)]
             try:
-                A = LinearChange(*(draw_complex(rng) for _ in range(4)))
+                c = ConjugatedParams(draw_complex(rng), draw_complex(rng), 1, *A)
             except ConfigError:
                 continue
-            p = CubicFamilyParams(draw_complex(rng), draw_complex(rng), 1)
-            t = k1_coeff_table(A, p, rng.choice(SIGNS))
+            t = k1_coeff_table(c, rng.choice(SIGNS))
             scale = max(abs(c) for c in t)
             assert abs(conda_residual(t)) <= 1e-9 * max(scale, 1e-6) ** 4
 

@@ -236,7 +236,7 @@ class TestReport:
         def broken(*args):
             raise TypeError("broken change of variables")
 
-        monkeypatch.setattr(verify, "LinearChange", broken)
+        monkeypatch.setattr(verify, "ConjugatedParams", broken)
         with pytest.raises(TypeError):
             run_verify(seed=42, suites=[suite])
 

@@ -20,7 +20,7 @@ from solvmaps.solver import (
     solve_sqrt_quadratic,
     solve_y,
 )
-from solvmaps.stepmaps import CubicFamilyParams, GeneralizedParams, LinearChange, QuadraticFamilyParams
+from solvmaps.stepmaps import ConjugatedParams, CubicFamilyParams, GeneralizedParams, QuadraticFamilyParams
 from solvmaps.verify import draw_complex, residual
 from solvmaps.ysystem import (
     OrbitPowers,
@@ -355,8 +355,8 @@ def _draw_solve(rng: random.Random, system: str):
     if system == "generalized":
         return solve_generalized, GeneralizedParams(a, b, *(_base(rng) for _ in range(5)), k), x0
     if system == "conjugated":
-        A = LinearChange(1 + 0.3 * _base(rng), 0.3 * _base(rng), 0.3 * _base(rng), 1 + 0.3 * _base(rng))
-        return (lambda p, x, n: solve_conjugated(A, p, x, n)), CubicFamilyParams(a, b, k), x0
+        A = (1 + 0.3 * _base(rng), 0.3 * _base(rng), 0.3 * _base(rng), 1 + 0.3 * _base(rng))
+        return solve_conjugated, ConjugatedParams(a, b, k, *A), x0
     solve = {"y": solve_y, "sqrt-quad": solve_sqrt_quadratic, "sqrt-cubic": solve_sqrt_cubic}[system]
     gamma = rng.choice([0, _base(rng)])
     return solve, YParams(a, b, gamma, k, rng.randint(-3, 5), rng.randint(-3, 5)), x0
