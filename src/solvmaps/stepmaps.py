@@ -39,8 +39,6 @@ class _FamilyParams:
 
     def __post_init__(self) -> None:
         _require_int("k", self.k)
-        object.__setattr__(self, "a", complex(self.a))
-        object.__setattr__(self, "b", complex(self.b))
 
 
 class QuadraticFamilyParams(_FamilyParams):
@@ -84,7 +82,6 @@ class GeneralizedParams:
     C3: complex
     k: int
     denom: complex = field(init=False, repr=False, compare=False)
-    d: complex = field(init=False, repr=False, compare=False)
     g1: complex = field(init=False, repr=False, compare=False)
     g2: complex = field(init=False, repr=False, compare=False)
     g3: complex = field(init=False, repr=False, compare=False)
@@ -95,8 +92,6 @@ class GeneralizedParams:
 
     def __post_init__(self) -> None:
         _require_int("k", self.k)
-        for name in ("alpha", "beta", "B1", "B2", "C1", "C2", "C3"):
-            object.__setattr__(self, name, complex(getattr(self, name)))
         a, b, B1, B2, C1, C2, C3 = self.alpha, self.beta, self.B1, self.B2, self.C1, self.C2, self.C3
         if B2 == 0:
             raise ConfigError("B2 must be nonzero")
@@ -116,7 +111,7 @@ class GeneralizedParams:
             for s in SIGNS
         }
         num = (C3 * C3 - 4 * C1 * C2) * (b * b - a * a)
-        self.__dict__.update(denom=denom, d=d, g1=g1, g2=g2, g3=g3, gamma=num / (4 * denom), tables=tables)
+        self.__dict__.update(denom=denom, g1=g1, g2=g2, g3=g3, gamma=num / (4 * denom), tables=tables)
 
     def y_params(self) -> YParams:
         return YParams(self.alpha, self.beta, self.gamma, self.k, 2 * self.k, 2 * (1 + self.k))
@@ -142,8 +137,6 @@ class ConjugatedParams(CubicFamilyParams):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        for name in ("A11", "A12", "A21", "A22"):
-            object.__setattr__(self, name, complex(getattr(self, name)))
         det = self.A11 * self.A22 - self.A12 * self.A21
         if det == 0:
             raise ConfigError("change of variables has zero determinant")
@@ -203,7 +196,7 @@ def double_step_cubic(p: CubicFamilyParams, s01: Sign, x: ComplexPair) -> Comple
     sign_k = -1 if p.k % 2 else 1
     prefactor = (
         sign_k
-        * cpow(complex(3), p.k + 1)
+        * cpow(3, p.k + 1)
         * cpow(p.a, p.k)
         * cpow(w, p.k * (p.k + 2))
     )

@@ -47,7 +47,7 @@ def _require_int(name: str, value: int) -> None:
 
 @dataclass(frozen=True)
 class YParams:
-    """Parameters of the triangular system; k, q, r are integers, k != 0."""
+    """Parameters of the triangular system, kept as given; k, q, r are integers, k != 0."""
 
     alpha: complex
     beta: complex
@@ -61,9 +61,6 @@ class YParams:
             _require_int(name, getattr(self, name))
         if self.k == 0:
             raise ConfigError("k = 0 is rejected: closed-form exponents divide by k")
-        object.__setattr__(self, "alpha", complex(self.alpha))
-        object.__setattr__(self, "beta", complex(self.beta))
-        object.__setattr__(self, "gamma", complex(self.gamma))
 
 
 class YState(NamedTuple):

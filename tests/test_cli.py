@@ -558,6 +558,14 @@ INPUT_MESSAGES = {
                   "error: k must be an integer, got 1.5"),
     "k true": (["--params", '{"a": 1, "b": 1, "k": true}', "--x0", "[1, 0]"],
                "error: k must be an integer, got True"),
+    # A later --system replaces cubic-family.
+    "generalized k a float": (["--system", "generalized", "--params", json.dumps({**GENERALIZED, "k": 1.5}),
+                               "--x0", "[1, 0]"], "error: k must be an integer, got 1.5"),
+    "params not JSON": (["--params", "{", "--x0", "[1, 0]"],
+                        "error: --params is not valid JSON: Expecting property name enclosed in double quotes: "
+                        "line 1 column 2 (char 1)"),
+    "x0 not JSON": (["--params", CUBIC_PARAMS, "--x0", "["],
+                    "error: --x0 is not valid JSON: Expecting value: line 1 column 2 (char 1)"),
 }
 
 
@@ -621,6 +629,12 @@ OVERFLOWING_RUNS = {
          "--x0", "[1e308, 0]", "--steps", "2"],
         ["ell,branch,x1_re,x1_im,x2_re,x2_im", "0,,1e+308,0,0,0"],
     ),
+    # x2' = a w + b (x1 - x2) cancels to 0; only x1' = a w - b (x1 - x2) overflows.
+    "iterate quad-family first component only": (
+        ["iterate", "--system", "quad-family", "--params", '{"a": 1, "b": -1, "k": 0}',
+         "--x0", "[1e308, 0]", "--steps", "2"],
+        ["ell,branch,x1_re,x1_im,x2_re,x2_im", "0,,1e+308,0,0,0"],
+    ),
     "iterate generalized jsonl": (
         ["iterate", "--system", "generalized", "--params", json.dumps({**GENERALIZED, "alpha": 1e300}),
          "--x0", "[1, 2]", "--steps", "3", "--format", "jsonl"],
@@ -672,6 +686,28 @@ def test_overflow_exits_3_after_the_finite_rows(capsys, tmp_path, name, to_file)
     step = _states_written(out)
     assert [int(n) for n in re.findall(r"step (\d+)", err)] == [step]
     assert (f"(at step {step})" if argv[0] == "iterate" else f"failed at step {step}:") in err
+
+
+#: Runs whose every value is finite though a sum of them overflows: argv and the rows written.
+FINITE_PAST_A_SUM = {
+    "iterate quad-family": (
+        ["iterate", "--system", "quad-family", "--params", '{"a": 1, "b": 0, "k": 0}',
+         "--x0", "[1e308, 0]", "--steps", "1"],
+        ["ell,branch,x1_re,x1_im,x2_re,x2_im", "0,,1e+308,0,0,0", "1,+,1e+308,0,1e+308,0"],
+    ),
+    "solve y at step 0": (
+        ["solve", "--system", "y", "--params", '{"alpha": 1, "beta": 1, "gamma": 1, "k": 1, "q": 0, "r": 0}',
+         "--x0", "[1e308, 1e308]", "--steps", "0"],
+        ["ell,y1_re,y1_im,y2_re,y2_im", "0,1e+308,0,1e+308,0"],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FINITE_PAST_A_SUM))
+def test_finite_values_whose_sum_overflows_are_delivered(capsys, name):
+    argv, rows = FINITE_PAST_A_SUM[name]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out.splitlines(), err) == (0, rows, "")
 
 
 def _complex_literals(magnitudes):

@@ -1,5 +1,6 @@
 """Closed-form initial-value solvers: branch sets, consistency, truncation."""
 
+import dataclasses
 import random
 
 import pytest
@@ -15,6 +16,7 @@ from solvmaps.solver import (
     solve_quadratic_family,
     solve_sqrt_cubic,
     solve_sqrt_quadratic,
+    solve_y,
 )
 from solvmaps.stepmaps import (
     ConjugatedParams,
@@ -438,3 +440,31 @@ class TestOverflowTruncation:
         assert sol.overflow_at is None
         assert sol.error is None
         assert len(sol.entries) == 4
+
+
+#: Each solver with integer-valued fields, less k: (solve, params type, fields).
+INTEGER_RUNS = {
+    "y": (solve_y, YParams, {"alpha": 2, "beta": -1, "gamma": 3, "q": 1, "r": 2}),
+    "sqrt-quad": (solve_sqrt_quadratic, YParams, {"alpha": 2, "beta": -1, "gamma": 3, "q": 1, "r": 2}),
+    "sqrt-cubic": (solve_sqrt_cubic, YParams, {"alpha": 2, "beta": -1, "gamma": 3, "q": 1, "r": 2}),
+    "quad-family": (solve_quadratic_family, QuadraticFamilyParams, {"a": 2, "b": 1}),
+    "cubic-family": (solve_cubic_family, CubicFamilyParams, {"a": 2, "b": 1}),
+    "generalized": (solve_generalized, GeneralizedParams,
+                    {"alpha": 1, "beta": 2, "B1": 1, "B2": 1, "C1": 1, "C2": 1, "C3": 0}),
+    "conjugated": (solve_conjugated, ConjugatedParams, {"a": 1, "b": 2, "A11": 1, "A12": 1, "A21": 0, "A22": 2}),
+}
+
+
+@pytest.mark.parametrize("k", [-2, -1, 1, 2])
+@pytest.mark.parametrize("name", sorted(INTEGER_RUNS))
+def test_integer_arguments_solve_as_complex_ones(name, k):
+    """The parameter types keep integers as they are given; the solvers deliver the same values
+    as for complex arguments (a zero's sign may differ, which == does not see)."""
+    solve, params, fields = INTEGER_RUNS[name]
+    x0 = (2, -1)
+    got = solve(params(**fields, k=k), x0, 6)
+    as_complex = {f.name for f in dataclasses.fields(params) if f.type == "complex"}
+    complex_fields = {f: complex(v) if f in as_complex else v for f, v in fields.items()}
+    want = solve(params(**complex_fields, k=k), tuple(map(complex, x0)), 6)
+    assert got.entries == want.entries
+    assert (got.overflow_at, type(got.error)) == (want.overflow_at, type(want.error))

@@ -2,7 +2,9 @@
 
 import json
 import random
+from fractions import Fraction as F
 
+import mpmath
 import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
@@ -328,6 +330,50 @@ class TestConjugated:
     def test_singular_change_rejected(self):
         with pytest.raises(ConfigError):
             ConjugatedParams(1, 1, 1, 1, 2, 2, 4)
+
+
+def _all_fractions(*values):
+    return all(type(v) is F for v in values)
+
+
+class TestExactFields:
+    """The parameter types keep the numbers they are given, so exact inputs give exact derived values."""
+
+    def test_family_y_params(self):
+        quad = QuadraticFamilyParams(F(1, 3), F(1, 5), 1).y_params()
+        cubic = CubicFamilyParams(F(1, 3), F(1, 5), 1).y_params()
+        assert _all_fractions(quad.alpha, quad.beta, quad.gamma, cubic.alpha, cubic.beta, cubic.gamma)
+        assert (quad.alpha, quad.beta, quad.gamma) == (F(2, 3), F(2, 5), F(16, 225))
+        assert (cubic.alpha, cubic.beta, cubic.gamma) == (F(1), F(3, 5), F(16, 75))
+
+    def test_generalized_gamma_and_tables(self):
+        p = GeneralizedParams(F(1, 2), F(1, 3), 1, F(1, 2), F(1, 3), 2, 1, 1)
+        assert (p.denom, p.gamma) == (F(19, 12), F(25, 684))
+        for s in SIGNS:
+            (e11, e12), (e21, e22) = p.tables[s]
+            assert _all_fractions(e11, e12, e21, e22)
+            # B1 z1 + B2 z2 maps to alpha (B1 z1 + B2 z2) times the base, with no rounding to hide behind.
+            assert (p.B1 * e11 + p.B2 * e21, p.B1 * e12 + p.B2 * e22) == (p.alpha * p.B1, p.alpha * p.B2)
+
+    def test_conjugated_det_line_and_factors(self):
+        c = ConjugatedParams(F(1, 2), F(1, 3), 1, 1, F(1, 2), F(1, 3), 2)
+        assert (c.det, c.line) == (F(11, 6), (F(11, 3), 0))
+        for s in SIGNS:
+            (f11, f12), (f21, f22) = c.factors[s]
+            assert _all_fractions(c.det, *c.line, f11, f12, f21, f22)
+            # The common-zero constraint holds exactly, not within a tolerance.
+            assert conda_residual(k1_coeff_table(c, s)) == 0
+
+    @pytest.mark.parametrize("build", [
+        lambda z: YParams(z, z, z, 1, 2, 4),
+        lambda z: QuadraticFamilyParams(z, z, 1).y_params(),
+        lambda z: CubicFamilyParams(z, z, 1).y_params(),
+        lambda z: GeneralizedParams(z, z, 1, z, 1, 1, 0, 1).y_params(),
+        lambda z: ConjugatedParams(z, z, 1, z, 0, 0, 1).y_params(),
+    ], ids=["y", "quad-family", "cubic-family", "generalized", "conjugated"])
+    def test_mpc_fields_stay_mpc(self, build):
+        yp = build(mpmath.mpc(1, 2))
+        assert {type(yp.alpha), type(yp.beta), type(yp.gamma)} == {mpmath.mpc}
 
 
 class TestK1Table:

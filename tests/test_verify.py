@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 
 import pytest
 from hypothesis import given
@@ -258,4 +259,8 @@ class TestReport:
         report = run_verify(seed=42, suites=["conda"])
         text = report.summary()
         assert "suite conda" in text
+        assert re.search(
+            r"^  \[PASS\] common-zero constraint residual vanishes: max residual \d\.\d{3}e-\d\d \(tol 1\.0e-09\)$",
+            text, re.MULTILINE,
+        )
         assert "overall: PASS" in text
