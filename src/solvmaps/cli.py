@@ -61,7 +61,8 @@ class SystemSpec:
     values: the CLI passes a field annotated ``int`` on as it is and parses
     every other as a complex.  An unsigned system's step ignores the sign,
     and its rows have no ``branch`` column: its state is the coefficient pair
-    itself.
+    itself.  ``iterate`` calls what this module binds to ``step``'s name,
+    looked up once a run, so a rebound module attribute is used.
     """
 
     params: type
@@ -70,31 +71,18 @@ class SystemSpec:
     signed: bool = True
 
 
-# Each step entry looks its map up by name at every call, so a rebound module attribute is used.
+def _y_step(p: YParams, s: Sign, y: ComplexPair) -> YState:
+    return y_step(p, YState(*y))
+
+
 _SYSTEMS: dict[str, SystemSpec] = {
-    "y": SystemSpec(
-        YParams, lambda p, s, y: y_step(p, YState(*y)), solve_y, signed=False
-    ),
-    "quad-family": SystemSpec(
-        QuadraticFamilyParams,
-        lambda p, s, x: step_quadratic_family(p, s, x),
-        solve_quadratic_family,
-    ),
-    "cubic-family": SystemSpec(
-        CubicFamilyParams, lambda p, s, x: step_cubic_family(p, s, x), solve_cubic_family
-    ),
-    "generalized": SystemSpec(
-        GeneralizedParams, lambda p, s, x: step_generalized(p, s, x), solve_generalized
-    ),
-    "sqrt-quad": SystemSpec(
-        YParams, lambda p, s, x: step_sqrt_quadratic(p, s, x), solve_sqrt_quadratic
-    ),
-    "sqrt-cubic": SystemSpec(
-        YParams, lambda p, s, x: step_sqrt_cubic(p, s, x), solve_sqrt_cubic
-    ),
-    "conjugated": SystemSpec(
-        ConjugatedParams, lambda p, s, x: step_conjugated(p, s, x), solve_conjugated
-    ),
+    "y": SystemSpec(YParams, _y_step, solve_y, signed=False),
+    "quad-family": SystemSpec(QuadraticFamilyParams, step_quadratic_family, solve_quadratic_family),
+    "cubic-family": SystemSpec(CubicFamilyParams, step_cubic_family, solve_cubic_family),
+    "generalized": SystemSpec(GeneralizedParams, step_generalized, solve_generalized),
+    "sqrt-quad": SystemSpec(YParams, step_sqrt_quadratic, solve_sqrt_quadratic),
+    "sqrt-cubic": SystemSpec(YParams, step_sqrt_cubic, solve_sqrt_cubic),
+    "conjugated": SystemSpec(ConjugatedParams, step_conjugated, solve_conjugated),
 }
 
 
@@ -264,7 +252,8 @@ def cmd_iterate(args: argparse.Namespace) -> int:
 
     with _open_out(args.out) as stream:
         row = _Writer(stream, args.format, _state_columns(args.system, with_y=False)).row
-        write, step, isfinite = stream.write, spec.step, cmath.isfinite
+        step = globals()[spec.step.__name__]  # by name, so a rebound module attribute is used
+        write, isfinite = stream.write, cmath.isfinite
         x1, x2 = state
         write(row % (0, "", x1.real, x1.imag, x2.real, x2.imag))
         sign_of = {"+": PLUS, "-": MINUS}

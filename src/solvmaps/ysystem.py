@@ -12,11 +12,11 @@ series.
 
 All closed-form exponents are computed in exact integer arithmetic (they
 grow like (1+k)**ell).  Their quotients by k and k**2 are exact by algebra
-for every integer k != 0, q, r and ell >= 0, and Tier-1 proves the
-identities, so floor division yields them.  Where k divides q, the
-scale factor alpha**e_alpha * y1(0)**e_y10 is read off y1 instead, as
-y1**(q/k) alpha**(-q ell/k) y1(0)**(-q/k): the same closed form, with
-exponents of O(log ell) bits.
+for every integer k != 0, q, r and ell >= 0, so floor division yields them;
+Tier-1 checks the identities on a grid (ROADMAP item 18 is the proof).
+Where k divides q, the scale factor alpha**e_alpha * y1(0)**e_y10 is read
+off y1 instead, as y1**(q/k) alpha**(-q ell/k) y1(0)**(-q/k): the same
+closed form, with exponents of O(log ell) bits.
 
 Every closed-form step is one pass of an :class:`OrbitPowers`, which holds
 what all steps of one orbit share; a call without one builds a fresh orbit

@@ -311,6 +311,14 @@ def test_closed_form_y2_survives_an_underflowing_power_when_k_does_not_divide_q(
     assert _relative(y_closed(p, y0, 5).y2, want) <= 1e-12
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+def test_closed_form_y1_survives_a_subnormal_power():
+    # y1(6) ~ 4.38e-260 by iteration; for k >= 1, _y1 forms y1(0)**729 apart, and it is subnormal.
+    p, y0 = YParams(1.5, 0, 0, 2, 0, 0), YState(0.36, 0)
+    want = y_iterate(p, y0, 6).y1
+    assert _relative(y_closed(p, y0, 6).y1, want) <= 1e-12
+
+
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 9: the special form's scale and bracket overflow apart on a bounded orbit")
 @pytest.mark.parametrize("solve, params, from_zeros", [
     (solve_cubic_family, CubicFamilyParams(0.5, 0.25, -1), cubic_from_zeros),

@@ -2,7 +2,7 @@
 
 ``perfbench/tracing.py`` wraps the package's functions by rebinding module
 attributes, so a call that does not go through such an attribute (a CLI
-step entry that holds its map directly, say) leaves its layer at 0 calls
+step entry called as the table holds it, say) leaves its layer at 0 calls
 without failing anything.  This runs one operation of each kind under the
 tracer, checks that each reached the layers it must reach, which between
 them are all the tracer's layers, and that uninstalling puts every attribute
@@ -37,6 +37,16 @@ def _package_attributes():
 
 SQRT = {"alpha": [0, 1], "beta": [-1, 0], "gamma": [0, -1], "k": 1, "q": 1, "r": 3}
 CUBIC = {"a": [1 / 3, 0], "b": [0, 1 / 3], "k": 1}
+GENERALIZED = {"alpha": 1, "beta": 1, "B1": 1, "B2": 1, "C1": 1, "C2": 1, "C3": 0, "k": 1}
+CONJUGATED = {**CUBIC, "A11": 1, "A12": 1, "A21": 0, "A22": 1}
+
+
+def _iterate(system, params, layer):
+    """A 3-step ``iterate`` of ``system``, which must reach its step layer."""
+    argv = ["iterate", "--system", system, "--params", json.dumps(params),
+            "--x0", "[1, [-2, -1]]", "--steps", "3"]
+    return argv, {"cli", layer}
+
 
 #: One run of each kind, and the layers it must reach.
 RUNS = [
@@ -51,6 +61,11 @@ RUNS = [
      {"cli", "solver", "ysystem.closed"}),
     (["verify", "--suites", "quad-family"],
      {"cli", "verify", "verify.enumerate", "numeric.compare", "stepmaps.step", "solver", "ysystem.closed"}),
+    _iterate("y", SQRT, "ysystem.step"),
+    _iterate("quad-family", CUBIC, "stepmaps.step"),
+    _iterate("cubic-family", CUBIC, "stepmaps.step"),
+    _iterate("generalized", GENERALIZED, "stepmaps.step"),
+    _iterate("conjugated", CONJUGATED, "stepmaps.step"),
 ]
 
 
