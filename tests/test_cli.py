@@ -20,7 +20,7 @@ from solvmaps.cli import _SYSTEMS, _Writer, _parse_complex, _state_columns, buil
 from solvmaps.numeric import MINUS, PLUS
 from solvmaps.solver import solve_quadratic_family
 from solvmaps.stepmaps import CubicFamilyParams, QuadraticFamilyParams, step_cubic_family
-from solvmaps.verify import pair_residual, pair_residual_unordered
+from solvmaps.verify import SUITE_NAMES, pair_residual, pair_residual_unordered
 from solvmaps.ysystem import YParams, YState, y_closed
 
 
@@ -966,9 +966,11 @@ class TestVerify:
         assert "overall: FAIL" in err
 
     def test_unknown_suite_exits_2(self, capsys):
-        code, _, err = run_cli(capsys, "verify", "--suites", "bogus")
+        """In one line that lists every suite, in order: the help says only "default: all"."""
+        code, out, err = run_cli(capsys, "verify", "--suites", "bogus")
         assert code == 2
-        assert "unknown verify suites" in err
+        assert out == ""
+        assert err == f"error: unknown verify suites: bogus; known: {', '.join(SUITE_NAMES)}\n"
 
     @pytest.mark.parametrize("suites", ["", ",", "yz,yz"])
     def test_empty_or_repeated_suites_exit_2(self, capsys, suites):
@@ -1081,3 +1083,22 @@ def test_import_builds_no_parser():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["0", "True"]
+
+
+def test_import_leaves_verify_to_the_verify_command(tmp_path):
+    """``import solvmaps.cli`` does not load ``solvmaps.verify``: a ``solve`` or
+    ``iterate`` process never compiles it.  The first ``verify`` command does."""
+    path = tmp_path / "report.json"
+    script = (
+        "import sys\n"
+        "import solvmaps.cli\n"
+        "print('solvmaps.verify' in sys.modules)\n"
+        "code = solvmaps.cli.main(['verify', '--suites', 'prefactor', '--out', sys.argv[1]])\n"
+        "print('solvmaps.verify' in sys.modules, code)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(path)], env=_package_env(), capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "True", "0"]
+    assert [s["name"] for s in json.loads(path.read_text())["suites"]] == ["prefactor"]

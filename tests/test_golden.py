@@ -87,6 +87,10 @@ complex values; that change left every pin as it was.
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -102,6 +106,25 @@ def _sha256_of_run(tmp_path, argv, exit_code=0) -> str:
 def test_verify_seed_42_report(tmp_path, capsys):
     digest = _sha256_of_run(tmp_path, ["verify", "--seed", "42"])
     assert digest == VERIFY_SEED_42
+
+
+def test_verify_seed_42_report_when_the_command_imports_verify(tmp_path):
+    """The same bytes from a fresh interpreter, where ``cmd_verify`` is the
+    first to import ``solvmaps.verify``, as in a ``solvmaps verify`` process."""
+    path = tmp_path / "out"
+    script = (
+        "import sys\n"
+        "import solvmaps.cli\n"
+        "assert 'solvmaps.verify' not in sys.modules\n"
+        "sys.exit(solvmaps.cli.main(['verify', '--seed', '42', '--out', sys.argv[1]]))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(path)], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == VERIFY_SEED_42
 
 
 @pytest.mark.parametrize("seed", [17, 138])

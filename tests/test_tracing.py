@@ -15,6 +15,7 @@ import sys
 from pathlib import Path
 
 import solvmaps.cli
+import solvmaps.verify  # the tracer wraps each layer's module as imported; cli loads verify only to run it
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
