@@ -7,8 +7,8 @@ This module is the one reader of outside input.  ``--params`` and ``--x0``
 are JSON; a complex value is a real number, an ``[re, im]`` pair of reals or
 numeric strings, or a string such as ``"2i"`` or ``"1+2i"`` (``j`` also
 works, the unit comes last, spaces are ignored), and must be finite.  Output
-rows hold each complex as two float columns (``_re``/``_im``).  A write of
-the output that fails, or a reader that closes it early, also exits 2.
+rows hold each complex as two float columns (``_re``/``_im``).  A failure to
+write the output, a reader that closes it early included, is a ``ConfigError``.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import itertools
 import json
 import os
 import sys
-from contextlib import contextmanager, suppress
+from contextlib import contextmanager, nullcontext, suppress
 from dataclasses import dataclass, fields
 from typing import Callable, Iterable, Iterator, NoReturn, Sequence, TextIO
 
@@ -227,20 +227,27 @@ def _state_columns(system: str, with_y: bool) -> list[str]:
 
 @contextmanager
 def _open_out(path: str | None) -> Iterator[TextIO]:
-    """The ``--out`` stream, closed on the way out, or stdout, flushed then: a write
-    that fails does so before any message that follows the rows."""
-    if path is None or path == "-":
-        try:
-            yield sys.stdout
-        finally:
-            sys.stdout.flush()
-        return
+    """The ``--out`` file, closed on the way out, or stdout; either is flushed then, so a
+    write that fails does so before any message that follows the rows.
+
+    A failure to open, write, flush or close the stream is one ``ConfigError``
+    that names it.  A failed stdout is first pointed at the null device, so the
+    interpreter's flush at exit writes nowhere.
+    """
+    to_stdout = path is None or path == "-"
     try:
-        stream = open(path, "w", newline="")
-    except OSError as exc:
-        raise ConfigError(f"cannot write --out {path}: {exc.strerror or exc}") from exc
-    with stream:
-        yield stream
+        with nullcontext(sys.stdout) if to_stdout else open(path, "w", newline="") as stream:
+            try:
+                yield stream
+            finally:
+                stream.flush()
+    except OSError as exc:  # a reader that closed early too: BrokenPipeError
+        if to_stdout:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        where = "stdout" if to_stdout else f"--out {path}"
+        raise ConfigError(f"cannot write {where}: {exc.strerror or exc}") from exc
 
 
 def cmd_iterate(args: argparse.Namespace) -> int:
@@ -290,12 +297,10 @@ def cmd_solve(args: argparse.Namespace) -> int:
             for ell, (_, _, (y1, y2)) in enumerate(solution.entries):
                 write(row % (ell, "", y1.real, y1.imag, y2.real, y2.imag))
     if solution.error is not None:
-        print(
-            f"error: closed-form evaluation failed at step {solution.overflow_at}: "
-            f"{solution.error.reason}; output truncated",
-            file=sys.stderr,
-        )
-        return 3
+        raise NumericError(
+            f"closed-form evaluation failed at step {solution.overflow_at}: "
+            f"{solution.error.reason}; output truncated"
+        ) from solution.error
     return 0
 
 
@@ -356,35 +361,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _discard_stdout() -> None:
-    """Point stdout at the null device, so the interpreter's flush at exit writes nowhere."""
-    devnull = os.open(os.devnull, os.O_WRONLY)
-    os.dup2(devnull, sys.stdout.fileno())
-    os.close(devnull)
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except NumericError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except SolvmapsError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except BrokenPipeError:
-        _discard_stdout()
-        print("error: the output was closed before it was all written", file=sys.stderr)
-        return 2
-    except OSError as exc:  # a write or the close of the output; a failed open is a ConfigError
-        if args.out is None or args.out == "-":
-            _discard_stdout()
-            where = "stdout"
-        else:
-            where = f"--out {args.out}"
-        print(f"error: cannot write {where}: {exc.strerror or exc}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, NumericError) else 2
 
 
 if __name__ == "__main__":

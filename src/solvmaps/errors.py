@@ -44,4 +44,4 @@ class NumericOverflowError(NumericError):
 
 
 class ConfigError(SolvmapsError, ValueError):
-    """Invalid run configuration or parameters (CLI exit code 2)."""
+    """Invalid run configuration or parameters, or a failure to write the CLI's output (exit code 2)."""

@@ -3,6 +3,7 @@
 import contextlib
 import csv
 import dataclasses
+import errno
 import io
 import json
 import os
@@ -1024,7 +1025,24 @@ def test_closed_stdout_exits_2_without_a_traceback(command):
     err = proc.stderr.read()
     proc.stderr.close()
     assert proc.wait(timeout=60) == 2
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err == f"error: cannot write stdout: {os.strerror(errno.EPIPE)}\n"
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no os.mkfifo here")
+def test_out_fifo_closed_early_exits_2_naming_its_path(tmp_path):
+    """A reader of an ``--out`` FIFO that stops after one line: the line names the FIFO."""
+    fifo = tmp_path / "rows"
+    os.mkfifo(fifo)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "solvmaps.cli", *LONG_RUNS["iterate"], "--steps", "200000", "--out", str(fifo)],
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, env=_package_env(), text=True,
+    )
+    with open(fifo) as reader:
+        assert reader.readline()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 2
+    assert err == f"error: cannot write --out {fifo}: {os.strerror(errno.EPIPE)}\n"
 
 
 # --- one parser per process ----------------------------------------------------

@@ -58,6 +58,12 @@ class TestCpow:
         with pytest.raises(ZeroToNegativePowerError, match="at step 3"):
             cpow(0j, -1, step=3)
 
+    @pytest.mark.parametrize("n", [2000, -2000])
+    def test_integer_base_overflows_as_the_complex_one_does(self, n):
+        # An int base is made complex first: 2**2000 as an exact int would not convert to a float.
+        want = (NumericOverflowError, "result overflowed to a non-finite value")
+        assert _outcome(cpow, 2, n) == _outcome(cpow, 2 + 0j, n) == want
+
     @given(z=nonzero_complexes, m=small_exponents, n=small_exponents)
     def test_exponent_additivity(self, z, m, n):
         combined = cpow(z, m + n)

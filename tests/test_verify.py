@@ -249,6 +249,20 @@ class TestReport:
         verify._run_draws(suite, None, row)
         assert not suite.properties[0].passed
 
+    # Seeds past the 0-199 that CI pins, which fail today.  ROADMAP items 12 and 16: quad-family
+    # residuals 1.4e-8 to 1.0e-7 against 1e-8, and cubic-collapse residual inf, on k = -1 draws.
+    # ROADMAP item 1: y-closed residuals 1.0e-8 and 0.24 against 1e-9.
+    @pytest.mark.parametrize("seed", [
+        *(pytest.param(seed, marks=pytest.mark.xfail(strict=True, reason="quad-family: ROADMAP items 12, 16"))
+          for seed in (503, 2719, 3205, 3781, 4363, 5436)),
+        *(pytest.param(seed, marks=pytest.mark.xfail(strict=True, reason="cubic-collapse: ROADMAP items 12, 16"))
+          for seed in (3239, 3429)),
+        *(pytest.param(seed, marks=pytest.mark.xfail(strict=True, reason="y-closed: ROADMAP item 1"))
+          for seed in (472, 5538)),
+    ])
+    def test_seed_past_the_pinned_range_passes(self, seed):
+        assert run_verify(seed).passed
+
     def test_skip_accounting_within_bounds(self):
         report = run_verify(seed=42)
         for suite in report.suites:

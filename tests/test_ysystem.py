@@ -85,6 +85,13 @@ class TestStep:
         p = YParams(1, 0, 0, 1, 0, -2)
         assert y_step(p, YState(0, 5)) == YState(0, 0)
 
+    def test_integer_state_overflows_as_a_complex_one_does(self):
+        # y1**q with q = 2000: no power runs in exact integer arithmetic, so it overflows to inf.
+        p = YParams(1, 1, 0, 1, 2000, 0)
+        for y0 in (YState(2, 1), YState(2 + 0j, 1 + 0j)):
+            with pytest.raises(NumericOverflowError, match="overflowed to a non-finite value"):
+                y_step(p, y0)
+
 
 class TestIterate:
     def test_error_names_the_first_state_not_delivered(self):

@@ -7,10 +7,8 @@ objects, nested ones included.  Prints ``path:line source`` for every
 executable line that never ran and exits 1 if there is one or if Tier-1
 fails; exits 0 otherwise.
 
-Two blocks run only in the child interpreters that ``tests/test_cli.py``
-starts, so they are exempt: ``cli.main``'s ``except BrokenPipeError:``
-handler and any ``if __name__ == "__main__":`` block.  Both are found with
-``ast``.
+Only ``if __name__ == "__main__":`` blocks are exempt, found with ``ast``:
+they run only in the child interpreters that ``tests/test_cli.py`` starts.
 
 Line events differ across CPython versions; the audit is kept clean on
 CPython 3.11.  It takes a few times as long as Tier-1.
@@ -40,22 +38,10 @@ def executable_lines(code) -> set[int]:
     return lines
 
 
-def _is_main_guard(node: ast.AST) -> bool:
-    return isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"
-
-
-def exempt_lines(path: Path, tree: ast.Module) -> set[int]:
-    """Lines that only a child interpreter runs: see the module docstring."""
-    blocks = [node for node in tree.body if _is_main_guard(node)]
-    if path.name == "cli.py":
-        for func in tree.body:
-            if isinstance(func, ast.FunctionDef) and func.name == "main":
-                blocks += [
-                    handler
-                    for node in ast.walk(func) if isinstance(node, ast.Try)
-                    for handler in node.handlers
-                    if isinstance(handler.type, ast.Name) and handler.type.id == "BrokenPipeError"
-                ]
+def exempt_lines(tree: ast.Module) -> set[int]:
+    """The lines of the module's ``if __name__ == "__main__":`` blocks."""
+    blocks = [node for node in tree.body
+              if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"]
     return {line for block in blocks for line in range(block.lineno, block.end_lineno + 1)}
 
 
@@ -83,7 +69,7 @@ def main() -> int:
         path = Path(name)
         source = path.read_text()
         tree = ast.parse(source)
-        never = executable_lines(compile(tree, name, "exec")) - ran - exempt_lines(path, tree)
+        never = executable_lines(compile(tree, name, "exec")) - ran - exempt_lines(tree)
         text = source.splitlines()
         missed += [f"{path.relative_to(ROOT)}:{line} {text[line - 1].strip()}" for line in sorted(never)]
     if missed:
